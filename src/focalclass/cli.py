@@ -87,10 +87,6 @@ def parse_rat(s) -> Fraction:
         raise DescriptorError(f"zero denominator in {s!r}") from None
 
 
-def rat_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _parse_matrix(rows) -> MatQ:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DescriptorError("matrix must be a list of rows")
@@ -146,17 +142,17 @@ def descriptor_obj(g: FocalDescriptor) -> dict:
         obj = {
             "kind": "Composite",
             "A": _matrix_obj(g.conn),
-            "varpi": rat_str(g.varpi),
+            "varpi": str(g.varpi),
             "q": g.q,
         }
         if g.index != 1:
             obj["index"] = g.index
         return obj
-    return {"kind": "Millefeuille", "A": _matrix_obj(g.conn), "t": rat_str(g.t), "k": g.k}
+    return {"kind": "Millefeuille", "A": _matrix_obj(g.conn), "t": str(g.t), "k": g.k}
 
 
 def _matrix_obj(a: MatQ) -> list:
-    return [[rat_str(x) for x in row] for row in a.rows]
+    return [[str(x) for x in row] for row in a.rows]
 
 
 def canonical_text(g: FocalDescriptor) -> str:

@@ -1,19 +1,19 @@
 """Exact linear algebra over the rationals for contracting actions.
 
-Matrices are immutable arrays of Fractions.  Spectral analysis is restricted
-to characteristic polynomials that split over Q with positive roots; outside
-that family a typed error is raised instead of falling back to floats.
-Similarity is decided through canonical data (invariant factors in general,
-eigenvalue and Jordan block data on the split family), and every similarity
-witness is verified by exact multiplication before it is returned.
+Matrices are immutable arrays of Fractions, and one Gaussian-elimination
+kernel serves the determinant, rank, inverse and nullspace.  Spectral
+analysis is restricted to characteristic polynomials that split over Q with
+positive roots.  Their roots are found exactly and completely by p-adic
+lifting; outside that family a typed error is raised, never a float guess.
+Similarity is decided by eigenvalue and Jordan block data, and every
+similarity witness is verified by exact multiplication before it is returned.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 from typing import Optional, Union
 
@@ -25,7 +25,6 @@ from .exactnum import (
     canonical_value,
     common_power,
     compare_values,
-    factorize,
 )
 
 __all__ = [
@@ -34,14 +33,12 @@ __all__ = [
     "NonRationalSpectrumError",
     "UndecidedComparisonError",
     "charpoly",
-    "det",
     "mat_power",
     "spectral_data",
     "is_contracting",
     "conjugate",
     "power_conjugacy",
     "one_param_power",
-    "invariant_factors",
 ]
 
 
@@ -124,51 +121,67 @@ class MatQ:
 
     def det(self) -> Fraction:
         """Determinant by Gaussian elimination; empty matrix gives 1."""
-        n = self.dim
         m = [list(row) for row in self.rows]
-        result = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                result = -result
-            result *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    factor = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] -= factor * m[col][c]
+        pivots, sign = _echelon(m, self.dim)
+        if len(pivots) < self.dim:
+            return Fraction(0)
+        result = Fraction(sign)
+        for i in range(self.dim):
+            result *= m[i][i]
         return result
 
     def inverse(self) -> "MatQ":
         n = self.dim
         m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            m[col], m[pivot] = m[pivot], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    factor = m[r][col]
-                    m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+        if len(_echelon(m, n, reduced=True)[0]) < n:
+            raise ZeroDivisionError("matrix is singular")
         return MatQ([row[n:] for row in m])
 
 
-def det(a: MatQ) -> Fraction:
-    return a.det()
+def _echelon(m: list, ncols: int, reduced: bool = False) -> tuple[list, int]:
+    """Row-reduce the rows m in place on their first ncols columns.
+
+    Returns the pivot columns and the sign of the row permutation.  Each
+    pivot row is subtracted from the rows below it from the pivot column
+    rightwards, so columns past ncols (an augmented identity) follow along.
+    With reduced, a back-substitution pass then scales every pivot to 1 and
+    clears the entries above it, giving the reduced echelon form.
+    """
+    pivots: list = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        row = m[r]
+        inv = 1 / row[col]
+        for target in m[r + 1 :]:
+            if target[col] != 0:
+                factor = target[col] * inv
+                for c in range(col, len(row)):
+                    target[c] -= factor * row[c]
+        pivots.append(col)
+    if reduced:
+        for r in reversed(range(len(pivots))):
+            col, row = pivots[r], m[r]
+            inv = 1 / row[col]
+            for c in range(col, len(row)):
+                row[c] *= inv
+            for target in m[:r]:
+                if target[col] != 0:
+                    factor = target[col]
+                    for c in range(col, len(row)):
+                        target[c] -= factor * row[c]
+    return pivots, sign
 
 
 def mat_power(a: MatQ, n: int) -> MatQ:
     """a**n by repeated squaring; n < 0 requires det(a) != 0."""
     if n < 0:
-        if a.det() == 0:
-            raise ZeroDivisionError("negative power of a singular matrix")
         return mat_power(a.inverse(), -n)
     result = MatQ.identity(a.dim)
     base = a
@@ -181,22 +194,7 @@ def mat_power(a: MatQ, n: int) -> MatQ:
 
 
 def rank(a: MatQ) -> int:
-    m = [list(row) for row in a.rows]
-    n = a.dim
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        for i in range(r + 1, n):
-            if m[i][col] != 0:
-                factor = m[i][col] * inv
-                for c in range(col, n):
-                    m[i][c] -= factor * m[r][c]
-        r += 1
-    return r
+    return len(_echelon([list(row) for row in a.rows], a.dim)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +213,6 @@ def _p_trim(c) -> Poly:
 
 def p_deg(p: Poly) -> int:
     return len(p) - 1  # zero polynomial gets degree -1
-
-
-def p_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return _p_trim(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-    )
-
-
-def p_neg(p: Poly) -> Poly:
-    return tuple(-x for x in p)
-
-
-def p_sub(p: Poly, q: Poly) -> Poly:
-    return p_add(p, p_neg(q))
-
-
-def p_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _p_trim(out)
 
 
 def p_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -267,13 +239,6 @@ def p_monic(p: Poly) -> Poly:
         return p
     lead = p[-1]
     return tuple(x / lead for x in p)
-
-
-def p_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def charpoly(a: MatQ) -> Poly:
@@ -319,14 +284,6 @@ class SpectralData:
         return all(all(b == 1 for b in blocks) for _, blocks in self.entries)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def _poly_gcd(p: Poly, q: Poly) -> Poly:
     while q:
         _, r = p_divmod(p, q)
@@ -338,143 +295,65 @@ def _p_derivative(p: Poly) -> Poly:
     return _p_trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _durand_kerner(coeffs: list) -> list:
-    """Approximate complex roots of a monic float polynomial (ascending)."""
-    n = len(coeffs) - 1
-    roots = [complex(0.4, 0.9) ** (k + 1) for k in range(n)]
-    for _ in range(300):
-        shift = 0.0
-        for i in range(n):
-            num = complex(coeffs[-1])
-            for c in reversed(coeffs[:-1]):
-                num = num * roots[i] + c
-            den = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    den *= roots[i] - roots[j]
-            if den == 0:
-                den = 1e-30
-            delta = num / den
-            roots[i] -= delta
-            shift = max(shift, abs(delta))
-        if shift < 1e-12:
-            break
-    return roots
+def _horner(f: list, x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
 
-def _float_root_candidates(p: Poly) -> set:
-    """Exactly verified rational-root candidates of p, via its square-free part.
+def _integer_roots(f: list) -> list:
+    """Integer roots of a square-free monic integer polynomial (ascending
+    coefficients), by p-adic lifting (Loos 1983).
 
-    The square-free part is rescaled to a monic integer polynomial whose
-    rational roots are integers; float approximations of those are rounded
-    and every candidate is checked exactly, so the output is sound.  On
-    float overflow the set is simply empty (the caller has a fallback).
+    q is the first prime above the degree at which every root of f mod q is
+    simple; only the primes dividing the discriminant fail, so the search
+    ends.  Each simple root lifts uniquely to a root mod q**(2**k) by Newton
+    steps.  An integer root y has |y| <= 1 + max|coeff| (Cauchy), so y is the
+    symmetric residue of the lift of y mod q once q**(2**k) exceeds twice
+    that bound; exact evaluation then keeps the true roots among the lifts.
     """
-    deriv = _p_derivative(p)
-    g = _poly_gcd(p, deriv)
-    square_free = p_monic(p_divmod(p, g)[0]) if p_deg(g) >= 1 else p_monic(p)
+    deriv = [i * c for i, c in enumerate(f)][1:]
+    q = len(f) - 1
+    while True:
+        q += 1
+        if any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+            continue
+        reduced = [c % q for c in f]
+        lifts = [a for a in range(q) if _horner(reduced, a) % q == 0]
+        if all(_horner(deriv, a) % q for a in lifts):
+            break
+    bound = 2 * (1 + max(abs(c) for c in f))
+    modulus = q
+    while modulus <= bound:
+        modulus *= modulus
+        lifts = [
+            (a - _horner(f, a) * pow(_horner(deriv, a), -1, modulus)) % modulus
+            for a in lifts
+        ]
+    residues = (a - modulus if 2 * a > modulus else a for a in lifts)
+    return [y for y in residues if _horner(f, y) == 0]
+
+
+def _rational_roots(p: Poly) -> dict:
+    """Rational roots of the monic polynomial p with their multiplicities."""
+    square_free = p_divmod(p, _poly_gcd(p, _p_derivative(p)))[0]
     m = p_deg(square_free)
-    if m < 1:
-        return set()
     denom_lcm = 1
     for c in square_free:
         denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
     # y = denom_lcm * x turns the square-free part into a monic integer
-    # polynomial with integer roots
-    int_poly = []
-    for i in range(m + 1):
-        scaled = square_free[i] * denom_lcm ** (m - i)
-        assert scaled.denominator == 1
-        int_poly.append(scaled.numerator)
-    try:
-        float_coeffs = [float(c) for c in int_poly]
-        if any(c in (float("inf"), float("-inf")) for c in float_coeffs):
-            return set()
-        approx = _durand_kerner(float_coeffs)
-    except OverflowError:
-        return set()
-    candidates = set()
-    for z in approx:
-        if not (cmath.isfinite(z) and abs(z.imag) <= 0.01 * (1 + abs(z.real))):
-            continue
-        base = round(z.real)
-        for y in (base - 1, base, base + 1):
-            acc = 0
-            for c in reversed(int_poly):
-                acc = acc * y + c
-            if acc == 0:
-                candidates.add(Fraction(y, denom_lcm))
-    return candidates
-
-
-_DIVISOR_PAIR_CAP = 20000
-_VERIFY_PRIME = (1 << 61) - 1
-
-
-def _divisor_root_candidates(p: Poly) -> set:
-    """Rational-root candidates by the divisor bound, with a modular
-    pre-filter; empty when the search space is infeasible."""
-    denom_lcm = 1
-    for c in p:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ip = [int(c * denom_lcm) for c in p]
-    g = 0
-    for c in ip:
-        g = gcd(g, c)
-    ip = [c // g for c in ip]
-    try:
-        nums = _divisors(ip[0])
-        dens = _divisors(ip[-1])
-    except ValueError:
-        return set()
-    if len(nums) * len(dens) > _DIVISOR_PAIR_CAP:
-        return set()
-    mod = _VERIFY_PRIME
-    ip_mod = [c % mod for c in ip]
-    candidates = set()
-    for q in dens:
-        q_inv = pow(q, mod - 2, mod)
-        for r in nums:
-            if gcd(r, q) != 1:
-                continue
-            for sign in (1, -1):
-                x = sign * r % mod * q_inv % mod
-                acc = 0
-                for c in reversed(ip_mod):
-                    acc = (acc * x + c) % mod
-                if acc == 0 and p_eval(p, Fraction(sign * r, q)) == 0:
-                    candidates.add(Fraction(sign * r, q))
-    return candidates
-
-
-def _rational_roots(p: Poly) -> tuple[dict, Poly]:
-    """All rational roots with multiplicities, plus the unfactored remainder."""
+    # polynomial whose rational roots are integers
+    f = [(c * denom_lcm ** (m - i)).numerator for i, c in enumerate(square_free)]
     roots: dict[Fraction, int] = {}
-    while p and p[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        p = p[1:]
-    while p_deg(p) >= 1:
-        if p_deg(p) == 1:
-            root = -p[0] / p[1]
+    for y in _integer_roots(f):
+        root = Fraction(y, denom_lcm)
+        quo, rem = p_divmod(p, (-root, Fraction(1)))
+        while not rem:
             roots[root] = roots.get(root, 0) + 1
-            return roots, ()
-        candidates = _float_root_candidates(p)
-        if not candidates:
-            candidates = _divisor_root_candidates(p)
-        progressed = False
-        for cand in sorted(candidates):
-            while True:
-                quo, rem = p_divmod(p, (-cand, Fraction(1)))
-                if rem:
-                    break
-                roots[cand] = roots.get(cand, 0) + 1
-                p = quo
-                progressed = True
-                if p_deg(p) < 1:
-                    break
-        if not progressed:
-            break
-    return roots, p
+            p = quo
+            quo, rem = p_divmod(p, (-root, Fraction(1)))
+    return roots
 
 
 def _triangular_diagonal(a: MatQ) -> Optional[list]:
@@ -502,13 +381,10 @@ def spectral_data(a: MatQ) -> SpectralData:
         roots: dict = {}
         for ev in diagonal:
             roots[ev] = roots.get(ev, 0) + 1
-        remainder: Poly = ()
     else:
-        roots, remainder = _rational_roots(charpoly(a))
-    if p_deg(remainder) >= 1:
-        raise NonRationalSpectrumError(
-            "characteristic polynomial has an irreducible factor of degree >= 2"
-        )
+        roots = _rational_roots(charpoly(a))
+    if sum(roots.values()) < n:
+        raise NonRationalSpectrumError("characteristic polynomial does not split over Q")
     if any(ev <= 0 for ev in roots):
         raise NonRationalSpectrumError("spectrum contains a non-positive rational eigenvalue")
     entries = []
@@ -544,80 +420,6 @@ def is_contracting(a: MatQ) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def invariant_factors(a: MatQ) -> tuple:
-    """Nonunit invariant factors of xI - a (monic, each dividing the next).
-
-    This is the rational canonical (Frobenius) form data: two matrices are
-    similar over Q iff these lists coincide.
-    """
-    n = a.dim
-    m = [
-        [
-            _p_trim([-a.rows[i][j], Fraction(1)]) if i == j else _p_trim([-a.rows[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    factors = []
-    for t in range(n):
-        while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if m[i][j] and (best is None or p_deg(m[i][j]) < p_deg(m[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            bi, bj = best
-            m[t], m[bi] = m[bi], m[t]
-            for row in m:
-                row[t], row[bj] = row[bj], row[t]
-            dirty = False
-            for i in range(t + 1, n):
-                if m[i][t]:
-                    q, _ = p_divmod(m[i][t], m[t][t])
-                    if q:
-                        m[i] = [p_sub(m[i][c], p_mul(q, m[t][c])) for c in range(n)]
-                    if m[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if m[t][j]:
-                    q, _ = p_divmod(m[t][j], m[t][t])
-                    if q:
-                        for i in range(n):
-                            m[i][j] = p_sub(m[i][j], p_mul(q, m[i][t]))
-                    if m[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if m[i][j]:
-                        _, r = p_divmod(m[i][j], m[t][t])
-                        if r:
-                            offender = i
-                            break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            m[t] = [p_add(m[t][c], m[offender][c]) for c in range(n)]
-        factors.append(p_monic(m[t][t]))
-    return tuple(f for f in factors if p_deg(f) >= 1)
-
-
-def _similar(a: MatQ, b: MatQ) -> bool:
-    if charpoly(a) != charpoly(b):
-        return False
-    try:
-        return spectral_data(a) == spectral_data(b)
-    except (NonRationalSpectrumError, ValueError):
-        # outside the split-positive family (or its size guards): fall back to
-        # the factorization-free invariant-factor comparison
-        return invariant_factors(a) == invariant_factors(b)
-
-
 def _intertwiner_space(a: MatQ, b: MatQ) -> list[MatQ]:
     """Basis of {P : P@a == b@P} as matrices, via the Sylvester system."""
     n = a.dim
@@ -636,22 +438,7 @@ def _intertwiner_space(a: MatQ, b: MatQ) -> list[MatQ]:
 
 def _nullspace(rows: list, ncols: int) -> list:
     m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    pivots, _ = _echelon(m, ncols, reduced=True)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -686,17 +473,16 @@ def _conjugate_assuming(a: MatQ, b: MatQ) -> MatQ:
 def conjugate(a: MatQ, b: MatQ) -> Optional[MatQ]:
     """Similarity witness P with P @ a @ P^-1 == b, or None.
 
-    Present iff a and b have equal rational canonical forms.  The witness is
-    an invertible element of the intertwiner space {P : Pa = bP}; when the
+    Present iff a and b have equal spectral data; a matrix outside the split
+    positive family raises NonRationalSpectrumError.  The witness is an
+    invertible element of the intertwiner space {P : Pa = bP}; when the
     matrices are similar such elements are dense in that space, so a short
     randomized search over integer combinations finds one.  The witness is
     verified exactly before being returned.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if a.dim == 0:
-        return MatQ.identity(0)
-    if not _similar(a, b):
+    if spectral_data(a) != spectral_data(b):
         return None
     return _conjugate_assuming(a, b)
 

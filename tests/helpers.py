@@ -65,6 +65,45 @@ def diag(*values) -> MatQ:
     return MatQ.diag([Fraction(v) for v in values])
 
 
+def jordan_matrix(blocks) -> MatQ:
+    """Block-diagonal Jordan matrix from a list of (eigenvalue, size)."""
+    dim = sum(size for _, size in blocks)
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    offset = 0
+    for ev, size in blocks:
+        for i in range(size):
+            rows[offset + i][offset + i] = Fraction(ev)
+            if i + 1 < size:
+                rows[offset + i][offset + i + 1] = Fraction(1)
+        offset += size
+    return MatQ(rows)
+
+
+def unit_lower(dim: int, entries) -> MatQ:
+    """Unit lower-triangular matrix filled row by row from ``entries``."""
+    it = iter(entries)
+    return MatQ([[1 if i == j else (next(it) if j < i else 0) for j in range(dim)]
+                 for i in range(dim)])
+
+
+def dense_split_conjugates():
+    """(name, matrix, eigenvalues): P diag(eigenvalues) P^-1 with P = L U
+    unimodular.  Their spectra split over Q, but a float root guess plus a
+    capped divisor search rejected all three as non-split."""
+    l3 = unit_lower(3, [1, -1, 2])
+    u3 = MatQ(zip(*unit_lower(3, [1, 1, -1]).rows))
+    l7 = unit_lower(7, [1 if j == i - 1 else 0 for i in range(7) for j in range(i)])
+    u7 = MatQ(zip(*l7.rows))
+    a, b = 10**6, 10**15
+    cases = [
+        ("near_one", l3 @ u3, [Fraction(a, a + 1), Fraction(a + 1, a + 2), Fraction(a + 2, a + 3)]),
+        ("wide", l3 @ u3, [Fraction(b, b + 1), Fraction(b - 1, b), Fraction(1, 2)]),
+        ("bidiagonal_7", l7 @ u7,
+         [Fraction(x) for x in ("1/8", "7/25", "1/2", "14/25", "18/25", "7/8", "26/27")]),
+    ]
+    return [(name, p @ MatQ.diag(evs) @ p.inverse(), evs) for name, p, evs in cases]
+
+
 def descriptor_pool():
     """A corpus with deliberate commability clusters of every type."""
     h = Fraction(1, 2)

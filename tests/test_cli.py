@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import focalclass
 from focalclass.cli import (
     EXIT_NO,
     EXIT_PARSE,
@@ -16,6 +18,8 @@ from focalclass.cli import (
     main,
     parse_descriptor,
 )
+
+from helpers import dense_split_conjugates
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -95,6 +99,15 @@ def test_invariants_connected(capsys):
     assert out["s"] == 1 and out["q"] == 1 and out["varpi"] == "0"
     assert out["p0"] == "3" and out["boundary"] == "sphere(2)"
     assert "hull" in out
+
+
+def test_invariants_dense_split_conjugates(capsys, tmp_path):
+    for name, a, _ in dense_split_conjugates():
+        path = tmp_path / f"{name}.json"
+        rows = [[str(x) for x in row] for row in a.rows]
+        path.write_text(json.dumps({"kind": "GAk", "A": rows, "k": 1}), encoding="utf-8")
+        code, out = run_cli(capsys, "invariants", str(path))
+        assert code == EXIT_YES and out["type"] == "connected", name
 
 
 def test_invariants_tolerance_floats(capsys):
@@ -268,10 +281,14 @@ def test_radical_check_rejects_composite_p(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports focalclass from wherever this process found it
+    src = str(Path(focalclass.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "focalclass.cli", "invariants", corpus_path("ft8")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q"] == 2

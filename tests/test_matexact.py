@@ -4,22 +4,30 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
+    _nullspace,
     charpoly,
     conjugate,
-    invariant_factors,
     is_contracting,
     mat_power,
     one_param_power,
     power_conjugacy,
+    rank,
     spectral_data,
 )
 from focalclass.exactnum import LogRatio, canonical_value
 
-from helpers import random_conjugator, random_diagonalizable, random_triangular
+from helpers import (
+    dense_split_conjugates,
+    jordan_matrix,
+    random_conjugator,
+    random_diagonalizable,
+    random_triangular,
+)
 
 
 def diag(*values):
@@ -41,6 +49,46 @@ def test_det_and_power_examples():
 def test_negative_power_of_singular_matrix():
     with pytest.raises(ZeroDivisionError):
         mat_power(MatQ([[0, 1], [0, 0]]), -1)
+
+
+def cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+@st.composite
+def rational_matrices(draw, max_dim=5):
+    """Square rational matrices; about half are made singular by replacing
+    the last row with an integer combination of the others."""
+    n = draw(st.integers(1, max_dim))
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return MatQ(rows)
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_elimination_kernel_properties(a):
+    n = a.dim
+    d = a.det()
+    if n <= 4:
+        assert d == cofactor_det(a.rows)
+    basis = _nullspace(a.rows, n)
+    assert rank(a) + len(basis) == n
+    for vec in basis:
+        assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a.rows)
+    if d:
+        assert a @ a.inverse() == MatQ.identity(n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
 
 
 def test_charpoly_rotation():
@@ -71,6 +119,49 @@ def test_spectral_examples():
         spectral_data(MatQ([[0, 1], [-1, 0]]))
     with pytest.raises(NonRationalSpectrumError):
         spectral_data(diag("1/2", -2))
+
+
+def test_non_split_spectra_are_rejected():
+    rng = Random(19)
+    rotation = MatQ([[0, 1], [-1, 0]])  # x^2 + 1
+    companion = MatQ([[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # x^3 - 2
+    mixed = MatQ([["1/2", 0, 0], [0, 0, 1], [0, 3, 0]])  # (x - 1/2)(x^2 - 3)
+    for a in (rotation, companion, mixed):
+        p = random_conjugator(rng, a.dim)
+        for b in (a, p @ a @ p.inverse()):
+            with pytest.raises(NonRationalSpectrumError):
+                spectral_data(b)
+
+
+def test_spectral_data_of_dense_split_conjugates():
+    for name, a, evs in dense_split_conjugates():
+        assert spectral_data(a).entries == tuple((ev, (1,)) for ev in sorted(evs)), name
+
+
+@st.composite
+def jordan_blocks(draw):
+    """(eigenvalue, size) blocks of total size 1-6; about a quarter of the
+    blocks repeat an earlier eigenvalue."""
+    height = st.integers(1, 10**18)
+    blocks, left = [], draw(st.integers(1, 6))
+    while left:
+        size = draw(st.integers(1, min(left, 3)))
+        if blocks and draw(st.integers(0, 3)) == 0:
+            ev = draw(st.sampled_from([ev for ev, _ in blocks]))
+        else:
+            ev = draw(st.builds(F, height, height))
+        blocks.append((ev, size))
+        left -= size
+    return blocks
+
+
+@given(jordan_blocks(), st.integers(0, 2**32))
+@example([(F(10**18 - 1, 10**18), 1), (F(10**17 + 3, 10**18), 2), (F(1, 3), 1)], 1)
+@settings(max_examples=50, deadline=None)
+def test_spectral_data_conjugation_invariant_property(blocks, seed):
+    jordan = jordan_matrix(blocks)
+    p = random_conjugator(Random(seed), jordan.dim)
+    assert spectral_data(p @ jordan @ p.inverse()) == spectral_data(jordan)
 
 
 def test_is_contracting_examples():
@@ -137,34 +228,6 @@ def test_conjugate_symmetric_presence():
             assert ab @ a @ ab.inverse() == b
 
 
-def test_invariant_factors_properties():
-    """Product of the invariant factors is the characteristic polynomial, the
-    last factor annihilates the matrix (it is the minimal polynomial), the
-    chain is a divisibility chain, and everything is conjugation-invariant."""
-    from focalclass.matexact import p_divmod, p_mul
-
-    rng = Random(17)
-    for _ in range(40):
-        dim = rng.choice([2, 3, 4])
-        a = MatQ([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim)])
-        factors = invariant_factors(a)
-        product = (F(1),)
-        for f in factors:
-            product = p_mul(product, f)
-        assert product == charpoly(a)
-        for f, g in zip(factors, factors[1:]):
-            assert p_divmod(g, f)[1] == ()  # divisibility chain
-        minimal = factors[-1]
-        acc = MatQ([[F(0)] * dim for _ in range(dim)])
-        power = MatQ.identity(dim)
-        for coeff in minimal:
-            acc = acc.add(power.scale(coeff))
-            power = power @ a
-        assert acc == MatQ([[F(0)] * dim for _ in range(dim)])
-        p = random_conjugator(rng, dim)
-        assert invariant_factors(p @ a @ p.inverse()) == factors
-
-
 def test_spectral_data_recovers_constructed_jordan_forms():
     rng = Random(18)
     for _ in range(30):
@@ -175,19 +238,11 @@ def test_spectral_data_recovers_constructed_jordan_forms():
         for ev in evs[: rng.randint(1, 3)]:
             for _ in range(rng.randint(1, 2)):
                 blocks.append((ev, rng.randint(1, 2)))
-        dim = sum(size for _, size in blocks)
-        rows = [[F(0)] * dim for _ in range(dim)]
-        offset = 0
         expect: dict = {}
         for ev, size in blocks:
             expect.setdefault(ev, []).append(size)
-            for i in range(size):
-                rows[offset + i][offset + i] = ev
-                if i + 1 < size:
-                    rows[offset + i][offset + i + 1] = F(1)
-            offset += size
-        jordan = MatQ(rows)
-        p = random_conjugator(rng, dim)
+        jordan = jordan_matrix(blocks)
+        p = random_conjugator(rng, jordan.dim)
         data = spectral_data(p @ jordan @ p.inverse())
         got = {ev: list(blocks_) for ev, blocks_ in data.entries}
         assert got == {
@@ -195,19 +250,11 @@ def test_spectral_data_recovers_constructed_jordan_forms():
         }
 
 
-def test_invariant_factors_distinguish_jordan_structure():
-    scalar = diag("1/2", "1/2")
-    block = MatQ([["1/2", 1], [0, "1/2"]])
-    assert invariant_factors(scalar) != invariant_factors(block)
-    assert invariant_factors(scalar) == (
-        (F(-1, 2), F(1)),
-        (F(-1, 2), F(1)),
-    )
-    # non-split spectra still decide equality through invariant factors
+def test_conjugate_outside_family_raises():
     rot = MatQ([[0, 1], [-1, 0]])
-    rng = Random(14)
-    p = random_conjugator(rng, 2)
-    assert conjugate(rot, p @ rot @ p.inverse()) is not None
+    p = random_conjugator(Random(14), 2)
+    with pytest.raises(NonRationalSpectrumError):
+        conjugate(rot, p @ rot @ p.inverse())
 
 
 # ---------------------------------------------------------------------------
