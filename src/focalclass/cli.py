@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exactnum import as_float
+from .exactnum import _is_prime, as_float
 from .matexact import MatQ, NonRationalSpectrumError, UndecidedComparisonError
 from .focalmodel import (
     FT,
@@ -61,7 +61,6 @@ from .radicalcheck import (
     conjugacy_orbit_size,
     designated_units,
     unit_infinite_order,
-    _is_prime,
 )
 
 EXIT_YES = 0
@@ -367,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="classification invariants of one descriptor")
     p_inv.add_argument("file")
     p_inv.add_argument("--tolerance", type=float, default=None,
-                       help="also emit float renditions of varpi and p0")
+                       help="a flag: also emit float renditions of varpi and p0 "
+                            "(its value is required but never read)")
     p_inv.set_defaults(func=cmd_invariants)
 
     p_com = sub.add_parser("commable", help="decide commability of two descriptors")

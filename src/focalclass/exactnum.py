@@ -94,6 +94,18 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _is_prime(n: int) -> bool:
+    """Primality by trial division; callers pass small n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
@@ -105,7 +117,7 @@ def _prime_iter(limit: int):
         yield p
     p = _SMALL_PRIMES[-1] + 2
     while p <= limit:
-        if all(p % q for q in _SMALL_PRIMES if q * q <= p):
+        if _is_prime(p):
             yield p
         p += 2
 

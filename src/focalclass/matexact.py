@@ -7,13 +7,17 @@ positive roots.  Their roots are found exactly and completely by p-adic
 lifting; outside that family a typed error is raised, never a float guess.
 Similarity is decided by eigenvalue and Jordan block data, and every
 similarity witness is verified by exact multiplication before it is returned.
+
+A matrix's spectral data is computed at most once and kept on the matrix
+itself, so every caller that asks again reads the stored value.  A matrix
+outside the family keeps nothing and raises again on each call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from random import Random
 from typing import Optional, Union
 
@@ -22,6 +26,7 @@ from .exactnum import (
     NOT_EQUAL,
     LogRatio,
     Undecided,
+    _is_prime,
     canonical_value,
     common_power,
     compare_values,
@@ -59,9 +64,13 @@ def _frac(x) -> Fraction:
 
 
 class MatQ:
-    """Immutable square matrix over Q.  dim 0 is allowed (empty matrix)."""
+    """Immutable square matrix over Q.  dim 0 is allowed (empty matrix).
 
-    __slots__ = ("rows", "dim")
+    Equality, hashing and repr use only the rows; the _spectral slot holds
+    the spectral data once spectral_data has computed it.
+    """
+
+    __slots__ = ("rows", "dim", "_spectral")
 
     def __init__(self, rows):
         rows = tuple(tuple(_frac(x) for x in row) for row in rows)
@@ -70,6 +79,7 @@ class MatQ:
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "_spectral", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatQ is immutable")
@@ -317,7 +327,7 @@ def _integer_roots(f: list) -> list:
     q = len(f) - 1
     while True:
         q += 1
-        if any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        if not _is_prime(q):
             continue
         reduced = [c % q for c in f]
         lifts = [a for a in range(q) if _horner(reduced, a) % q == 0]
@@ -371,11 +381,12 @@ def spectral_data(a: MatQ) -> SpectralData:
 
     Only matrices whose characteristic polynomial splits over Q with strictly
     positive roots are in the implemented family; anything else raises
-    NonRationalSpectrumError.
+    NonRationalSpectrumError.  The result is stored on a and returned by
+    later calls; an error is not stored.
     """
+    if a._spectral is not None:
+        return a._spectral
     n = a.dim
-    if n == 0:
-        return SpectralData(())
     diagonal = _triangular_diagonal(a)
     if diagonal is not None:
         roots: dict = {}
@@ -391,11 +402,11 @@ def spectral_data(a: MatQ) -> SpectralData:
     for ev in sorted(roots):
         mult = roots[ev]
         shifted = a.sub(MatQ.identity(n).scale(ev))
-        ranks = [n]
+        ranks = [n, rank(shifted)]
         power = shifted
         while ranks[-1] > n - mult:
-            ranks.append(rank(power))
             power = power @ shifted
+            ranks.append(rank(power))
         # d[j] = number of blocks of size >= j; sizes from successive differences
         d = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
         blocks = []
@@ -405,6 +416,7 @@ def spectral_data(a: MatQ) -> SpectralData:
         entries.append((ev, tuple(sorted(blocks, reverse=True))))
     data = SpectralData(tuple(entries))
     assert sum(sum(blocks) for _, blocks in data.entries) == n
+    object.__setattr__(a, "_spectral", data)
     return data
 
 

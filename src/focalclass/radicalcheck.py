@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
+from .exactnum import _is_prime
+
 __all__ = [
     "FpRat",
     "H3Elem",
@@ -33,17 +35,6 @@ __all__ = [
     "unit_infinite_order",
     "check_twist_identity",
 ]
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from focalclass.exactnum import (
     mult_decompose,
     mult_dependent,
 )
-from focalclass.exactnum import _interval_compare
+from focalclass.exactnum import _interval_compare, _is_prime as exactnum_is_prime, _prime_iter
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,23 @@ def test_factorize_reconstructs(n):
         product *= p**e
     assert product == n
     assert list(factors) == sorted(factors)
+
+
+def sieve(n):
+    """Primes up to n by the sieve of Eratosthenes."""
+    flags = [False, False] + [True] * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(flags[p * p :: p])
+    return [p for p in range(n + 1) if flags[p]]
+
+
+def test_prime_iter_matches_sieve():
+    primes = sieve(6000)
+    limits = list(range(130)) + [4488, 4489, 4757, 4891, 5000, 6000]
+    for n in limits:
+        assert list(_prime_iter(n)) == [p for p in primes if p <= n], n
+    assert [n for n in range(-2, 6001) if exactnum_is_prime(n)] == primes
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
 """Unit tests for the exact rational linear algebra kernels."""
 
+import json
+from collections import Counter
 from fractions import Fraction as F
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from focalclass import cli, matexact
+from focalclass.commengine import (
+    commable,
+    commable_within_focal,
+    quasi_isometric,
+    validate_chain,
+)
+from focalclass.focalmodel import compute_invariants
 from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
@@ -27,6 +37,7 @@ from helpers import (
     random_conjugator,
     random_diagonalizable,
     random_triangular,
+    unit_lower,
 )
 
 
@@ -162,6 +173,57 @@ def test_spectral_data_conjugation_invariant_property(blocks, seed):
     jordan = jordan_matrix(blocks)
     p = random_conjugator(Random(seed), jordan.dim)
     assert spectral_data(p @ jordan @ p.inverse()) == spectral_data(jordan)
+
+
+@given(jordan_blocks(), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_stored_spectral_data_is_transparent(blocks, seed):
+    jordan = jordan_matrix(blocks)
+    p = random_conjugator(Random(seed), jordan.dim)
+    a = p @ jordan @ p.inverse()
+    data = spectral_data(a)
+    assert spectral_data(a) is data
+    fresh = MatQ(a.rows)
+    assert spectral_data(fresh) == data
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+
+
+def test_spectral_errors_are_not_stored():
+    rotation = MatQ([[0, 1], [-1, 0]])
+    for _ in range(2):
+        with pytest.raises(NonRationalSpectrumError):
+            spectral_data(rotation)
+    assert rotation._spectral is None
+
+
+def test_one_charpoly_per_dense_matrix(monkeypatch):
+    """A whole mixed-pair classification runs charpoly once per matrix."""
+    calls = Counter()
+    counted = matexact.charpoly
+
+    def counting_charpoly(a):
+        calls[a.rows] += 1
+        return counted(a)
+
+    monkeypatch.setattr(matexact, "charpoly", counting_charpoly)
+
+    def parsed(p, blocks, k):
+        a = p @ jordan_matrix(blocks) @ p.inverse()
+        text = json.dumps({"kind": "GAk", "A": [[str(x) for x in row] for row in a.rows], "k": k})
+        return cli.parse_descriptor(json.loads(text))
+
+    l = unit_lower(4, [1, -1, 2, 1, 0, -1])
+    u = MatQ(zip(*unit_lower(4, [2, 1, -1, 0, 1, 1]).rows))
+    g1 = parsed(l @ u, [(F(1, 4), 2), (F(1, 9), 1), (F(1, 25), 1)], 4)
+    g2 = parsed(u @ l, [(F(1, 2), 2), (F(1, 3), 1), (F(1, 5), 1)], 2)
+    compute_invariants(g1)
+    compute_invariants(g2)
+    verdicts = (commable_within_focal(g1, g2), commable(g1, g2), quasi_isometric(g1, g2))
+    assert [v.kind for v in verdicts] == ["yes"] * 3
+    for v in verdicts:
+        assert validate_chain(v.chain)[0]
+    assert power_conjugacy(g1.matrix, g2.matrix, g1.k, g2.k)[:2] == (1, 2)
+    assert calls == Counter({g1.matrix.rows: 1, g2.matrix.rows: 1})
 
 
 def test_is_contracting_examples():
