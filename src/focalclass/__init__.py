@@ -18,7 +18,6 @@ from .exactnum import (
     factorize,
     logratio_add_one,
     logratio_chain_mul,
-    logratio_eq,
     maxroot,
     mult_dependent,
 )
@@ -26,11 +25,9 @@ from .matexact import (
     MatQ,
     NonRationalSpectrumError,
     SpectralData,
-    UndecidedComparisonError,
     conjugate,
     is_contracting,
     mat_power,
-    one_param_power,
     power_conjugacy,
     spectral_data,
 )
@@ -58,6 +55,7 @@ from .focalmodel import (
 )
 from .commengine import (
     No,
+    UndecidedComparisonError,
     UndecidedVerdict,
     WitnessChain,
     Yes,

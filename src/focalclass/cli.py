@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .exactnum import _is_prime, as_float
-from .matexact import MatQ, NonRationalSpectrumError, UndecidedComparisonError
+from .matexact import MatQ, NonRationalSpectrumError
 from .focalmodel import (
     FT,
     Composite,
@@ -46,6 +46,7 @@ from .commengine import (
     SFreeGroup,
     SHull,
     SQpLattice,
+    UndecidedComparisonError,
     WitnessChain,
     Yes,
     commable,
@@ -71,6 +72,9 @@ EXIT_UNDECIDED = 3
 log = logging.getLogger("focalclass")
 
 _RATSTR = re.compile(r"-?[0-9]+(/[0-9]+)?$")
+
+# radical-check tests --p by trial division, here and in every FpRat.make
+_MAX_P = 1 << 20
 
 
 class DescriptorError(ValueError):
@@ -320,6 +324,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_radical_check(args) -> int:
+    if args.p > _MAX_P:
+        raise DescriptorError("--p out of range")
     if not _is_prime(args.p):
         raise DescriptorError(f"--p must be prime, got {args.p}")
     if args.samples < 1 or args.samples > 10**4:
@@ -398,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pat.set_defaults(func=cmd_pattern)
 
     p_rad = sub.add_parser("radical-check", help="verify the polyfinite-radical example")
-    p_rad.add_argument("--p", type=int, required=True)
+    p_rad.add_argument("--p", type=int, required=True,
+                       help="a prime p <= 2^20 (larger p exits 2: --p out of range)")
     p_rad.add_argument("--samples", type=int, default=20)
     p_rad.add_argument("--conj-bound", type=int, default=100, dest="conj_bound")
     p_rad.set_defaults(func=cmd_radical_check)

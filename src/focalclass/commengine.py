@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .exactnum import EQUAL, NOT_EQUAL, compare_values, maxroot
-from .matexact import UndecidedComparisonError, one_param_power
+from .exactnum import EQUAL, NOT_EQUAL, Undecided, compare_values, maxroot
 from .focalmodel import (
     INFINITE,
     FT,
@@ -29,11 +28,9 @@ from .focalmodel import (
     GroupType,
     HullNotImplementedError,
     HullSpec,
-    Millefeuille,
     classify_type,
     conn_key,
     conn_key_equal,
-    conn_matrix,
     focal_universal_hull,
     invariant_q,
     invariant_s,
@@ -42,6 +39,7 @@ from .focalmodel import (
 )
 
 __all__ = [
+    "UndecidedComparisonError",
     "SDesc",
     "SFreeGroup",
     "SAutTree",
@@ -68,6 +66,14 @@ __all__ = [
     "validate_chain",
     "ft_index_oracle",
 ]
+
+
+class UndecidedComparisonError(Exception):
+    """A varpi comparison in a witness chain could not be certified either way."""
+
+    def __init__(self, detail: Undecided):
+        super().__init__(f"comparison undecided: {detail!r}")
+        self.detail = detail
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +330,9 @@ def _td_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
     )
 
 
-def _mixed_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
-    q = invariant_q(g1)
-    key = conn_key(g1)
-    varpi = invariant_varpi(g1)
+def _mixed_chain(
+    g1: FocalDescriptor, g2: FocalDescriptor, q: int, key: tuple, varpi
+) -> WitnessChain:
     n1, n2 = maxroot(invariant_s(g1))[1], maxroot(invariant_s(g2))[1]
     n = max(n1, n2)
     return WitnessChain(
@@ -347,8 +352,7 @@ def _mixed_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
     )
 
 
-def _connected_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
-    key = conn_key(g1)
+def _connected_chain(g1: FocalDescriptor, g2: FocalDescriptor, key: tuple) -> WitnessChain:
     try:
         hull = focal_universal_hull(g1)
     except HullNotImplementedError:
@@ -408,44 +412,31 @@ def _free_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
 def commable_within_focal(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
     """Commability with every intermediate group focal.
 
-    Totally disconnected pairs are equivalent iff their q-invariants agree;
-    connected pairs iff one action lies on the other's positive
-    one-parameter group up to conjugacy; mixed pairs iff connected keys,
-    q-invariants and varpi all agree (varpi certified).
+    Totally disconnected pairs are equivalent iff their q-invariants agree.
+    Connected and mixed pairs run one ladder: q, then the connected keys,
+    then varpi (both comparisons certified).  Connected type is the case
+    q = 1, varpi = 0, where equal keys say that one action lies on the
+    other's positive one-parameter group up to conjugacy.
     """
     if g1 == g2:
         return Yes(_empty_chain(g1))
     t1, t2 = classify_type(g1), classify_type(g2)
     if t1 is not t2:
         return No("type", (t1.value, t2.value), "the type is a commability invariant")
-    if t1 is GroupType.TOTALLY_DISCONNECTED:
-        q1, q2 = invariant_q(g1), invariant_q(g2)
-        if q1 != q2:
-            return No("q", (q1, q2), "q is an invariant of commability within focal groups")
-        return Yes(_td_chain(g1, g2))
-    if t1 is GroupType.CONNECTED:
-        try:
-            t = one_param_power(conn_matrix(g1), conn_matrix(g2))
-        except UndecidedComparisonError as exc:
-            return UndecidedVerdict(str(exc))
-        if t is None:
-            return No(
-                "connected-key",
-                (_render_key(conn_key(g1)), _render_key(conn_key(g2))),
-                "the actions lie on different one-parameter classes",
-            )
-        return Yes(_connected_chain(g1, g2))
-    # mixed type
     q1, q2 = invariant_q(g1), invariant_q(g2)
     if q1 != q2:
         return No("q", (q1, q2), "q is an invariant of commability within focal groups")
-    key_verdict = conn_key_equal(conn_key(g1), conn_key(g2))
+    if t1 is GroupType.TOTALLY_DISCONNECTED:
+        return Yes(_td_chain(g1, g2))
+    key1, key2 = conn_key(g1), conn_key(g2)
+    key_verdict = conn_key_equal(key1, key2)
     if key_verdict is NOT_EQUAL:
-        return No(
-            "connected-key",
-            (_render_key(conn_key(g1)), _render_key(conn_key(g2))),
-            "the connected sides are not commable",
+        note = (
+            "the actions lie on different one-parameter classes"
+            if t1 is GroupType.CONNECTED
+            else "the connected sides are not commable"
         )
+        return No("connected-key", (_render_key(key1), _render_key(key2)), note)
     if key_verdict is not EQUAL:
         return UndecidedVerdict(f"connected key comparison undecided: {key_verdict!r}")
     v1, v2 = invariant_varpi(g1), invariant_varpi(g2)
@@ -458,7 +449,9 @@ def commable_within_focal(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
         )
     if varpi_verdict is not EQUAL:
         return UndecidedVerdict(f"varpi comparison undecided: {varpi_verdict!r}")
-    return Yes(_mixed_chain(g1, g2))
+    if t1 is GroupType.CONNECTED:
+        return Yes(_connected_chain(g1, g2, key1))
+    return Yes(_mixed_chain(g1, g2, q1, key1, v1))
 
 
 def commable(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
@@ -481,33 +474,14 @@ def quasi_isometric(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
 
     The decision matches commability everywhere it answers: different types
     are separated by the boundary topology, the connected family is decided
-    by the one-parameter comparison, and on mixed pairs q and varpi are
-    quasi-isometry invariants, so the commability conditions are equivalent
-    to quasi-isometry.  Millefeuille pairs over one connected datum reduce to
-    the exact check k1**t2 == k2**t1 plus equality of non-power roots.
+    by the connected key, and on mixed pairs q and varpi are quasi-isometry
+    invariants, so the commability conditions are equivalent to
+    quasi-isometry.  Every pair, Millefeuille pairs over one connected datum
+    included, goes through :func:`commable`.
     """
     t1, t2 = classify_type(g1), classify_type(g2)
     if t1 is not t2:
         return No("type", (t1.value, t2.value), "the boundary topology separates the types")
-    if (
-        isinstance(g1, Millefeuille)
-        and isinstance(g2, Millefeuille)
-        and g1.conn == g2.conn
-        and g1 != g2
-    ):
-        q1, q2 = maxroot(g1.k)[0], maxroot(g2.k)[0]
-        if q1 != q2:
-            return No("q", (q1, q2), "the non-power root is a quasi-isometry invariant")
-        # log(k1)/t1 == log(k2)/t2, cleared of denominators
-        lhs = g1.k ** (g2.t.numerator * g1.t.denominator)
-        rhs = g2.k ** (g1.t.numerator * g2.t.denominator)
-        if lhs != rhs:
-            return No(
-                "varpi",
-                (render_value(invariant_varpi(g1)), render_value(invariant_varpi(g2))),
-                "varpi is a quasi-isometry invariant",
-            )
-        return Yes(_mixed_chain(g1, g2))
     verdict = commable(g1, g2)
     if isinstance(verdict, No):
         notes = {

@@ -33,7 +33,6 @@ __all__ = [
     "EQUAL",
     "NOT_EQUAL",
     "Undecided",
-    "logratio_eq",
     "compare_values",
     "logratio_add_one",
     "logratio_chain_mul",
@@ -152,12 +151,7 @@ def common_power(k1: int, k2: int) -> Optional[tuple[int, int]]:
     """
     if k1 < 2 or k2 < 2:
         raise ValueError("common_power expects k1, k2 >= 2")
-    q1, e1 = maxroot(k1)
-    q2, e2 = maxroot(k2)
-    if q1 != q2:
-        return None
-    g = gcd(e1, e2)
-    return (e2 // g, e1 // g)
+    return mult_dependent(k1, k2)
 
 
 def mult_decompose(x: Fraction) -> tuple[Fraction, int]:
@@ -318,28 +312,15 @@ def _interval_compare(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> C
     return Undecided(mid_x, mid_y, width)
 
 
-def logratio_eq(x: LogRatio, y: LogRatio) -> Comparison:
-    """Three-valued equality of two log-ratios.
+def compare_values(x: Value, y: Value) -> Comparison:
+    """Three-valued equality of two exact values (Fractions, LogRatios, sums).
 
     EQUAL and NOT_EQUAL are only ever returned with a rigorous certificate:
     matching canonical forms, a rational-vs-irrational mismatch (irrational
     is certified by multiplicative independence of primitive bases), or
-    disjoint interval enclosures.  Everything else is Undecided.
+    disjoint interval enclosures.  Everything else is Undecided, and so is
+    any comparison across an unevaluated sum that does not match term by term.
     """
-    cx = canonical_value(x)
-    cy = canonical_value(y)
-    if isinstance(cx, Fraction) and isinstance(cy, Fraction):
-        return EQUAL if cx == cy else NOT_EQUAL
-    if isinstance(cx, Fraction) or isinstance(cy, Fraction):
-        # one value rational, the other certified irrational
-        return NOT_EQUAL
-    if cx == cy:
-        return EQUAL
-    return _interval_compare(cx, cy)
-
-
-def compare_values(x: Value, y: Value) -> Comparison:
-    """logratio_eq lifted to canonical values (Fractions, LogRatios, sums)."""
     if isinstance(x, LogRatioSum) or isinstance(y, LogRatioSum):
         if isinstance(x, LogRatioSum) and isinstance(y, LogRatioSum):
             first = compare_values(x.left, y.left)
@@ -353,6 +334,7 @@ def compare_values(x: Value, y: Value) -> Comparison:
     if isinstance(cx, Fraction) and isinstance(cy, Fraction):
         return EQUAL if cx == cy else NOT_EQUAL
     if isinstance(cx, Fraction) or isinstance(cy, Fraction):
+        # one value rational, the other certified irrational
         return NOT_EQUAL
     if cx == cy:
         return EQUAL

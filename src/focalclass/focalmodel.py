@@ -276,8 +276,12 @@ def invariant_p0(g: FocalDescriptor):
     if isinstance(g, GAk):
         return canonical_value(LogRatio(Fraction(g.k) * delta_con, lam))
     if isinstance(g, Composite):
-        # p0 = (1 + varpi) * p0(connected part)
-        return canonical_value(logratio_scale(LogRatio(delta_con, lam), 1 + g.varpi))
+        # p0 = (1 + varpi) * p0(connected part), scaled after canonicalising
+        # so a rational connected p0 never raises its bases to large powers
+        p0_con = canonical_value(LogRatio(delta_con, lam))
+        if isinstance(p0_con, Fraction):
+            return p0_con * (1 + g.varpi)
+        return canonical_value(logratio_scale(p0_con, 1 + g.varpi))
     # millefeuille: p0(X) + log(k) / (t * log(lambda))
     t = g.t
     combined = logratio_add(

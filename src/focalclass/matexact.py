@@ -19,44 +19,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from random import Random
-from typing import Optional, Union
+from typing import Optional
 
-from .exactnum import (
-    EQUAL,
-    NOT_EQUAL,
-    LogRatio,
-    Undecided,
-    _is_prime,
-    canonical_value,
-    common_power,
-    compare_values,
-)
+from .exactnum import _is_prime, common_power
 
 __all__ = [
     "MatQ",
     "SpectralData",
     "NonRationalSpectrumError",
-    "UndecidedComparisonError",
     "charpoly",
     "mat_power",
     "spectral_data",
     "is_contracting",
     "conjugate",
     "power_conjugacy",
-    "one_param_power",
 ]
 
 
 class NonRationalSpectrumError(ValueError):
     """The characteristic polynomial does not split over Q with positive roots."""
-
-
-class UndecidedComparisonError(Exception):
-    """An eigenvalue log-ratio comparison could not be certified either way."""
-
-    def __init__(self, detail: Undecided):
-        super().__init__(f"comparison undecided: {detail!r}")
-        self.detail = detail
 
 
 def _frac(x) -> Fraction:
@@ -527,38 +508,3 @@ def power_conjugacy(
         return None
     witness = _conjugate_assuming(mat_power(a1, n1), mat_power(a2, n2))
     return (n1, n2, witness)
-
-
-def one_param_power(a1: MatQ, a2: MatQ) -> Optional[Union[Fraction, LogRatio]]:
-    """The t > 0 with a2 conjugate to a1**t inside a1's positive one-parameter
-    group, or None when no such t exists.
-
-    t is found by matching the sorted spectra: the bijection must preserve
-    Jordan block multisets and scale every eigenvalue log by the same factor.
-    t comes back as a Fraction when that factor is certified rational, else
-    as a certified LogRatio; an uncertifiable comparison raises.
-    """
-    if not (is_contracting(a1) and is_contracting(a2)):
-        raise ValueError("one_param_power expects contracting matrices")
-    if a1.dim != a2.dim:
-        return None
-    if a1.dim == 0:
-        return Fraction(1)
-    s1 = spectral_data(a1)
-    s2 = spectral_data(a2)
-    if len(s1.entries) != len(s2.entries):
-        return None
-    # eigenvalues sorted ascending; t > 0 scaling preserves that order
-    ratios = []
-    for (ev1, blocks1), (ev2, blocks2) in zip(s1.entries, s2.entries):
-        if blocks1 != blocks2:
-            return None
-        ratios.append(canonical_value(LogRatio(1 / ev2, 1 / ev1)))
-    t = ratios[0]
-    for other in ratios[1:]:
-        verdict = compare_values(t, other)
-        if verdict is NOT_EQUAL:
-            return None
-        if verdict is not EQUAL:
-            raise UndecidedComparisonError(verdict)
-    return t

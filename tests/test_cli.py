@@ -275,23 +275,63 @@ def test_radical_check_rejects_composite_p(capsys):
     assert main(["radical-check", "--p", "4"]) == EXIT_PARSE
 
 
+def test_radical_check_bounds_p_before_primality(capsys):
+    # 2^20 itself is in range and fails the primality test; one past it is
+    # rejected by the range check alone
+    assert main(["radical-check", "--p", str(2**20)]) == EXIT_PARSE
+    assert "must be prime" in capsys.readouterr().err
+    assert main(["radical-check", "--p", str(2**20 + 1)]) == EXIT_PARSE
+    assert "--p out of range" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # process-level checks
 # ---------------------------------------------------------------------------
 
 
-def test_console_entry_point_runs():
+def run_child(*argv, timeout):
+    """Run the CLI as a child process; a child that outlives `timeout`
+    seconds is killed and the calling test fails instead of stalling."""
     # the child imports focalclass from wherever this process found it
     src = str(Path(focalclass.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "focalclass.cli", "invariants", corpus_path("ft8")],
+    return subprocess.run(
+        [sys.executable, "-m", "focalclass.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+def test_console_entry_point_runs():
+    proc = run_child("invariants", corpus_path("ft8"), timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q"] == 2
+
+
+def test_invariants_composite_varpi_near_one(tmp_path):
+    # p0 = (1 + varpi) * p0(connected part) with a rational connected part
+    # must not raise a base to the power 1999999: the integer root search
+    # on such a number does not finish
+    path = tmp_path / "composite.json"
+    path.write_text(
+        json.dumps({"kind": "Composite", "A": [["1/2"]], "varpi": "999999/1000000", "q": 2}),
+        encoding="utf-8",
+    )
+    proc = run_child("invariants", str(path), timeout=20)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["varpi"] == "999999/1000000" and out["p0"] == "1999999/1000000"
+
+
+def test_radical_check_rejects_large_prime_p():
+    # 10^12 + 39 is prime: without the range check every FpRat.make would
+    # re-test it by trial division
+    proc = run_child("radical-check", "--p", str(10**12 + 39), timeout=20)
+    assert proc.returncode == EXIT_PARSE
+    assert "--p out of range" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_human_output_is_not_json(capsys):

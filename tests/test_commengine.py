@@ -1,5 +1,6 @@
 """Unit tests for the commability and quasi-isometry decision engine."""
 
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from random import Random
@@ -168,14 +169,34 @@ def test_millefeuille_qi_examples():
 
 
 def test_millefeuille_fast_path_matches_general_mixed_rule():
+    # over one connected datum the general mixed rule reduces to integer
+    # arithmetic, an oracle independent of the engine: equal non-power roots
+    # and log(k1)/t1 == log(k2)/t2, cleared of denominators
+    roots = {2: (2, 1), 3: (3, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2)}  # k = root**e
     rng = Random(31)
-    for _ in range(40):
+    seen = Counter()
+    for i in range(120):
         t1 = F(rng.randint(1, 4), rng.randint(1, 4))
         t2 = F(rng.randint(1, 4), rng.randint(1, 4))
-        k1 = rng.choice([2, 3, 4, 8, 9])
-        k2 = rng.choice([2, 3, 4, 8, 9])
+        k1, k2 = rng.choice(list(roots)), rng.choice(list(roots))
+        if i % 2 and roots[k1][0] == roots[k2][0]:
+            t2 = t1 * roots[k2][1] / roots[k1][1]  # aim at a quasi-isometric pair
         m1, m2 = Millefeuille(X, t1, k1), Millefeuille(X, t2, k2)
-        assert quasi_isometric(m1, m2).kind == commable_within_focal(m1, m2).kind
+        verdict = quasi_isometric(m1, m2)
+        if roots[k1][0] != roots[k2][0]:
+            expect = "q"
+        elif k1 ** (t2.numerator * t1.denominator) != k2 ** (t1.numerator * t2.denominator):
+            expect = "varpi"
+        else:
+            expect = "yes"
+        seen[expect] += 1
+        if expect == "yes":
+            assert isinstance(verdict, Yes)
+            assert validate_chain(verdict.chain) == (True, "ok")
+        else:
+            assert isinstance(verdict, No) and verdict.invariant == expect
+        assert verdict.kind == commable_within_focal(m1, m2).kind
+    assert min(seen[kind] for kind in ("q", "varpi", "yes")) >= 10
 
 
 def test_millefeuille_qi_across_different_connected_data():

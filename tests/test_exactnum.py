@@ -21,7 +21,6 @@ from focalclass.exactnum import (
     logratio_add,
     logratio_add_one,
     logratio_chain_mul,
-    logratio_eq,
     logratio_scale,
     maxroot,
     mult_decompose,
@@ -247,9 +246,9 @@ def test_logratio_validation():
 
 
 def test_logratio_eq_examples():
-    assert logratio_eq(LogRatio(F(8), F(2)), LogRatio(F(27), F(3))) is EQUAL
-    assert logratio_eq(LogRatio(F(2), F(2)), LogRatio(F(5), F(5))) is EQUAL
-    assert logratio_eq(LogRatio(F(2), F(3)), LogRatio(F(3), F(2))) is NOT_EQUAL
+    assert compare_values(LogRatio(F(8), F(2)), LogRatio(F(27), F(3))) is EQUAL
+    assert compare_values(LogRatio(F(2), F(2)), LogRatio(F(5), F(5))) is EQUAL
+    assert compare_values(LogRatio(F(2), F(3)), LogRatio(F(3), F(2))) is NOT_EQUAL
 
 
 def test_logratio_canonical_collapses_dependent_pairs():
@@ -261,7 +260,7 @@ def test_logratio_canonical_collapses_dependent_pairs():
 
 
 def test_logratio_eq_rational_vs_irrational():
-    assert logratio_eq(LogRatio(F(8), F(2)), LogRatio(F(8), F(3))) is NOT_EQUAL
+    assert compare_values(LogRatio(F(8), F(2)), LogRatio(F(8), F(3))) is NOT_EQUAL
 
 
 def test_logratio_add_one_example():
@@ -323,14 +322,14 @@ def test_logratio_eq_is_symmetric_and_transitive_when_certified():
     ]
     for _ in range(200):
         x, y, z = rng.choice(values), rng.choice(values), rng.choice(values)
-        assert logratio_eq(x, y) is logratio_eq(y, x)
-        if logratio_eq(x, y) is EQUAL and logratio_eq(y, z) is EQUAL:
-            assert logratio_eq(x, z) is EQUAL
+        assert compare_values(x, y) is compare_values(y, x)
+        if compare_values(x, y) is EQUAL and compare_values(y, z) is EQUAL:
+            assert compare_values(x, z) is EQUAL
 
 
 def test_logratio_eq_undecided_on_ultra_close_values():
     a = 10**80
-    verdict = logratio_eq(LogRatio(F(a + 1), F(a)), LogRatio(F(a + 2), F(a + 1)))
+    verdict = compare_values(LogRatio(F(a + 1), F(a)), LogRatio(F(a + 2), F(a + 1)))
     assert isinstance(verdict, Undecided)
     assert verdict.width >= 0
 

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from focalclass import cli, matexact
 from focalclass.commengine import (
+    No,
+    Yes,
     commable,
     commable_within_focal,
     quasi_isometric,
     validate_chain,
 )
-from focalclass.focalmodel import compute_invariants
+from focalclass.focalmodel import GAk, compute_invariants
 from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
@@ -24,12 +26,10 @@ from focalclass.matexact import (
     conjugate,
     is_contracting,
     mat_power,
-    one_param_power,
     power_conjugacy,
     rank,
     spectral_data,
 )
-from focalclass.exactnum import LogRatio, canonical_value
 
 from helpers import (
     dense_split_conjugates,
@@ -385,21 +385,28 @@ def test_power_conjugacy_against_brute_oracle():
 
 
 # ---------------------------------------------------------------------------
-# one-parameter power
+# one-parameter power: connected pairs are commable within focal groups iff
+# one action lies on the other's positive one-parameter group up to conjugacy
 # ---------------------------------------------------------------------------
 
 
+def connected_verdict(a1, a2):
+    return commable_within_focal(GAk(a1, 1), GAk(a2, 1))
+
+
 def test_one_param_power_examples():
-    assert one_param_power(diag("1/2", "1/4"), diag("1/8", "1/64")) == F(3)
-    t = one_param_power(diag("1/2", "1/4"), diag("1/3", "1/9"))
-    assert canonical_value(t) == LogRatio(F(3), F(2))
-    assert one_param_power(diag("1/2", "1/4"), diag("1/3", "1/8")) is None
+    a = diag("1/2", "1/4")
+    for b in (diag("1/8", "1/64"), diag("1/3", "1/9")):  # t = 3 and t = log 3/log 2
+        verdict = connected_verdict(a, b)
+        assert isinstance(verdict, Yes)
+        assert validate_chain(verdict.chain) == (True, "ok")
+    verdict = connected_verdict(a, diag("1/3", "1/8"))
+    assert isinstance(verdict, No) and verdict.invariant == "connected-key"
 
 
 def test_one_param_power_respects_blocks():
-    a = MatQ([["1/2", 1], [0, "1/2"]])
-    b = diag("1/4", "1/4")
-    assert one_param_power(a, b) is None
+    verdict = connected_verdict(MatQ([["1/2", 1], [0, "1/2"]]), diag("1/4", "1/4"))
+    assert isinstance(verdict, No) and verdict.invariant == "connected-key"
 
 
 def test_one_param_power_of_matrix_powers():
@@ -408,4 +415,4 @@ def test_one_param_power_of_matrix_powers():
         dim = rng.choice([1, 2, 3])
         a = random_triangular(rng, dim, max_den=16)
         for n in range(1, 6):
-            assert one_param_power(a, mat_power(a, n)) == F(n)
+            assert isinstance(connected_verdict(a, mat_power(a, n)), Yes)
