@@ -10,12 +10,10 @@ from .exactnum import (
     EQUAL,
     NOT_EQUAL,
     LogRatio,
-    LogRatioSum,
     Undecided,
     canonical_value,
     common_power,
     compare_values,
-    factorize,
     logratio_add_one,
     logratio_chain_mul,
     maxroot,

@@ -73,7 +73,9 @@ log = logging.getLogger("focalclass")
 
 _RATSTR = re.compile(r"-?[0-9]+(/[0-9]+)?$")
 
-# radical-check tests --p by trial division, here and in every FpRat.make
+# radical-check tests --p by trial division here and again in each public
+# F_p(t) constructor call (never in the arithmetic); the bound keeps each
+# test to about a thousand divisions
 _MAX_P = 1 << 20
 
 

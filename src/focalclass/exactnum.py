@@ -1,14 +1,14 @@
 """Exact integer and rational kernels.
 
-Everything in here is factorization-light on purpose: perfect-power
-structure of integers and rationals is detected with integer k-th roots,
-so the multiplicative machinery keeps working on inputs far beyond the
-trial-division range (only ``factorize`` itself insists on small inputs).
+Perfect-power structure of integers and rationals is detected with integer
+k-th roots, never by factoring, so the multiplicative machinery keeps
+working on inputs far beyond the trial-division range.
 
 The central object is :class:`LogRatio`, the exact value log(a)/log(b)
-for rationals a, b > 1.  Equality of two such values is decided only when
-a rigorous certificate exists; otherwise the comparison is reported as
-undecided instead of being guessed from floats.
+for rationals a, b > 1, kept as exponents over primitive bases.  Equality
+of two such values is decided only when a rigorous certificate exists;
+otherwise the comparison is reported as undecided instead of being
+guessed from floats.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ from typing import Optional, Union
 from mpmath.ctx_iv import MPIntervalContext
 
 __all__ = [
-    "factorize",
     "maxroot",
     "common_power",
     "mult_decompose",
     "mult_dependent",
     "LogRatio",
-    "LogRatioSum",
     "canonical_value",
     "EQUAL",
     "NOT_EQUAL",
@@ -37,46 +35,13 @@ __all__ = [
     "logratio_add_one",
     "logratio_chain_mul",
     "logratio_scale",
-    "logratio_add",
     "as_float",
     "MultiplicativeIndependenceError",
 ]
 
-# Trial division stays safe well below this; descriptor constants are tiny.
-_FACTORIZE_LIMIT = 1 << 63
-
 
 class MultiplicativeIndependenceError(ValueError):
     """Raised when an exact log-ratio operation needs dependent bases and got none."""
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}, primes increasing.
-
-    Trial division with a 2-3-5 wheel.  Inputs are structural constants of
-    descriptors, not cryptographic numbers, so n is capped at 2**63.
-    """
-    if n < 1:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
-    if n >= _FACTORIZE_LIMIT:
-        raise ValueError(f"factorize input too large for trial division: {n}")
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    # wheel mod 30: offsets of residues coprime to 30
-    offsets = (4, 2, 4, 2, 4, 6, 2, 6)
-    p, i = 7, 0
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += offsets[i]
-        i = (i + 1) % 8
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return dict(sorted(factors.items()))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -198,52 +163,61 @@ def mult_dependent(a: Fraction, b: Fraction) -> Optional[tuple[int, int]]:
     return (m, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class LogRatio:
-    """The exact real number log(a)/log(b) for rationals a, b > 1."""
+    """The exact real number (m/n)·log(p)/log(q), written log(p^m)/log(q^n).
 
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a <= 1 or self.b <= 1:
-            raise ValueError(f"LogRatio needs both arguments > 1, got {self.a}, {self.b}")
-
-    def __repr__(self):
-        return f"log({self.a})/log({self.b})"
-
-
-@dataclass(frozen=True)
-class LogRatioSum:
-    """Unevaluated sum of two log-ratios (bases multiplicatively independent)."""
-
-    left: LogRatio
-    right: LogRatio
-
-    def __repr__(self):
-        return f"{self.left!r} + {self.right!r}"
-
-
-Value = Union[Fraction, LogRatio, LogRatioSum]
-
-
-def canonical_value(x: Union[LogRatio, Fraction, int]) -> Union[Fraction, LogRatio]:
-    """Canonical form of a log-ratio: a Fraction when the value is rational,
-    otherwise a LogRatio on primitive bases with coprime exponents.
-
-    Two log-ratios built from multiplicatively dependent pairs canonicalize
-    to equal objects, so structural equality decides those comparisons.
+    p and q are primitive rationals > 1 (no proper rational power) and m, n
+    coprime positive integers, so the value is rational exactly when p == q.
+    LogRatio(a, b) is log(a)/log(b) for rationals a, b > 1: each argument is
+    decomposed once, here, and the operations below only touch exponents.
     """
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    base_a, ea = mult_decompose(x.a)  # ea, eb >= 1 since a, b > 1
-    base_b, eb = mult_decompose(x.b)
-    if base_a == base_b:
-        return Fraction(ea, eb)
-    g = gcd(ea, eb)
-    return LogRatio(base_a ** (ea // g), base_b ** (eb // g))
+
+    p: Fraction
+    m: int
+    q: Fraction
+    n: int
+
+    def __init__(self, a, b):
+        a, b = Fraction(a), Fraction(b)
+        if a <= 1 or b <= 1:
+            raise ValueError(f"LogRatio needs both arguments > 1, got {a}, {b}")
+        self._set(*mult_decompose(a), *mult_decompose(b))
+
+    @classmethod
+    def of_powers(cls, p: Fraction, m: int, q: Fraction, n: int) -> "LogRatio":
+        """(m/n)·log(p)/log(q) for primitive p, q > 1 and positive m, n."""
+        x = object.__new__(cls)
+        x._set(p, m, q, n)
+        return x
+
+    def _set(self, p, m, q, n):
+        g = gcd(m, n)
+        for name, value in (("p", p), ("m", m // g), ("q", q), ("n", n // g)):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        return f"log({_power(self.p, self.m)})/log({_power(self.q, self.n)})"
+
+
+def _power(base: Fraction, e: int) -> str:
+    # ^ applies to the whole rational: 10/3^2 is (10/3)**2
+    return str(base) if e == 1 else f"{base}^{e}"
+
+
+Value = Union[Fraction, LogRatio]
+
+
+def canonical_value(x: Union[LogRatio, Fraction, int]) -> Value:
+    """Canonical form of an exact value: a Fraction when the value is
+    rational, otherwise the LogRatio itself, already in normal form.
+
+    Two log-ratios built from multiplicatively dependent pairs have the same
+    normal form, so structural equality decides those comparisons.
+    """
+    if isinstance(x, LogRatio):
+        return Fraction(x.m, x.n) if x.p == x.q else x
+    return Fraction(x)
 
 
 class _Certainty:
@@ -285,21 +259,27 @@ _INTERVAL_PREC = 256  # dyadic refinement depth for the NotEqual certificate
 
 
 def _ratio_interval(x: LogRatio, ctx: MPIntervalContext):
-    la = ctx.log(ctx.mpf(x.a.numerator)) - ctx.log(ctx.mpf(x.a.denominator))
-    lb = ctx.log(ctx.mpf(x.b.numerator)) - ctx.log(ctx.mpf(x.b.denominator))
-    return la / lb
+    def log(q: Fraction):
+        return ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator))
+
+    return ctx.mpf(x.m) * log(x.p) / (ctx.mpf(x.n) * log(x.q))
 
 
 def _operand_bits(*values: LogRatio) -> int:
     bits = 0
     for v in values:
-        for q in (v.a, v.b):
+        for q in (v.p, v.q):
             bits = max(bits, q.numerator.bit_length(), q.denominator.bit_length())
     return bits
 
 
 def _interval_compare(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> Comparison:
-    """NotEqual when rigorous enclosures are disjoint, else Undecided."""
+    """NotEqual when rigorous enclosures are disjoint, else Undecided.
+
+    The working precision is prec (default 256) bits plus the largest bit
+    length among the numerators and denominators of the four primitive
+    bases; the exponents m and n do not enter it.
+    """
     ctx = MPIntervalContext()
     ctx.prec = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
     ix = _ratio_interval(x, ctx)
@@ -313,24 +293,14 @@ def _interval_compare(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> C
 
 
 def compare_values(x: Value, y: Value) -> Comparison:
-    """Three-valued equality of two exact values (Fractions, LogRatios, sums).
+    """Three-valued equality of two exact values (Fractions and LogRatios).
 
     EQUAL and NOT_EQUAL are only ever returned with a rigorous certificate:
     matching canonical forms, a rational-vs-irrational mismatch (irrational
     is certified by multiplicative independence of primitive bases), or
-    disjoint interval enclosures.  Everything else is Undecided, and so is
-    any comparison across an unevaluated sum that does not match term by term.
+    disjoint interval enclosures.  Everything else is Undecided.
     """
-    if isinstance(x, LogRatioSum) or isinstance(y, LogRatioSum):
-        if isinstance(x, LogRatioSum) and isinstance(y, LogRatioSum):
-            first = compare_values(x.left, y.left)
-            second = compare_values(x.right, y.right)
-            if first is EQUAL and second is EQUAL:
-                return EQUAL
-        # no exact certificate across an unevaluated sum
-        return Undecided(as_float(x), as_float(y), math.inf)
-    cx = canonical_value(x) if isinstance(x, LogRatio) else Fraction(x)
-    cy = canonical_value(y) if isinstance(y, LogRatio) else Fraction(y)
+    cx, cy = canonical_value(x), canonical_value(y)
     if isinstance(cx, Fraction) and isinstance(cy, Fraction):
         return EQUAL if cx == cy else NOT_EQUAL
     if isinstance(cx, Fraction) or isinstance(cy, Fraction):
@@ -342,53 +312,36 @@ def compare_values(x: Value, y: Value) -> Comparison:
 
 
 def logratio_add_one(x: LogRatio) -> LogRatio:
-    """1 + log(a)/log(b) == log(a*b)/log(b), exactly."""
-    return LogRatio(x.a * x.b, x.b)
+    """1 + log(p^m)/log(q^n) == log(p^m * q^n)/log(q^n), exactly."""
+    return LogRatio.of_powers(*mult_decompose(x.p**x.m * x.q**x.n), x.q, x.n)
 
 
 def logratio_chain_mul(x: LogRatio, y: LogRatio) -> LogRatio:
     """Exact product (log a/log b) * (log b'/log c) when b, b' are dependent.
 
-    With b**m == b'**n the product equals log(a**m)/log(c**n).  Independent
-    inner bases make the product unrepresentable here and raise.
+    Dependent inner bases have the same primitive base, so the product only
+    multiplies exponents.  Independent inner bases make the product
+    unrepresentable here and raise.
     """
-    dep = mult_dependent(x.b, y.a)
-    if dep is None:
+    if x.q != y.p:
         raise MultiplicativeIndependenceError(
-            f"inner bases {x.b} and {y.a} are multiplicatively independent"
+            f"inner bases {x.q} and {y.p} are multiplicatively independent"
         )
-    m, n = dep  # x.b**m == y.a**n, both > 1 so m, n > 0
-    return LogRatio(x.a**m, y.b**n)
+    return LogRatio.of_powers(x.p, x.m * y.m, y.q, x.n * y.n)
 
 
 def logratio_scale(x: LogRatio, r: Fraction) -> LogRatio:
-    """r * (log a/log b) for rational r > 0, as log(a**p)/log(b**q)."""
+    """r * x for rational r > 0: the exponents take r's numerator and denominator."""
     r = Fraction(r)
     if r <= 0:
         raise ValueError("scale factor must be positive")
-    return LogRatio(x.a**r.numerator, x.b**r.denominator)
-
-
-def logratio_add(x: LogRatio, y: LogRatio) -> Union[LogRatio, LogRatioSum]:
-    """Exact sum of two log-ratios when the bases are dependent.
-
-    With b1**m == b2**n both terms rewrite over the common base b1**m, and
-    the sum is log(a1**m * a2**n)/log(b1**m).  Otherwise the sum is kept
-    unevaluated rather than approximated.
-    """
-    dep = mult_dependent(x.b, y.b)
-    if dep is None:
-        return LogRatioSum(x, y)
-    m, n = dep
-    return LogRatio(x.a**m * y.a**n, x.b**m)
+    return LogRatio.of_powers(x.p, x.m * r.numerator, x.q, x.n * r.denominator)
 
 
 def as_float(x: Union[Value, int, float]) -> float:
     """64-bit float evaluation, for reporting and cross-checks only."""
-    if isinstance(x, LogRatioSum):
-        return as_float(x.left) + as_float(x.right)
     if isinstance(x, LogRatio):
-        return _log_frac(x.a) / _log_frac(x.b)
+        return x.m * _log_frac(x.p) / (x.n * _log_frac(x.q))
     if isinstance(x, Fraction):
         return x.numerator / x.denominator
     return float(x)

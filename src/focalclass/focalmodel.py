@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Union
 
 from .exactnum import (
@@ -30,10 +31,8 @@ from .exactnum import (
     NOT_EQUAL,
     Comparison,
     LogRatio,
-    LogRatioSum,
     canonical_value,
     compare_values,
-    logratio_add,
     logratio_scale,
     maxroot,
 )
@@ -225,8 +224,9 @@ def conn_matrix(g: FocalDescriptor) -> Optional[MatQ]:
 
 
 def _expansion(a: MatQ) -> Fraction:
-    """Volume multiplier of the expanding generator on the connected part."""
-    return 1 / a.det()
+    """Volume multiplier of the expanding generator on the connected part:
+    the product of 1/ev over the spectrum, with algebraic multiplicity."""
+    return prod((1 / ev) ** sum(blocks) for ev, blocks in spectral_data(a).entries)
 
 
 def _min_expansion(a: MatQ) -> Fraction:
@@ -247,14 +247,12 @@ def invariant_varpi(g: FocalDescriptor):
     if kind is GroupType.TOTALLY_DISCONNECTED:
         return INFINITE
     if isinstance(g, GAk):
-        return canonical_value(LogRatio(Fraction(g.k), _expansion(g.matrix)))
+        return canonical_value(LogRatio(g.k, _expansion(g.matrix)))
     if isinstance(g, Composite):
         return g.varpi
     # millefeuille: log(k) / (t * log(expansion))
-    t = g.t
-    return canonical_value(
-        LogRatio(Fraction(g.k) ** t.denominator, _expansion(g.conn) ** t.numerator)
-    )
+    varpi = LogRatio(g.k, _expansion(g.conn))
+    return canonical_value(logratio_scale(varpi, Fraction(g.t.denominator, g.t.numerator)))
 
 
 def invariant_p0(g: FocalDescriptor):
@@ -274,23 +272,15 @@ def invariant_p0(g: FocalDescriptor):
     if kind is GroupType.CONNECTED:
         return canonical_value(LogRatio(delta_con, lam))
     if isinstance(g, GAk):
-        return canonical_value(LogRatio(Fraction(g.k) * delta_con, lam))
+        return canonical_value(LogRatio(g.k * delta_con, lam))
     if isinstance(g, Composite):
-        # p0 = (1 + varpi) * p0(connected part), scaled after canonicalising
-        # so a rational connected p0 never raises its bases to large powers
-        p0_con = canonical_value(LogRatio(delta_con, lam))
-        if isinstance(p0_con, Fraction):
-            return p0_con * (1 + g.varpi)
-        return canonical_value(logratio_scale(p0_con, 1 + g.varpi))
-    # millefeuille: p0(X) + log(k) / (t * log(lambda))
-    t = g.t
-    combined = logratio_add(
-        LogRatio(delta_con, lam),
-        LogRatio(Fraction(g.k) ** t.denominator, lam**t.numerator),
-    )
-    if isinstance(combined, LogRatioSum):
-        return combined
-    return canonical_value(combined)
+        # p0 = (1 + varpi) * p0(connected part)
+        return canonical_value(logratio_scale(LogRatio(delta_con, lam), 1 + g.varpi))
+    # millefeuille: p0(X) + log(k) / (t * log(lambda)), over the shared
+    # denominator: log(delta^tn * k^td) / log(lambda^tn)
+    tn, td = g.t.numerator, g.t.denominator
+    p0 = LogRatio(delta_con**tn * g.k**td, lam)
+    return canonical_value(logratio_scale(p0, Fraction(1, tn)))
 
 
 def boundary(g: FocalDescriptor) -> BoundaryKind:
@@ -344,12 +334,14 @@ def conn_key(g: FocalDescriptor) -> ConnKey:
     a = conn_matrix(g)
     if a is None:
         return ()
-    entries = list(reversed(spectral_data(a).entries))  # descending eigenvalue
-    ref = entries[0][0]
-    key = []
-    for ev, blocks in entries:
-        key.append((canonical_value(LogRatio(1 / ev, 1 / ref)), blocks))
-    return tuple(key)
+    data = spectral_data(a)
+    powers = data.expansion_powers()
+    ref = powers[-1]  # the largest eigenvalue
+    key = [
+        (canonical_value(LogRatio.of_powers(*power, *ref)), blocks)
+        for power, (_, blocks) in zip(powers, data.entries)
+    ]
+    return tuple(reversed(key))
 
 
 def conn_key_equal(k1: ConnKey, k2: ConnKey) -> Comparison:
@@ -459,12 +451,6 @@ def render_value(v) -> str:
     """Stable string form of an exact invariant value for the wire format."""
     if v == INFINITE:
         return "inf"
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, LogRatio):
-        return f"log({v.a})/log({v.b})"
-    if isinstance(v, LogRatioSum):
-        return f"{render_value(v.left)} + {render_value(v.right)}"
-    if isinstance(v, int):
-        return str(v)
+    if isinstance(v, (Fraction, LogRatio, int)):
+        return str(v)  # a LogRatio renders as log(p^m)/log(q^n), exponent 1 left out
     raise TypeError(f"cannot render {v!r}")

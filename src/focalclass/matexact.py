@@ -15,13 +15,13 @@ outside the family keeps nothing and raises again on each call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from random import Random
 from typing import Optional
 
-from .exactnum import _is_prime, common_power
+from .exactnum import _is_prime, common_power, mult_decompose
 
 __all__ = [
     "MatQ",
@@ -256,10 +256,20 @@ class SpectralData:
     """Distinct eigenvalues with Jordan block multisets, sorted ascending.
 
     entries[i] = (eigenvalue, blocks) with blocks a descending tuple of block
-    sizes; the block sizes over all eigenvalues sum to the dimension.
+    sizes; the block sizes over all eigenvalues sum to the dimension.  The
+    _expansions slot holds expansion_powers() once it has been computed.
     """
 
     entries: tuple
+    _expansions: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def expansion_powers(self) -> tuple:
+        """Each expansion factor 1/ev, for eigenvalues in (0, 1), written as
+        (primitive base, exponent) by mult_decompose; computed once."""
+        if self._expansions is None:
+            powers = tuple(mult_decompose(1 / ev) for ev in self.eigenvalues)
+            object.__setattr__(self, "_expansions", powers)
+        return self._expansions
 
     @property
     def eigenvalues(self) -> tuple:

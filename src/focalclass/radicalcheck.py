@@ -104,9 +104,19 @@ def _pgcd(p: int, a: tuple, b: tuple) -> tuple:
 _ONE = (1,)
 
 
+def _check_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class FpRat:
-    """Reduced fraction of polynomials over F_p, denominator monic."""
+    """Reduced fraction of polynomials over F_p, denominator monic.
+
+    p is tested for primality once, by the public constructors (make, const,
+    monomial, poly); arithmetic on existing elements reuses their p and
+    reduces its results with _reduced, which does not test it again.
+    """
 
     p: int
     num: tuple
@@ -114,8 +124,12 @@ class FpRat:
 
     @classmethod
     def make(cls, p: int, num, den=(1,)) -> "FpRat":
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
+        return cls._reduced(p, num, den)
+
+    @classmethod
+    def _reduced(cls, p: int, num, den) -> "FpRat":
+        """num/den in lowest terms with monic denominator; p is already prime."""
         num = _trim([c % p for c in num])
         den = _trim([c % p for c in den])
         if not den:
@@ -165,7 +179,7 @@ class FpRat:
         self._check(other)
         p = self.p
         num = _padd(p, _pmul(p, self.num, other.den), _pmul(p, other.num, self.den))
-        return FpRat.make(p, num, _pmul(p, self.den, other.den))
+        return FpRat._reduced(p, num, _pmul(p, self.den, other.den))
 
     def __sub__(self, other: "FpRat") -> "FpRat":
         return self + (-other)
@@ -211,7 +225,7 @@ class FpRat:
     def __pow__(self, n: int) -> "FpRat":
         if n < 0:
             return self.inv() ** (-n)
-        result = FpRat.const(self.p, 1)
+        result = FpRat(self.p, _ONE)
         base = self
         while n:
             if n & 1:
@@ -353,8 +367,7 @@ class Gamma:
     function-field Heisenberg group, Laurent membership is a predicate."""
 
     def __init__(self, i: int, p: int):
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
         self.i = i
         self.p = p
         self.alpha, self.beta = make_generators(i, p)

@@ -289,19 +289,24 @@ def test_radical_check_bounds_p_before_primality(capsys):
 # ---------------------------------------------------------------------------
 
 
-def run_child(*argv, timeout):
-    """Run the CLI as a child process; a child that outlives `timeout`
-    seconds is killed and the calling test fails instead of stalling."""
+def run_python(*args, timeout):
+    """Run the interpreter on args as a child process; a child that outlives
+    `timeout` seconds is killed and the calling test fails instead of stalling."""
     # the child imports focalclass from wherever this process found it
     src = str(Path(focalclass.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "focalclass.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+def run_child(*argv, timeout):
+    """Run the CLI as a child process, under the timeout of run_python."""
+    return run_python("-m", "focalclass.cli", *argv, timeout=timeout)
 
 
 def test_console_entry_point_runs():
@@ -325,9 +330,34 @@ def test_invariants_composite_varpi_near_one(tmp_path):
     assert out["varpi"] == "999999/1000000" and out["p0"] == "1999999/1000000"
 
 
+def test_invariants_composite_irrational_p0_varpi_near_one(tmp_path):
+    # the scaled p0 keeps its exponents: log(6)/log(2) times 1999999/1000000
+    # is never multiplied out into a number with a million-bit base
+    path = tmp_path / "composite.json"
+    path.write_text(
+        json.dumps({"kind": "Composite", "A": [["1/2", "0"], ["0", "1/3"]],
+                    "varpi": "999999/1000000", "q": 2}),
+        encoding="utf-8",
+    )
+    proc = run_child("invariants", str(path), timeout=20)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["p0"] == "log(6^1999999)/log(2^1000000)"
+
+
+def test_millefeuille_varpi_t_near_one():
+    code = (
+        "from fractions import Fraction as F\n"
+        "from focalclass import MatQ, Millefeuille, invariant_varpi\n"
+        "print(invariant_varpi(Millefeuille(MatQ([['1/2']]), F(999999, 1000000), 3)))\n"
+    )
+    proc = run_python("-c", code, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout == "log(3^1000000)/log(2^999999)\n"
+
+
 def test_radical_check_rejects_large_prime_p():
-    # 10^12 + 39 is prime: without the range check every FpRat.make would
-    # re-test it by trial division
+    # 10^12 + 39 is prime: without the range check the primality test by
+    # trial division would run again in every public F_p(t) constructor call
     proc = run_child("radical-check", "--p", str(10**12 + 39), timeout=20)
     assert proc.returncode == EXIT_PARSE
     assert "--p out of range" in proc.stderr

@@ -1,9 +1,11 @@
 """Unit tests for the exact integer/rational kernels."""
 
 import math
+import re
 from fractions import Fraction as F
 from random import Random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +19,6 @@ from focalclass.exactnum import (
     canonical_value,
     common_power,
     compare_values,
-    factorize,
-    logratio_add,
     logratio_add_one,
     logratio_chain_mul,
     logratio_scale,
@@ -27,48 +27,6 @@ from focalclass.exactnum import (
     mult_dependent,
 )
 from focalclass.exactnum import _interval_compare, _is_prime as exactnum_is_prime, _prime_iter
-
-
-# ---------------------------------------------------------------------------
-# factorize
-# ---------------------------------------------------------------------------
-
-
-def test_factorize_examples():
-    assert factorize(1) == {}
-    assert factorize(64) == {2: 6}
-    assert factorize(36) == {2: 2, 3: 2}
-
-
-def test_factorize_rejects_bad_input():
-    with pytest.raises(ValueError):
-        factorize(0)
-    with pytest.raises(ValueError):
-        factorize(1 << 64)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-@settings(max_examples=200, deadline=None)
-def test_factorize_reconstructs(n):
-    factors = factorize(n)
-    product = 1
-    for p, e in factors.items():
-        assert _is_prime(p)
-        assert e >= 1
-        product *= p**e
-    assert product == n
-    assert list(factors) == sorted(factors)
 
 
 def sieve(n):
@@ -283,13 +241,8 @@ def test_logratio_chain_mul_nontrivial_dependence():
     assert abs(as_float(out) - expect) < 1e-12
 
 
-def test_logratio_scale_and_add():
+def test_logratio_scale():
     assert canonical_value(logratio_scale(LogRatio(F(8), F(2)), F(2, 3))) == F(2)
-    combined = logratio_add(LogRatio(F(8), F(2)), LogRatio(F(3), F(4)))
-    expect = math.log(8) / math.log(2) + math.log(3) / math.log(4)
-    assert abs(as_float(combined) - expect) < 1e-12
-    kept = logratio_add(LogRatio(F(2), F(3)), LogRatio(F(2), F(5)))
-    assert abs(as_float(kept) - (as_float(LogRatio(F(2), F(3))) + as_float(LogRatio(F(2), F(5))))) < 1e-12
 
 
 def test_logratio_arith_matches_floats_on_random_instances():
@@ -347,3 +300,135 @@ def test_compare_values_mixed_kinds():
     assert compare_values(F(3), F(3)) is EQUAL
     assert compare_values(F(3), LogRatio(F(8), F(2))) is EQUAL
     assert compare_values(F(2), LogRatio(F(2), F(3))) is NOT_EQUAL
+
+
+# ---------------------------------------------------------------------------
+# the LogRatio normal form
+# ---------------------------------------------------------------------------
+
+
+def _mp_value(x):
+    """x at 100 digits: a Fraction, or m*log(p)/(n*log(q)) for a LogRatio."""
+    if isinstance(x, F):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return x.m * _mp_log(x.p) / (x.n * _mp_log(x.q))
+
+
+def _mp_log(q):
+    return mpmath.log(mpmath.mpf(q.numerator)) - mpmath.log(mpmath.mpf(q.denominator))
+
+
+def _assert_normal_form(x):
+    assert x.p > 1 and x.q > 1 and x.m >= 1 and x.n >= 1
+    assert mult_decompose(x.p) == (x.p, 1) and mult_decompose(x.q) == (x.q, 1)
+    assert math.gcd(x.m, x.n) == 1
+
+
+def _close(value, oracle):
+    return abs(_mp_value(value) - oracle) <= mpmath.mpf(10) ** -90 * abs(oracle)
+
+
+_base = st.builds(
+    lambda num, den: F(num + den, den),  # a rational > 1
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+)
+_exp = st.integers(min_value=1, max_value=6)
+_ratio = st.fractions(min_value=F(1, 50), max_value=50, max_denominator=100)
+
+
+@given(_base, _exp, _base, _exp, st.integers(min_value=1, max_value=4), _base, _exp, _ratio)
+@settings(max_examples=200, deadline=None)
+def test_logratio_operations_match_mpmath_oracle(b1, e1, b2, e2, j, b3, e3, r):
+    a, b, c = b1**e1, b2**e2, b3**e3
+    with mpmath.workdps(100):
+        oracle = _mp_log(a) / _mp_log(b)
+        x = LogRatio(a, b)
+        _assert_normal_form(x)
+        assert _close(x, oracle)
+        scaled = logratio_scale(x, r)
+        _assert_normal_form(scaled)
+        assert _close(scaled, oracle * r.numerator / r.denominator)
+        one_more = logratio_add_one(x)
+        _assert_normal_form(one_more)
+        assert _close(one_more, oracle + 1)
+        # b**j is dependent on b, so the chain product is exact
+        y = LogRatio(b**j, c)
+        product = logratio_chain_mul(x, y)
+        _assert_normal_form(product)
+        assert _close(product, oracle * _mp_log(b**j) / _mp_log(c))
+        assert _close(canonical_value(product), oracle * _mp_log(b**j) / _mp_log(c))
+
+
+@given(_base, _exp, _base, _exp, st.integers(min_value=1, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_equal_values_from_dependent_inputs_are_equal_objects(b1, e1, b2, e2, j):
+    a, b = b1**e1, b2**e2
+    x = LogRatio(a, b)
+    assert LogRatio(a**j, b**j) == x
+    assert logratio_scale(LogRatio(a, b**j), j) == x
+    assert logratio_scale(x, F(1, j)) == LogRatio(a, b**j)
+    assert hash(LogRatio(a**j, b**j)) == hash(x)
+
+
+def test_dependent_examples_are_equal_objects():
+    assert LogRatio(F(4), F(27)) == LogRatio(F(16), F(729)) == LogRatio(F(2**6), F(3**9))
+    assert LogRatio(F(9, 4), F(27, 8)) == LogRatio(F(3, 2) ** 4, F(3, 2) ** 6)
+    assert canonical_value(LogRatio(F(9, 4), F(27, 8))) == F(2, 3)
+    assert logratio_chain_mul(LogRatio(F(5), F(9)), LogRatio(F(27), F(7))) == LogRatio(
+        F(5**3), F(7**2)
+    )
+
+
+_POWER = r"([0-9]+(?:/[0-9]+)?)(?:\^([0-9]+))?"
+_RENDERED = re.compile(rf"log\({_POWER}\)/log\({_POWER}\)$")
+
+
+def _parse_rendered(text):
+    """The wire grammar: a rational, or log(P^m)/log(Q^n) with ^ applying to
+    the whole rational and an exponent of 1 left out."""
+    match = _RENDERED.match(text)
+    if match is None:
+        return F(text)
+    p, m, q, n = match.groups()
+    return LogRatio(F(p) ** int(m or 1), F(q) ** int(n or 1))
+
+
+@given(_base, _exp, _base, _exp, _ratio)
+@settings(max_examples=200, deadline=None)
+def test_render_value_parses_back(b1, e1, b2, e2, r):
+    from focalclass.focalmodel import render_value
+
+    for value in (LogRatio(b1**e1, b2**e2), logratio_scale(LogRatio(b1**e1, b2**e2), r)):
+        value = canonical_value(value)
+        assert _parse_rendered(render_value(value)) == value
+
+
+def test_render_value_spelling():
+    from focalclass.focalmodel import render_value
+
+    assert render_value(LogRatio(F(3), F(2))) == "log(3)/log(2)"
+    assert render_value(LogRatio(F(100, 9), F(3))) == "log(10/3^2)/log(3)"
+    assert render_value(logratio_scale(LogRatio(F(6), F(2)), F(1999999, 1000000))) == (
+        "log(6^1999999)/log(2^1000000)"
+    )
+
+
+def test_operations_on_built_values_make_no_maxroot_calls(monkeypatch):
+    from focalclass import exactnum
+    from focalclass.focalmodel import render_value
+
+    a = 10**80
+    x, y = LogRatio(F(25), F(10, 3)), LogRatio(F(7, 2), F(6) ** 5)
+    z, w = LogRatio(F(a + 1), F(a)), LogRatio(F(8), F(4))
+    calls = []
+    real = exactnum.maxroot
+    monkeypatch.setattr(exactnum, "maxroot", lambda n: calls.append(n) or real(n))
+    for v in (x, y, z, w):
+        render_value(v)
+        canonical_value(v)
+        logratio_scale(v, F(999999, 1000000))
+        compare_values(v, x)
+        compare_values(v, F(3, 2))
+    assert compare_values(w, F(3, 2)) is EQUAL
+    assert calls == []

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from focalclass import radicalcheck
 from focalclass.radicalcheck import (
     AutTriple,
     FpRat,
@@ -94,6 +95,26 @@ def test_pow_including_negative():
 def test_field_mismatch_raises():
     with pytest.raises(ValueError):
         FpRat.const(2, 1) + FpRat.const(3, 1)
+
+
+def test_constructors_test_p_and_arithmetic_does_not(monkeypatch):
+    with pytest.raises(ValueError):
+        FpRat.make(4, (1, 1))
+    with pytest.raises(ValueError):
+        Gamma(1, 9)
+    x = FpRat.make(7, (1, 2), (3, 0, 1))
+    y = FpRat.poly(7, (5, 1))
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return True
+
+    monkeypatch.setattr(radicalcheck, "_is_prime", counting_is_prime)
+    assert x * y == FpRat.make(7, (5, 11, 2), (3, 0, 1))
+    calls.clear()
+    x * y, x + y, x - y, x / y, y.inv(), x**3, x**-2
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
