@@ -5,14 +5,15 @@ units s = t^2 + t^-2, u1 = 1 + t, u2 = 1 + 1/t, a pair of Heisenberg groups
 over the Laurent ring embedded into H3(F_p(t)), the level-1 and level-2
 scaling actions, and the compact-twist identity that makes the two ambient
 groups isomorphic.  The interesting claims reduce to: an exact central
-family in the level-2 group, unbounded conjugacy growth certified by
-non-torsion units in the level-1 group, and a componentwise identity of
-scaling automorphisms.
+family in the level-2 group, unbounded conjugacy growth in the level-1
+group (counted from the stabiliser: non-torsion unit multipliers fix no
+nonzero power), and a componentwise identity of scaling automorphisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from random import Random
 
 from .exactnum import _is_prime
@@ -55,10 +56,6 @@ def _padd(p: int, a: tuple, b: tuple) -> tuple:
 
 def _pneg(p: int, a: tuple) -> tuple:
     return tuple((-x) % p for x in a)
-
-
-def _psub(p: int, a: tuple, b: tuple) -> tuple:
-    return _padd(p, a, _pneg(p, b))
 
 
 def _pmul(p: int, a: tuple, b: tuple) -> tuple:
@@ -401,9 +398,6 @@ class Gamma:
         a, b = self._act(-g.n, h3_inv(g.a), h3_inv(g.b))
         return GammaElem(a, b, -g.n)
 
-    def conjugate(self, h: GammaElem, g: GammaElem) -> GammaElem:
-        return self.mul(self.mul(h, g), self.inv(h))
-
     def is_laurent_elem(self, g: GammaElem) -> bool:
         coords = (g.a.x, g.a.y, g.a.z, g.b.x, g.b.y, g.b.z)
         return all(c.is_laurent() for c in coords)
@@ -444,13 +438,15 @@ def check_center_gamma2(p: int, samples: int, degree: int) -> bool:
 
 
 def conjugacy_orbit_size(i: int, g: GammaElem, bound: int) -> int:
-    """Number of distinct conjugates of g by powers -bound..bound of the
-    cyclic generator.
+    """Number of distinct conjugates of g by the powers -bound..bound of the
+    cyclic generator, counted from the stabiliser of g without a walk.
 
-    Conjugating ((a, b), n) by the k-th power of the cyclic generator gives
-    ((alpha^k a, beta^k b), n), so the orbit is walked incrementally in both
-    directions.  The identity has no conjugacy orbit worth counting and is
-    rejected.
+    The k-th power sends ((a, b), n) to ((alpha^k a, beta^k b), n), scaling
+    the coordinates x, y, z of a by u^k, v^k, (uv)^k (and b likewise), so the
+    k fixing g form dZ: d = 0 if a nonzero coordinate has a multiplier of
+    infinite order, else d is the lcm of the orders of those multipliers.
+    The window holds min(d, 2*bound + 1) conjugates, 2*bound + 1 if d = 0.
+    The identity has no conjugacy orbit worth counting and is rejected.
     """
     if bound < 0 or bound > 10**3:
         raise ValueError("bound must be between 0 and 1000")
@@ -458,28 +454,32 @@ def conjugacy_orbit_size(i: int, g: GammaElem, bound: int) -> int:
     gamma = Gamma(i, p)
     if g == gamma.identity():
         raise ValueError("conjugacy orbit of the identity is trivial")
-    orbit = {(g.a, g.b)}
-    for step in (1, -1):
-        alpha = gamma.alpha.power(step)
-        beta = gamma.beta.power(step)
-        a, b = g.a, g.b
-        for _ in range(bound):
-            a, b = alpha.apply(a), beta.apply(b)
-            orbit.add((a, b))
-    return len(orbit)
+    period = 1
+    for aut, h in ((gamma.alpha, g.a), (gamma.beta, g.b)):
+        for mult, coord in ((aut.u, h.x), (aut.v, h.y), (aut.w, h.z)):
+            if coord.is_zero():
+                continue
+            if unit_infinite_order(mult):
+                return 2 * bound + 1
+            # a torsion unit is a constant c whose order divides p - 1
+            c = mult.num[0]
+            order = next(e for e in range(1, p) if (p - 1) % e == 0 and pow(c, e, p) == 1)
+            period = lcm(period, order)
+    return min(period, 2 * bound + 1)
 
 
 def unit_infinite_order(u: FpRat) -> bool:
     """True iff u has infinite order in the multiplicative group of F_p(t).
 
     Torsion units are exactly the nonzero constants: any constant has order
-    dividing p - 1 (verified by direct exponentiation), while a nonconstant
-    reduced fraction changes degree under powers and can never return to 1.
+    dividing p - 1 (verified by direct exponentiation, which raises
+    ValueError if it fails), while the k-th power of a nonconstant reduced
+    fraction has |k| times its degree, so no nonzero power of it is 1.
     """
     if u.is_zero():
         raise ZeroDivisionError("zero is not a unit")
     if not u.is_constant():
         return True
-    one = FpRat.const(u.p, 1)
-    assert u ** (u.p - 1) == one
+    if u ** (u.p - 1) != FpRat(u.p, _ONE):
+        raise ValueError(f"{u.num[0]}^{u.p - 1} is not 1 mod {u.p}, so {u.p} is not prime")
     return False

@@ -364,6 +364,15 @@ def test_radical_check_rejects_large_prime_p():
     assert proc.stdout == ""
 
 
+def test_radical_check_large_bound_counts_from_stabiliser():
+    # each conjugacy orbit is counted from its stabiliser, so the largest
+    # bound costs no more than the smallest; a walk of the orbit would not
+    # finish inside the timeout
+    proc = run_child("radical-check", "--p", "31", "--conj-bound", "1000", timeout=20)
+    assert proc.returncode == EXIT_YES
+    assert json.loads(proc.stdout)["icc_gamma1_min_orbit"] == 2001
+
+
 def test_human_output_is_not_json(capsys):
     code = main(["invariants", corpus_path("ft8"), "--human"])
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focalclass import radicalcheck
 from focalclass.radicalcheck import (
@@ -236,6 +237,79 @@ def test_conjugacy_orbit_examples():
         conjugacy_orbit_size(1, gamma1.identity(), 10)
 
 
+def _walk_orbit_size(alpha: AutTriple, beta: AutTriple, g: GammaElem, bound: int) -> int:
+    """Independent oracle: walk alpha^k a and beta^k b for |k| <= bound and
+    count the distinct pairs."""
+    orbit = {(g.a, g.b)}
+    for step in (1, -1):
+        alpha_step, beta_step = alpha.power(step), beta.power(step)
+        a, b = g.a, g.b
+        for _ in range(bound):
+            a, b = alpha_step.apply(a), beta_step.apply(b)
+            orbit.add((a, b))
+    return len(orbit)
+
+
+@st.composite
+def _coordinates(draw, p):
+    """Zero, a nonzero constant, or a reduced fraction of small degree."""
+    kind = draw(st.sampled_from(("zero", "constant", "fraction")))
+    if kind == "zero":
+        return FpRat.const(p, 0)
+    if kind == "constant":
+        return FpRat.const(p, draw(st.integers(1, p - 1)))
+    coeff = st.integers(0, p - 1)
+    num = draw(st.lists(coeff, min_size=1, max_size=4))
+    den = draw(st.lists(coeff, min_size=1, max_size=4).filter(any))
+    return FpRat.make(p, num, den)
+
+
+@st.composite
+def _orbit_cases(draw):
+    """(level, element, bound): random elements with zero and constant
+    coordinates, level-2 central elements (1, (0, 0, z)), any n."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 31)))
+    level = draw(st.sampled_from((1, 2)))
+    zero = FpRat.const(p, 0)
+    if draw(st.booleans()):
+        coords = [draw(_coordinates(p)) for _ in range(6)]
+    else:
+        coords = [zero] * 5 + [draw(_coordinates(p))]
+    n = draw(st.integers(-3, 3))
+    if all(c.is_zero() for c in coords) and n == 0:
+        n = 1
+    g = GammaElem(H3Elem(*coords[:3]), H3Elem(*coords[3:]), n)
+    return level, g, draw(st.integers(0, 20))
+
+
+@given(_orbit_cases())
+@settings(max_examples=300, deadline=None)
+def test_conjugacy_orbit_size_matches_walk(case):
+    level, g, bound = case
+    alpha, beta = make_generators(level, g.a.x.p)
+    assert conjugacy_orbit_size(level, g, bound) == _walk_orbit_size(alpha, beta, g, bound)
+
+
+def test_conjugacy_orbit_size_torsion_multipliers(monkeypatch):
+    # the real generators scale by 1 or by units of infinite order; constant
+    # multipliers of other orders check the lcm of the stabiliser against the walk
+    p = 7
+    alpha = AutTriple(FpRat.const(p, 2), FpRat.const(p, 6))  # orders 3, 2, uv = 5: 6
+    beta = AutTriple(FpRat.const(p, 3), FpRat.monomial(p, 1))  # orders 6, inf, inf
+    monkeypatch.setattr(radicalcheck, "make_generators", lambda i, q: (alpha, beta))
+    gens = Gamma(1, p).coordinate_generators()
+    assert [conjugacy_orbit_size(1, g, 10) for g in gens] == [3, 2, 6, 6, 21, 21]
+    assert conjugacy_orbit_size(1, gens[0], 0) == 1
+    assert conjugacy_orbit_size(1, gens[2], 2) == 5
+    rng = Random(45)
+    zero = FpRat.const(p, 0)
+    for _ in range(200):
+        coords = [_random_fprat(rng, p) if rng.random() < 0.4 else zero for _ in range(6)]
+        g = GammaElem(H3Elem(*coords[:3]), H3Elem(*coords[3:]), rng.randint(1, 3))
+        bound = rng.randint(0, 12)
+        assert conjugacy_orbit_size(1, g, bound) == _walk_orbit_size(alpha, beta, g, bound)
+
+
 def test_conjugacy_growth_all_generators():
     for p in (2, 3, 5):
         gamma1 = Gamma(1, p)
@@ -267,6 +341,12 @@ def test_unit_infinite_order_examples():
     assert two**4 == FpRat.const(5, 1)  # order 4
     with pytest.raises(ZeroDivisionError):
         unit_infinite_order(FpRat.const(3, 0))
+
+
+def test_unit_infinite_order_rejects_composite_modulus():
+    # the order check is explicit, so it also holds under python -O
+    with pytest.raises(ValueError, match="not prime"):
+        unit_infinite_order(FpRat(4, (3,), (1,)))
 
 
 def test_designated_units_non_torsion():
