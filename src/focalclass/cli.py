@@ -101,29 +101,37 @@ def _parse_matrix(rows) -> MatQ:
         raise DescriptorError(str(exc)) from None
 
 
+def _int_field(obj: dict, field: str, default=None) -> int:
+    value = obj[field] if default is None else obj.get(field, default)
+    if type(value) is not int:  # bool is a subclass of int, JSON true is not
+        got = json.dumps(value, default=repr)
+        raise DescriptorError(f"{field} must be a JSON integer, got {got}")
+    return value
+
+
 def parse_descriptor(obj) -> FocalDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DescriptorError("descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
     try:
         if kind == "FT":
-            return FT(m=int(obj["m"]))
+            return FT(m=_int_field(obj, "m"))
         if kind == "GAk":
             return GAk(
                 matrix=_parse_matrix(obj["A"]),
-                k=int(obj["k"]),
-                index=int(obj.get("index", 1)),
+                k=_int_field(obj, "k"),
+                index=_int_field(obj, "index", 1),
             )
         if kind == "Composite":
             return Composite(
                 conn=_parse_matrix(obj["A"]),
                 varpi=parse_rat(obj["varpi"]),
-                q=int(obj["q"]),
-                index=int(obj.get("index", 1)),
+                q=_int_field(obj, "q"),
+                index=_int_field(obj, "index", 1),
             )
         if kind == "Millefeuille":
             return Millefeuille(
-                conn=_parse_matrix(obj["A"]), t=parse_rat(obj["t"]), k=int(obj["k"])
+                conn=_parse_matrix(obj["A"]), t=parse_rat(obj["t"]), k=_int_field(obj, "k")
             )
     except DescriptorError:
         raise

@@ -9,8 +9,8 @@ is never collapsed into yes or no.
 
 Witness chains are symbolic: an edge asserts the existence of a copci
 homomorphism by citing a constructive law, and :func:`validate_chain` checks
-the conservation laws (type, q, varpi along within-focal segments) rather
-than materializing homomorphisms.
+the conservation laws rather than materializing homomorphisms.  Decisions
+and validation compare canonical forms with one ladder (:func:`_ladder`).
 """
 
 from __future__ import annotations
@@ -20,22 +20,23 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .exactnum import EQUAL, NOT_EQUAL, Undecided, compare_values, maxroot
+from .exactnum import EQUAL, NOT_EQUAL, Comparison, Undecided, compare_values, maxroot
 from .focalmodel import (
     INFINITE,
     FT,
+    CanonicalForm,
     FocalDescriptor,
     GroupType,
     HullNotImplementedError,
     HullSpec,
+    canonical_form,
     classify_type,
-    conn_key,
     conn_key_equal,
     focal_universal_hull,
     invariant_q,
     invariant_s,
-    invariant_varpi,
     render_value,
+    root_level,
 )
 
 __all__ = [
@@ -69,7 +70,7 @@ __all__ = [
 
 
 class UndecidedComparisonError(Exception):
-    """A varpi comparison in a witness chain could not be certified either way."""
+    """A comparison in a witness chain could not be certified either way."""
 
     def __init__(self, detail: Undecided):
         super().__init__(f"comparison undecided: {detail!r}")
@@ -174,25 +175,6 @@ CITATIONS = {
     ),
 }
 
-# pattern catalog citations (impossibility and open-status entries)
-PATTERN_CITATIONS = {
-    "no-common-overgroup": (
-        "distinct boundary tree stabilizers never map copci into one common group: "
-        "a torsion-order count in the larger tree obstructs it"
-    ),
-    "no-two-step-valley": (
-        "with different non-power roots, no group maps copci into both stabilizers "
-        "even through an intermediate peak"
-    ),
-    "open-commability-pattern": (
-        "whether same-root stabilizers always connect through a single valley is open"
-    ),
-    "ft-ladder": "the four-step ladder through FT levels and their index subgroups",
-    "index-ladder": "the four-step ladder through index subgroups into a common FT level",
-    "fibered-ladder": "the four-step ladder through fibered products and index subgroups",
-    "identity": CITATIONS["identity"],
-}
-
 
 @dataclass(frozen=True)
 class Arrow:
@@ -237,70 +219,83 @@ Verdict = Union[Yes, No, UndecidedVerdict]
 
 
 # ---------------------------------------------------------------------------
-# invariants of symbolic nodes (for chain validation)
+# the ladder over canonical forms, shared by decisions and chain validation
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Profile:
-    focal: bool
-    group_type: Optional[GroupType] = None
-    q: Optional[int] = None
-    varpi: object = None
+_OBSTRUCTIONS = {  # invariant: (its value in a form, the note of a No)
+    "type": (lambda f: f.group_type.value, "the type is a commability invariant"),
+    "q": (lambda f: f.q, "q is an invariant of commability within focal groups"),
+    "connected-key": (lambda f: _render_key(f.key), "the connected sides are not commable"),
+    "varpi": (lambda f: render_value(f.varpi), "varpi is an invariant of commability"),
+}
 
 
-def _node_profile(node: SymbolicGroup) -> _Profile:
+def _ladder(f1: CanonicalForm, f2: CanonicalForm) -> Optional[tuple[str, Comparison]]:
+    """The first invariant of the two forms not certified EQUAL, with its
+    comparison, or None when the forms agree.
+
+    The order is type, q, then (past totally disconnected pairs, which
+    these two already decide) the connected key and varpi.
+    """
+    if f1.group_type is not f2.group_type:
+        return ("type", NOT_EQUAL)
+    if f1.q != f2.q:
+        return ("q", NOT_EQUAL)
+    if f1.group_type is GroupType.TOTALLY_DISCONNECTED:
+        return None
+    verdict = conn_key_equal(f1.key, f2.key)
+    if verdict is not EQUAL:
+        return ("connected-key", verdict)
+    verdict = compare_values(f1.varpi, f2.varpi)
+    if verdict is not EQUAL:
+        return ("varpi", verdict)
+    return None
+
+
+def _node_form(node: SymbolicGroup) -> Optional[CanonicalForm]:
+    """Canonical form of a focal chain node; None for free groups and full
+    tree groups, which are not focal."""
+    td = GroupType.TOTALLY_DISCONNECTED
     if isinstance(node, SDesc):
-        g = node.desc
-        return _Profile(True, classify_type(g), invariant_q(g), invariant_varpi(g))
+        return canonical_form(node.desc)
     if isinstance(node, SFTpow):
-        return _Profile(
-            True, GroupType.TOTALLY_DISCONNECTED, maxroot(node.q**node.n)[0], INFINITE
-        )
+        return CanonicalForm(td, maxroot(node.q)[0], (), INFINITE)
     if isinstance(node, SQpLattice):
-        return _Profile(
-            True, GroupType.TOTALLY_DISCONNECTED, maxroot(node.l**node.e)[0], INFINITE
-        )
+        return CanonicalForm(td, maxroot(node.l)[0], (), INFINITE)
     if isinstance(node, SCompositeProduct):
-        return _Profile(True, GroupType.MIXED, maxroot(node.m**node.n)[0], node.varpi)
+        return CanonicalForm(GroupType.MIXED, maxroot(node.m)[0], node.key, node.varpi)
     if isinstance(node, SHull):
-        return _Profile(True, GroupType.CONNECTED, 1, Fraction(0))
-    return _Profile(False)  # free groups and full tree groups are not focal
-
-
-def _varpi_equal(x, y):
-    if x == INFINITE or y == INFINITE:
-        return EQUAL if (x == INFINITE and y == INFINITE) else NOT_EQUAL
-    return compare_values(x, y)
+        return CanonicalForm(GroupType.CONNECTED, 1, node.key, Fraction(0))
+    return None
 
 
 def validate_chain(chain: WitnessChain) -> tuple[bool, str]:
     """Check the conservation laws along a chain.
 
-    Along every within-focal segment the group type and the q-invariant must
-    be constant and varpi certified equal; every arrow must cite a cataloged
-    construction.  Returns (ok, diagnostics); an uncertifiable varpi
-    comparison raises UndecidedComparisonError.
+    Along every within-focal segment the canonical form must be constant:
+    group type, q, connected key and varpi, compared by the decision
+    ladder.  Every arrow must cite a cataloged construction.  Returns
+    (ok, diagnostics); an uncertifiable comparison raises
+    UndecidedComparisonError.
     """
     for arrow in chain.arrows:
         if arrow.citation not in CITATIONS:
             return (False, f"unknown construction citation: {arrow.citation}")
         if arrow.direction not in (INTO, FROM):
             return (False, f"bad arrow direction: {arrow.direction}")
-    profiles = [_node_profile(n) for n in chain.nodes]
-    for i in range(len(chain.nodes) - 1):
-        p, s = profiles[i], profiles[i + 1]
-        if not (p.focal and s.focal):
+    forms = [_node_form(n) for n in chain.nodes]
+    for i, (f1, f2) in enumerate(zip(forms, forms[1:])):
+        if f1 is None or f2 is None:
             continue  # a non-focal node ends the within-focal segment
-        if p.group_type is not s.group_type:
-            return (False, f"type not conserved across edge {i}")
-        if p.q != s.q:
-            return (False, f"q not conserved across edge {i}: {p.q} != {s.q}")
-        verdict = _varpi_equal(p.varpi, s.varpi)
-        if verdict is NOT_EQUAL:
-            return (False, f"varpi not conserved across edge {i}")
-        if verdict is not EQUAL:
+        step = _ladder(f1, f2)
+        if step is None:
+            continue
+        invariant, verdict = step
+        if verdict is not NOT_EQUAL:
             raise UndecidedComparisonError(verdict)
+        render = _OBSTRUCTIONS[invariant][0]
+        return (False, f"{invariant} not conserved across edge {i}: {render(f1)} != {render(f2)}")
     return (True, "ok")
 
 
@@ -315,9 +310,8 @@ def _empty_chain(g: FocalDescriptor) -> WitnessChain:
 
 def _td_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
     """G1 up FT(s1) down FT_q^[n] up FT(s2) down G2, n = max level."""
-    q = invariant_q(g1)
+    (q, n1), (_, n2) = root_level(g1), root_level(g2)
     s1, s2 = invariant_s(g1), invariant_s(g2)
-    n1, n2 = maxroot(s1)[1], maxroot(s2)[1]
     n = max(n1, n2)
     return WitnessChain(
         nodes=(SDesc(g1), SDesc(FT(s1)), SFTpow(q, n), SDesc(FT(s2)), SDesc(g2)),
@@ -330,10 +324,8 @@ def _td_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
     )
 
 
-def _mixed_chain(
-    g1: FocalDescriptor, g2: FocalDescriptor, q: int, key: tuple, varpi
-) -> WitnessChain:
-    n1, n2 = maxroot(invariant_s(g1))[1], maxroot(invariant_s(g2))[1]
+def _mixed_chain(g1: FocalDescriptor, g2: FocalDescriptor, key: tuple, varpi) -> WitnessChain:
+    (q, n1), (_, n2) = root_level(g1), root_level(g2)
     n = max(n1, n2)
     return WitnessChain(
         nodes=(
@@ -412,46 +404,30 @@ def _free_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
 def commable_within_focal(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
     """Commability with every intermediate group focal.
 
-    Totally disconnected pairs are equivalent iff their q-invariants agree.
-    Connected and mixed pairs run one ladder: q, then the connected keys,
-    then varpi (both comparisons certified).  Connected type is the case
-    q = 1, varpi = 0, where equal keys say that one action lies on the
-    other's positive one-parameter group up to conjugacy.
+    The canonical forms of the two groups go through one ladder: type,
+    then q, which settles totally disconnected pairs, then the connected
+    keys and varpi (both comparisons certified).  Connected type is the
+    case q = 1, varpi = 0, where equal keys say that one action lies on
+    the other's positive one-parameter group up to conjugacy.
     """
     if g1 == g2:
         return Yes(_empty_chain(g1))
-    t1, t2 = classify_type(g1), classify_type(g2)
-    if t1 is not t2:
-        return No("type", (t1.value, t2.value), "the type is a commability invariant")
-    q1, q2 = invariant_q(g1), invariant_q(g2)
-    if q1 != q2:
-        return No("q", (q1, q2), "q is an invariant of commability within focal groups")
-    if t1 is GroupType.TOTALLY_DISCONNECTED:
-        return Yes(_td_chain(g1, g2))
-    key1, key2 = conn_key(g1), conn_key(g2)
-    key_verdict = conn_key_equal(key1, key2)
-    if key_verdict is NOT_EQUAL:
-        note = (
-            "the actions lie on different one-parameter classes"
-            if t1 is GroupType.CONNECTED
-            else "the connected sides are not commable"
-        )
-        return No("connected-key", (_render_key(key1), _render_key(key2)), note)
-    if key_verdict is not EQUAL:
-        return UndecidedVerdict(f"connected key comparison undecided: {key_verdict!r}")
-    v1, v2 = invariant_varpi(g1), invariant_varpi(g2)
-    varpi_verdict = compare_values(v1, v2)
-    if varpi_verdict is NOT_EQUAL:
-        return No(
-            "varpi",
-            (render_value(v1), render_value(v2)),
-            "varpi is an invariant of commability",
-        )
-    if varpi_verdict is not EQUAL:
-        return UndecidedVerdict(f"varpi comparison undecided: {varpi_verdict!r}")
-    if t1 is GroupType.CONNECTED:
-        return Yes(_connected_chain(g1, g2, key1))
-    return Yes(_mixed_chain(g1, g2, q1, key1, v1))
+    f1, f2 = canonical_form(g1), canonical_form(g2)
+    step = _ladder(f1, f2)
+    if step is None:
+        if f1.group_type is GroupType.TOTALLY_DISCONNECTED:
+            return Yes(_td_chain(g1, g2))
+        if f1.group_type is GroupType.CONNECTED:
+            return Yes(_connected_chain(g1, g2, f1.key))
+        return Yes(_mixed_chain(g1, g2, f1.key, f1.varpi))
+    invariant, verdict = step
+    if verdict is not NOT_EQUAL:
+        what = "connected key" if invariant == "connected-key" else invariant
+        return UndecidedVerdict(f"{what} comparison undecided: {verdict!r}")
+    render, note = _OBSTRUCTIONS[invariant]
+    if invariant == "connected-key" and f1.group_type is GroupType.CONNECTED:
+        note = "the actions lie on different one-parameter classes"
+    return No(invariant, (render(f1), render(f2)), note)
 
 
 def commable(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
@@ -479,9 +455,6 @@ def quasi_isometric(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
     quasi-isometry.  Every pair, Millefeuille pairs over one connected datum
     included, goes through :func:`commable`.
     """
-    t1, t2 = classify_type(g1), classify_type(g2)
-    if t1 is not t2:
-        return No("type", (t1.value, t2.value), "the boundary topology separates the types")
     verdict = commable(g1, g2)
     if isinstance(verdict, No):
         notes = {

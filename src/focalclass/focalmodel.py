@@ -59,6 +59,7 @@ __all__ = [
     "invariant_q",
     "invariant_varpi",
     "invariant_p0",
+    "root_level",
     "boundary",
     "canonical_form",
     "conn_key_equal",
@@ -209,9 +210,17 @@ def invariant_s(g: FocalDescriptor) -> int:
     return g.k
 
 
+def root_level(g: FocalDescriptor) -> tuple[int, int]:
+    """(q, level) with s == q**level, q non-power: read from the tree
+    parameter r**e and the index as (r, e * index), never from s itself."""
+    base = g.m if isinstance(g, FT) else g.q if isinstance(g, Composite) else g.k
+    q, e = maxroot(base)
+    return q, e * getattr(g, "index", 1)  # FT and Millefeuille have index 1
+
+
 def invariant_q(g: FocalDescriptor) -> int:
     """Non-power root of the s-invariant."""
-    return maxroot(invariant_s(g))[0]
+    return root_level(g)[0]
 
 
 def conn_matrix(g: FocalDescriptor) -> Optional[MatQ]:
@@ -305,11 +314,12 @@ class Invariants:
 
 
 def compute_invariants(g: FocalDescriptor) -> Invariants:
+    form = canonical_form(g)
     return Invariants(
-        group_type=classify_type(g),
+        group_type=form.group_type,
         s=invariant_s(g),
-        q=invariant_q(g),
-        varpi=invariant_varpi(g),
+        q=form.q,
+        varpi=form.varpi,
         p0=invariant_p0(g),
         boundary=boundary(g),
     )
@@ -359,15 +369,18 @@ def conn_key_equal(k1: ConnKey, k2: ConnKey) -> Comparison:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Complete commability-within-focal invariant (key, varpi, q)."""
+    """Complete commability-within-focal invariant: type, q, connected key
+    and varpi.  Totally disconnected forms have key () and varpi INFINITE,
+    connected forms q = 1 and varpi 0."""
 
+    group_type: GroupType
+    q: int
     key: ConnKey
     varpi: object
-    q: int
 
 
 def canonical_form(g: FocalDescriptor) -> CanonicalForm:
-    return CanonicalForm(key=conn_key(g), varpi=invariant_varpi(g), q=invariant_q(g))
+    return CanonicalForm(classify_type(g), invariant_q(g), conn_key(g), invariant_varpi(g))
 
 
 # ---------------------------------------------------------------------------

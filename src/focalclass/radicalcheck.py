@@ -451,11 +451,11 @@ def conjugacy_orbit_size(i: int, g: GammaElem, bound: int) -> int:
     if bound < 0 or bound > 10**3:
         raise ValueError("bound must be between 0 and 1000")
     p = g.a.x.p
-    gamma = Gamma(i, p)
-    if g == gamma.identity():
+    alpha, beta = make_generators(i, p)
+    if g.n == 0 and all(c.is_zero() for h in (g.a, g.b) for c in (h.x, h.y, h.z)):
         raise ValueError("conjugacy orbit of the identity is trivial")
     period = 1
-    for aut, h in ((gamma.alpha, g.a), (gamma.beta, g.b)):
+    for aut, h in ((alpha, g.a), (beta, g.b)):
         for mult, coord in ((aut.u, h.x), (aut.v, h.y), (aut.w, h.z)):
             if coord.is_zero():
                 continue

@@ -59,6 +59,15 @@ def test_parse_rejects_malformed_input(tmp_path):
         '{"kind":"Nope","m":3}',
         '{"kind":"GAk","A":[["1/x"]],"k":2}',
         "not json at all",
+        # integer fields take JSON integers only
+        '{"kind":"FT","m":2.9}',
+        '{"kind":"FT","m":"3"}',
+        '{"kind":"FT","m":true}',
+        '{"kind":"GAk","A":[["1/2"]],"k":2.0}',
+        '{"kind":"GAk","A":[["1/2"]],"k":2,"index":true}',
+        '{"kind":"Composite","A":[["1/2"]],"varpi":"1","q":"2"}',
+        '{"kind":"Composite","A":[["1/2"]],"varpi":"1","q":2,"index":1.5}',
+        '{"kind":"Millefeuille","A":[["1/2"]],"t":"1","k":null}',
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -371,6 +380,27 @@ def test_radical_check_large_bound_counts_from_stabiliser():
     proc = run_child("radical-check", "--p", "31", "--conj-bound", "1000", timeout=20)
     assert proc.returncode == EXIT_YES
     assert json.loads(proc.stdout)["icc_gamma1_min_orbit"] == 2001
+
+
+def _large_index_pair(tmp_path, k2):
+    """A GAk descriptor of index 10^6, whose s = 10^(10^6) is never needed
+    by a decision, and a second GAk over the same action with parameter k2."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"kind":"GAk","A":[["1/2"]],"k":10,"index":1000000}', encoding="utf-8")
+    b.write_text(json.dumps({"kind": "GAk", "A": [["1/2"]], "k": k2}), encoding="utf-8")
+    return str(a), str(b)
+
+
+def test_large_index_decided_on_varpi_without_the_power(tmp_path):
+    proc = run_child("commable", *_large_index_pair(tmp_path, 100), "--within-focal", timeout=2)
+    assert proc.returncode == EXIT_NO
+    assert json.loads(proc.stdout)["obstruction"]["invariant"] == "varpi"
+
+
+def test_large_index_commable_without_the_power(tmp_path):
+    proc = run_child("commable", *_large_index_pair(tmp_path, 10), "--within-focal", timeout=2)
+    assert proc.returncode == EXIT_YES
+    assert json.loads(proc.stdout) == {"verdict": "yes"}
 
 
 def test_human_output_is_not_json(capsys):

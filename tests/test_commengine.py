@@ -1,8 +1,10 @@
 """Unit tests for the commability and quasi-isometry decision engine."""
 
+import json
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -14,13 +16,16 @@ from focalclass.focalmodel import (
     GAk,
     Millefeuille,
     classify_type,
+    conn_key,
     invariant_q,
 )
 from focalclass.commengine import (
     Arrow,
     CITATIONS,
+    FROM,
     INTO,
     No,
+    SCompositeProduct,
     SDesc,
     SFreeGroup,
     SFTpow,
@@ -366,6 +371,53 @@ def test_validate_chain_rejects_varpi_violation():
     )
     ok, diag_msg = validate_chain(bad)
     assert not ok and "varpi" in diag_msg
+
+
+def test_validate_chain_rejects_key_violation_connected():
+    # equal q (1) and varpi (0): only the connected keys tell the two apart
+    g1, g2 = GAk(diag("1/2", "1/4"), 1), GAk(diag("1/2", "1/8"), 1)
+    assert isinstance(commable_within_focal(g1, g2), No)
+    forged = WitnessChain(
+        nodes=(SDesc(g1), SHull(conn_key(g1), None), SDesc(g2)),
+        arrows=(Arrow(INTO, "focal-universal-hull"), Arrow(FROM, "focal-universal-hull")),
+    )
+    ok, diag_msg = validate_chain(forged)
+    assert not ok and "key" in diag_msg and "edge 1" in diag_msg
+
+
+def test_validate_chain_rejects_key_violation_mixed():
+    # equal q (2) and varpi (1): only the connected keys tell the two apart
+    g1 = Composite(diag("1/2", "1/4"), F(1), 2)
+    g2 = Composite(diag("1/2", "1/8"), F(1), 2)
+    assert isinstance(commable_within_focal(g1, g2), No)
+    forged = WitnessChain(
+        nodes=(SDesc(g1), SCompositeProduct(conn_key(g1), F(1), 2, 1), SDesc(g2)),
+        arrows=(Arrow(INTO, "modular-fibered-product"), Arrow(FROM, "modular-fibered-product")),
+    )
+    ok, diag_msg = validate_chain(forged)
+    assert not ok and "key" in diag_msg and "edge 1" in diag_msg
+
+
+def test_corpus_pairs_validate_and_are_symmetric():
+    """On every ordered pair of the corpus, each decision's yes chain
+    validates, and the verdict kind and the obstruction invariant do not
+    depend on the order of the pair."""
+    from focalclass.cli import parse_descriptor
+
+    corpus = Path(__file__).parent / "corpus"
+    groups = [parse_descriptor(json.loads(p.read_text(encoding="utf-8")))
+              for p in sorted(corpus.glob("*.json"))]
+    seen = Counter()
+    for decide in (commable_within_focal, commable, quasi_isometric):
+        for g1, g2 in product(groups, repeat=2):
+            verdict, swapped = decide(g1, g2), decide(g2, g1)
+            assert verdict.kind == swapped.kind
+            if isinstance(verdict, Yes):
+                assert validate_chain(verdict.chain) == (True, "ok")
+            if isinstance(verdict, No):
+                assert verdict.invariant == swapped.invariant
+            seen[verdict.kind] += 1
+    assert seen["yes"] > 0 and seen["no"] > 0
 
 
 def test_chain_arrow_count_enforced():

@@ -40,6 +40,7 @@ from focalclass.focalmodel import (
     invariant_varpi,
     is_special,
     render_value,
+    root_level,
 )
 
 from helpers import descriptor_pool, random_triangular
@@ -235,6 +236,16 @@ def test_invariant_consistency_on_pool():
         varpi = invariant_varpi(g)
         assert (varpi == F(0)) == (kind is GroupType.CONNECTED) == (s == 1)
         assert (varpi == INFINITE) == (kind is GroupType.TOTALLY_DISCONNECTED)
+
+
+def test_root_level_reads_the_parameter_not_the_power():
+    for g in descriptor_pool():
+        q, level = root_level(g)
+        assert q**level == invariant_s(g)
+        assert (q, level) == maxroot(invariant_s(g))
+    # s = 10^(10^6) has 3.3 million bits; the root and level come from k
+    assert root_level(GAk(diag("1/2"), 10, index=10**6)) == (10, 10**6)
+    assert root_level(Composite(diag("1/2"), F(1), 8, index=3)) == (2, 9)
 
 
 def test_subgroup_passage_invariance():
