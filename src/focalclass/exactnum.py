@@ -2,7 +2,11 @@
 
 Perfect-power structure of integers and rationals is detected with integer
 k-th roots, never by factoring, so the multiplicative machinery keeps
-working on inputs far beyond the trial-division range.
+working on inputs far beyond the trial-division range.  Cheap filters come
+first: the gcd of the valuations at the primes below 100 bounds the
+exponent, and only primes dividing it are tried.  Roots are integer Newton
+iterations seeded from a float estimate, and every root found is confirmed
+exactly (r**p == n); no float decides anything alone.
 
 The central object is :class:`LogRatio`, the exact value log(a)/log(b)
 for rationals a, b > 1, kept as exponents over primitive bases.  Equality
@@ -48,11 +52,20 @@ def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1 (integer Newton iteration)."""
     if n < 1 or k < 1:
         raise ValueError("iroot needs n >= 1, k >= 1")
-    if k == 1 or n == 1:
-        return n if k == 1 else 1
-    x = 1 << (-(-n.bit_length() // k))  # upper bound: 2^ceil(bits/k)
+    if k == 1 or n.bit_length() <= k:
+        return n if k == 1 else 1  # n < 2**k: the root is 1
+
+    def step(x):
+        return ((k - 1) * x + n // x ** (k - 1)) // k
+
+    # float seed 2**(log2(n)/k) rounded up in its top ~50 bits.  One step
+    # from any x > 0 lands on or above the floor root (AM-GM), and from a
+    # seed this close it overshoots by a negligible amount; then descend.
+    e = math.log2(n) / k
+    s = max(0, int(e) - 50)
+    x = step((int(2.0 ** (e - s)) + 1) << s)
     while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        y = step(x)
         if y >= x:
             return x
         x = y
@@ -60,17 +73,18 @@ def _iroot(n: int, k: int) -> int:
 
 def _is_prime(n: int) -> bool:
     """Primality by trial division; callers pass small n."""
-    if n < 2:
-        return False
-    d = 2
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d = 3
     while d * d <= n:
         if n % d == 0:
             return False
-        d += 1
+        d += 2
     return True
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+_SMALL_PRIMES = tuple(p for p in range(100) if _is_prime(p))
+_MAX_VALUATION = 8  # a small prime dividing n more often is left out of the filter
 
 
 def _prime_iter(limit: int):
@@ -89,23 +103,38 @@ def _prime_iter(limit: int):
 def maxroot(n: int) -> tuple[int, int]:
     """Write n >= 1 as q**e with q a non-power integer and e maximal.
 
-    Returns (q, e); q == 1 exactly when n == 1.  Detection is by integer
-    k-th roots, so arbitrarily large n are fine.
+    Returns (q, e); q == 1 exactly when n == 1.  Detection never factors n.
+    The valuations of n at the primes below 100 are counted first (the
+    trailing-zero count for 2, at most a few divisions for the others; a
+    prime dividing n more often is left out).  e divides their gcd g, so
+    g == 1 settles n at once and otherwise only the primes dividing g are
+    tried; with no small factor counted, every prime up to the bit length
+    is.  Each candidate p gets a float-seeded integer Newton root r that is
+    kept only if r**p == q exactly.  After a root the scan resumes at p: a
+    smaller prime that failed on q fails on its root too.
     """
     if n < 1:
         raise ValueError(f"maxroot expects n >= 1, got {n}")
     if n == 1:
         return (1, 1)
+    g = (n & -n).bit_length() - 1  # the valuation at 2
+    for ell in _SMALL_PRIMES[1:]:
+        if g == 1:
+            break
+        m, v = n, 0
+        while v <= _MAX_VALUATION and m % ell == 0:
+            m, v = m // ell, v + 1
+        if 0 < v <= _MAX_VALUATION:  # ell divides n and the count is exact
+            g = gcd(g, v)
     q, e = n, 1
-    changed = True
-    while changed:
-        changed = False
-        for p in _prime_iter(q.bit_length()):
+    for p in _prime_iter(g or n.bit_length()):
+        if p > q.bit_length():
+            break
+        while (g // e) % p == 0:
             r = _iroot(q, p)
-            if r**p == q:
-                q, e = r, e * p
-                changed = True
+            if r**p != q:
                 break
+            q, e = r, e * p
     return (q, e)
 
 

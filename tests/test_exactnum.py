@@ -26,6 +26,7 @@ from focalclass.exactnum import (
     mult_decompose,
     mult_dependent,
 )
+from focalclass import exactnum
 from focalclass.exactnum import _interval_compare, _is_prime as exactnum_is_prime, _prime_iter
 
 
@@ -88,6 +89,95 @@ def test_maxroot_properties(n):
 def test_maxroot_handles_huge_powers():
     assert maxroot(10**80) == (10, 80)
     assert maxroot(7**31) == (7, 31)
+
+
+# The earlier maxroot and _iroot, kept verbatim (renamed) as the oracle of the
+# filtered, float-seeded versions: Newton from 2^ceil(bits/k), and a scan of
+# every prime up to the bit length that restarts from 2 after each root.
+def parent_iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1 (integer Newton iteration)."""
+    if n < 1 or k < 1:
+        raise ValueError("iroot needs n >= 1, k >= 1")
+    if k == 1 or n == 1:
+        return n if k == 1 else 1
+    x = 1 << (-(-n.bit_length() // k))  # upper bound: 2^ceil(bits/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def parent_maxroot(n: int) -> tuple[int, int]:
+    """Write n >= 1 as q**e with q a non-power integer and e maximal.
+
+    Returns (q, e); q == 1 exactly when n == 1.  Detection is by integer
+    k-th roots, so arbitrarily large n are fine.
+    """
+    if n < 1:
+        raise ValueError(f"maxroot expects n >= 1, got {n}")
+    if n == 1:
+        return (1, 1)
+    q, e = n, 1
+    changed = True
+    while changed:
+        changed = False
+        for p in _prime_iter(q.bit_length()):
+            r = parent_iroot(q, p)
+            if r**p == q:
+                q, e = r, e * p
+                changed = True
+                break
+    return (q, e)
+
+
+@st.composite
+def power_times_cofactor(draw):
+    """n = r**e * c; r is capped at 3200/e bits so the oracle's full scan stays fast."""
+    e = draw(st.sampled_from([*range(1, 13), 31, 64]))
+    bits = draw(st.integers(min_value=1, max_value=min(200, 3200 // e)))
+    r = draw(st.integers(min_value=2 ** (bits - 1), max_value=2**bits))
+    odd = st.integers(min_value=0, max_value=2**64).map(lambda x: 2 * x + 1)
+    c = draw(st.sampled_from([1, 2**6 * 3**4]) | odd)
+    return r**e * c
+
+
+@given(power_times_cofactor())
+@settings(max_examples=200, deadline=None)
+def test_maxroot_matches_parent(n):
+    assert maxroot(n) == parent_maxroot(n)
+
+
+@given(st.integers(min_value=1, max_value=2**4000), st.data())
+@settings(max_examples=150, deadline=None)
+def test_iroot_brackets_the_root(n, data):
+    k = data.draw(st.integers(min_value=2, max_value=n.bit_length() + 2))
+    r = exactnum._iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def _record_iroot(monkeypatch):
+    calls = []
+    real = exactnum._iroot
+    monkeypatch.setattr(exactnum, "_iroot", lambda n, k: calls.append(k) or real(n, k))
+    return calls
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_maxroot_filter_settles_exact_small_valuation(monkeypatch, ell):
+    rng, primorial = Random(3200), math.prod(sieve(100))
+    n = 0
+    while n.bit_length() != 3200 or math.gcd(n // ell, primorial) != 1:
+        n = ell * rng.getrandbits(3199)  # ell divides n once, no other prime below 100 does
+    calls = _record_iroot(monkeypatch)
+    assert maxroot(n) == (n, 1)
+    assert calls == []
+
+
+def test_maxroot_filter_tries_only_divisors_of_the_valuation_gcd(monkeypatch):
+    calls = _record_iroot(monkeypatch)
+    assert maxroot(12**30) == (12, 30)
+    assert calls and all(30 % k == 0 for k in calls)
 
 
 def test_common_power_examples():
