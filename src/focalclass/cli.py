@@ -45,8 +45,6 @@ from .commengine import (
     SFTpow,
     SFreeGroup,
     SHull,
-    SQpLattice,
-    UndecidedComparisonError,
     WitnessChain,
     Yes,
     commable,
@@ -178,7 +176,7 @@ def load_descriptor(path: str) -> FocalDescriptor:
             obj = json.load(fh)
     except OSError as exc:
         raise DescriptorError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past int's digit limit
         raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
     return parse_descriptor(obj)
 
@@ -201,8 +199,6 @@ def _node_obj(node) -> dict:
         return {"kind": "AutTree", "m": node.m}
     if isinstance(node, SFTpow):
         return {"kind": "FTpow", "q": node.q, "n": node.n}
-    if isinstance(node, SQpLattice):
-        return {"kind": "QpLattice", "l": node.l, "e": node.e}
     if isinstance(node, SCompositeProduct):
         obj = {
             "kind": "CompositeProduct",
@@ -446,9 +442,6 @@ def main(argv=None) -> int:
     except DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except UndecidedComparisonError as exc:
-        print(json.dumps({"verdict": "undecided", "detail": str(exc)}))
-        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

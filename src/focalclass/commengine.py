@@ -45,7 +45,6 @@ __all__ = [
     "SFreeGroup",
     "SAutTree",
     "SFTpow",
-    "SQpLattice",
     "SCompositeProduct",
     "SHull",
     "SymbolicGroup",
@@ -61,7 +60,6 @@ __all__ = [
     "commable_within_focal",
     "commable",
     "quasi_isometric",
-    "qp_valley_chain",
     "PatternEntry",
     "pattern_catalog",
     "validate_chain",
@@ -112,14 +110,6 @@ class SFTpow:
 
 
 @dataclass(frozen=True)
-class SQpLattice:
-    """The affine group Q_l x| Z, with Z acting by multiplication by l**e."""
-
-    l: int
-    e: int
-
-
-@dataclass(frozen=True)
 class SCompositeProduct:
     """Fibered product H[varpi, m] of the connected class `key`, at index n."""
 
@@ -137,7 +127,7 @@ class SHull:
     hull: Optional[HullSpec]
 
 
-SymbolicGroup = Union[SDesc, SFreeGroup, SAutTree, SFTpow, SQpLattice, SCompositeProduct, SHull]
+SymbolicGroup = Union[SDesc, SFreeGroup, SAutTree, SFTpow, SCompositeProduct, SHull]
 
 
 INTO = "into-next"
@@ -261,8 +251,6 @@ def _node_form(node: SymbolicGroup) -> Optional[CanonicalForm]:
         return canonical_form(node.desc)
     if isinstance(node, SFTpow):
         return CanonicalForm(td, maxroot(node.q)[0], (), INFINITE)
-    if isinstance(node, SQpLattice):
-        return CanonicalForm(td, maxroot(node.l)[0], (), INFINITE)
     if isinstance(node, SCompositeProduct):
         return CanonicalForm(GroupType.MIXED, maxroot(node.m)[0], node.key, node.varpi)
     if isinstance(node, SHull):
@@ -352,28 +340,6 @@ def _connected_chain(g1: FocalDescriptor, g2: FocalDescriptor, key: tuple) -> Wi
     return WitnessChain(
         nodes=(SDesc(g1), SHull(key, hull), SDesc(g2)),
         arrows=(Arrow(INTO, "focal-universal-hull"), Arrow(FROM, "focal-universal-hull")),
-    )
-
-
-def qp_valley_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
-    """Alternative two-arrow witness for same-root tree stabilizers.
-
-    FT(q**a) and FT(q**b) both contain the affine group Q_q x| Z scaled by
-    q**(a*b) as a closed cocompact subgroup, giving the valley shape
-    G1 down-up G2 that the pattern catalog certifies.
-    """
-    if not (isinstance(g1, FT) and isinstance(g2, FT)):
-        raise ValueError("the valley witness is built for tree-stabilizer pairs")
-    q1, e1 = maxroot(g1.m)
-    q2, e2 = maxroot(g2.m)
-    if q1 != q2:
-        raise ValueError("the valley witness needs equal non-power roots")
-    return WitnessChain(
-        nodes=(SDesc(g1), SQpLattice(q1, e1 * e2), SDesc(g2)),
-        arrows=(
-            Arrow(FROM, "padic-cocompact-lattice"),
-            Arrow(INTO, "padic-cocompact-lattice"),
-        ),
     )
 
 

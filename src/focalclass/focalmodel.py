@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exactnum import (
     EQUAL,
@@ -33,6 +33,8 @@ from .exactnum import (
     LogRatio,
     canonical_value,
     compare_values,
+    logratio_add_one,
+    logratio_chain_mul,
     logratio_scale,
     maxroot,
 )
@@ -186,36 +188,50 @@ class Millefeuille:
 FocalDescriptor = Union[FT, GAk, Composite, Millefeuille]
 
 
+class _Reading(NamedTuple):
+    """A descriptor as the invariants read it; see :func:`_reading`."""
+
+    conn: Optional[MatQ]  # the connected datum A, None in totally disconnected type
+    tree: Optional[int]  # r with s = r**index, None in connected type
+    index: int = 1
+    varpi: Optional[Fraction] = None  # a given varpi; when None, the rule
+    t: Fraction = Fraction(1)  # varpi = log(r) / (t * log(delta(A)))
+
+
+def _reading(g: FocalDescriptor) -> _Reading:
+    """The one place that tells the families apart: each is a connected
+    datum, a tree side r**index and a varpi rule.  GAk follows the
+    Millefeuille rule at t = 1; a Composite gives its varpi."""
+    if isinstance(g, FT):
+        return _Reading(None, g.m)
+    if isinstance(g, GAk):
+        return _Reading(g.matrix if g.matrix.dim else None, g.k if g.k > 1 else None, g.index)
+    if isinstance(g, Composite):
+        return _Reading(g.conn, g.q, g.index, varpi=g.varpi)
+    return _Reading(g.conn, g.k, t=g.t)
+
+
 def classify_type(g: FocalDescriptor) -> GroupType:
     """Connected / totally disconnected / mixed trichotomy of the descriptor."""
-    if isinstance(g, FT):
+    f = _reading(g)
+    if f.conn is None:
         return GroupType.TOTALLY_DISCONNECTED
-    if isinstance(g, GAk):
-        if g.matrix.dim == 0:
-            return GroupType.TOTALLY_DISCONNECTED
-        if g.k == 1:
-            return GroupType.CONNECTED
-        return GroupType.MIXED
-    return GroupType.MIXED  # Composite, Millefeuille
+    return GroupType.CONNECTED if f.tree is None else GroupType.MIXED
 
 
 def invariant_s(g: FocalDescriptor) -> int:
     """Positive generator of the modular image of the totally disconnected side."""
-    if isinstance(g, FT):
-        return g.m
-    if isinstance(g, GAk):
-        return 1 if g.k == 1 else g.k**g.index
-    if isinstance(g, Composite):
-        return g.q**g.index
-    return g.k
+    f = _reading(g)
+    return 1 if f.tree is None else f.tree**f.index
 
 
 def root_level(g: FocalDescriptor) -> tuple[int, int]:
     """(q, level) with s == q**level, q non-power: read from the tree
-    parameter r**e and the index as (r, e * index), never from s itself."""
-    base = g.m if isinstance(g, FT) else g.q if isinstance(g, Composite) else g.k
-    q, e = maxroot(base)
-    return q, e * getattr(g, "index", 1)  # FT and Millefeuille have index 1
+    parameter r**e and the index as (r, e * index), never from s itself.
+    Connected type has no tree and reads (1, index)."""
+    f = _reading(g)
+    q, e = maxroot(f.tree or 1)
+    return q, e * f.index
 
 
 def invariant_q(g: FocalDescriptor) -> int:
@@ -225,22 +241,13 @@ def invariant_q(g: FocalDescriptor) -> int:
 
 def conn_matrix(g: FocalDescriptor) -> Optional[MatQ]:
     """The connected-side datum, when the type has one."""
-    if isinstance(g, GAk) and g.matrix.dim >= 1:
-        return g.matrix
-    if isinstance(g, (Composite, Millefeuille)):
-        return g.conn
-    return None
+    return _reading(g).conn
 
 
 def _expansion(a: MatQ) -> Fraction:
     """Volume multiplier of the expanding generator on the connected part:
     the product of 1/ev over the spectrum, with algebraic multiplicity."""
     return prod((1 / ev) ** sum(blocks) for ev, blocks in spectral_data(a).entries)
-
-
-def _min_expansion(a: MatQ) -> Fraction:
-    """Smallest eigenvalue modulus of the expanding generator (called lambda)."""
-    return 1 / spectral_data(a).spectral_radius
 
 
 def invariant_varpi(g: FocalDescriptor):
@@ -250,46 +257,36 @@ def invariant_varpi(g: FocalDescriptor):
     Returns Fraction(0) in connected type, INFINITE in totally disconnected
     type, otherwise a canonical Fraction or LogRatio.
     """
-    kind = classify_type(g)
-    if kind is GroupType.CONNECTED:
-        return Fraction(0)
-    if kind is GroupType.TOTALLY_DISCONNECTED:
+    f = _reading(g)
+    if f.conn is None:
         return INFINITE
-    if isinstance(g, GAk):
-        return canonical_value(LogRatio(g.k, _expansion(g.matrix)))
-    if isinstance(g, Composite):
-        return g.varpi
-    # millefeuille: log(k) / (t * log(expansion))
-    varpi = LogRatio(g.k, _expansion(g.conn))
-    return canonical_value(logratio_scale(varpi, Fraction(g.t.denominator, g.t.numerator)))
+    if f.tree is None:
+        return Fraction(0)
+    if f.varpi is not None:
+        return f.varpi
+    return canonical_value(logratio_scale(LogRatio(f.tree, _expansion(f.conn)), 1 / f.t))
 
 
-def invariant_p0(g: FocalDescriptor):
-    """Critical exponent log(delta)/log(lambda): delta is the total volume
-    expansion of the expanding generator and lambda its smallest eigenvalue
-    modulus on the connected part.
+def invariant_p0(g: FocalDescriptor, varpi=None):
+    """Critical exponent (1 + varpi) * p0(A), where p0(A) = log(delta)/log(lambda):
+    delta is the total volume expansion of the expanding generator and lambda
+    its smallest eigenvalue modulus on the connected part.  ``varpi``, when
+    given, is invariant_varpi(g), so a caller that has it need not build it again.
 
     Totally disconnected descriptors have no connected part to slow the
     expansion down and get INFINITE.
     """
-    kind = classify_type(g)
-    if kind is GroupType.TOTALLY_DISCONNECTED:
-        return INFINITE
     a = conn_matrix(g)
-    delta_con = _expansion(a)
-    lam = _min_expansion(a)
-    if kind is GroupType.CONNECTED:
-        return canonical_value(LogRatio(delta_con, lam))
-    if isinstance(g, GAk):
-        return canonical_value(LogRatio(g.k * delta_con, lam))
-    if isinstance(g, Composite):
-        # p0 = (1 + varpi) * p0(connected part)
-        return canonical_value(logratio_scale(LogRatio(delta_con, lam), 1 + g.varpi))
-    # millefeuille: p0(X) + log(k) / (t * log(lambda)), over the shared
-    # denominator: log(delta^tn * k^td) / log(lambda^tn)
-    tn, td = g.t.numerator, g.t.denominator
-    p0 = LogRatio(delta_con**tn * g.k**td, lam)
-    return canonical_value(logratio_scale(p0, Fraction(1, tn)))
+    if a is None:
+        return INFINITE
+    if varpi is None:
+        varpi = invariant_varpi(g)
+    p0_conn = LogRatio(_expansion(a), 1 / spectral_data(a).spectral_radius)
+    if isinstance(varpi, LogRatio):
+        # 1 + varpi = log(r^m * delta^n)/log(delta^n) ends at delta's base,
+        # where p0(A) starts, so the product only multiplies exponents
+        return canonical_value(logratio_chain_mul(logratio_add_one(varpi), p0_conn))
+    return canonical_value(logratio_scale(p0_conn, 1 + varpi))
 
 
 def boundary(g: FocalDescriptor) -> BoundaryKind:
@@ -320,7 +317,7 @@ def compute_invariants(g: FocalDescriptor) -> Invariants:
         s=invariant_s(g),
         q=form.q,
         varpi=form.varpi,
-        p0=invariant_p0(g),
+        p0=invariant_p0(g, form.varpi),
         boundary=boundary(g),
     )
 

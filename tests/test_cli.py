@@ -68,6 +68,8 @@ def test_parse_rejects_malformed_input(tmp_path):
         '{"kind":"Composite","A":[["1/2"]],"varpi":"1","q":"2"}',
         '{"kind":"Composite","A":[["1/2"]],"varpi":"1","q":2,"index":1.5}',
         '{"kind":"Millefeuille","A":[["1/2"]],"t":"1","k":null}',
+        # an integer past Python's 4300-digit string conversion limit
+        '{"kind":"FT","m":' + "9" * 5000 + "}",
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

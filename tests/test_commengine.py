@@ -69,17 +69,6 @@ def test_td_pair_same_root():
     assert validate_chain(verdict.chain) == (True, "ok")
 
 
-def test_td_pair_alternative_valley_realization():
-    from focalclass.commengine import SQpLattice, qp_valley_chain
-
-    chain = qp_valley_chain(FT(2), FT(4))
-    assert chain.nodes[1] == SQpLattice(2, 2)
-    assert chain.pattern() == "↖↗"
-    assert validate_chain(chain) == (True, "ok")
-    with pytest.raises(ValueError):
-        qp_valley_chain(FT(2), FT(3))
-
-
 def test_td_pair_different_root():
     verdict = commable_within_focal(FT(2), FT(3))
     assert isinstance(verdict, No)

@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction as F
+from math import prod
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from focalclass.exactnum import (
     EQUAL,
@@ -14,6 +16,7 @@ from focalclass.exactnum import (
     compare_values,
     logratio_add_one,
     logratio_chain_mul,
+    logratio_scale,
     maxroot,
 )
 from focalclass.matexact import MatQ, mat_power, spectral_data
@@ -31,6 +34,7 @@ from focalclass.focalmodel import (
     boundary,
     canonical_form,
     classify_type,
+    compute_invariants,
     conn_key,
     conn_key_equal,
     focal_universal_hull,
@@ -319,3 +323,165 @@ def test_render_value_formats():
     assert render_value(INFINITE) == "inf"
     assert render_value(F(3, 2)) == "3/2"
     assert render_value(LogRatio(F(3), F(2))) == "log(3)/log(2)"
+
+
+# ---------------------------------------------------------------------------
+# the family reading against the per-family code it replaced
+# ---------------------------------------------------------------------------
+
+# The earlier per-family classify_type, invariant_s, root_level,
+# invariant_varpi and invariant_p0, kept verbatim (renamed, with the helpers
+# they call) as the oracle of the one family reader and of
+# p0 = (1 + varpi) * p0(A).  The earlier p0 is built per family from the
+# product delta * k (GAk), the scale 1 + varpi (Composite) or the power
+# delta^tn * k^td (Millefeuille), so it checks the identity independently.
+def parent_classify_type(g) -> GroupType:
+    """Connected / totally disconnected / mixed trichotomy of the descriptor."""
+    if isinstance(g, FT):
+        return GroupType.TOTALLY_DISCONNECTED
+    if isinstance(g, GAk):
+        if g.matrix.dim == 0:
+            return GroupType.TOTALLY_DISCONNECTED
+        if g.k == 1:
+            return GroupType.CONNECTED
+        return GroupType.MIXED
+    return GroupType.MIXED  # Composite, Millefeuille
+
+
+def parent_invariant_s(g) -> int:
+    """Positive generator of the modular image of the totally disconnected side."""
+    if isinstance(g, FT):
+        return g.m
+    if isinstance(g, GAk):
+        return 1 if g.k == 1 else g.k**g.index
+    if isinstance(g, Composite):
+        return g.q**g.index
+    return g.k
+
+
+def parent_root_level(g) -> tuple[int, int]:
+    """(q, level) with s == q**level, q non-power: read from the tree
+    parameter r**e and the index as (r, e * index), never from s itself."""
+    base = g.m if isinstance(g, FT) else g.q if isinstance(g, Composite) else g.k
+    q, e = maxroot(base)
+    return q, e * getattr(g, "index", 1)  # FT and Millefeuille have index 1
+
+
+def parent_conn_matrix(g):
+    """The connected-side datum, when the type has one."""
+    if isinstance(g, GAk) and g.matrix.dim >= 1:
+        return g.matrix
+    if isinstance(g, (Composite, Millefeuille)):
+        return g.conn
+    return None
+
+
+def parent_expansion(a: MatQ) -> F:
+    """Volume multiplier of the expanding generator on the connected part:
+    the product of 1/ev over the spectrum, with algebraic multiplicity."""
+    return prod((1 / ev) ** sum(blocks) for ev, blocks in spectral_data(a).entries)
+
+
+def parent_min_expansion(a: MatQ) -> F:
+    """Smallest eigenvalue modulus of the expanding generator (called lambda)."""
+    return 1 / spectral_data(a).spectral_radius
+
+
+def parent_invariant_varpi(g):
+    """Ratio of the totally disconnected to the connected restricted modular
+    logs, taken at the volume-expanding generator so the value is positive.
+
+    Returns Fraction(0) in connected type, INFINITE in totally disconnected
+    type, otherwise a canonical Fraction or LogRatio.
+    """
+    kind = parent_classify_type(g)
+    if kind is GroupType.CONNECTED:
+        return F(0)
+    if kind is GroupType.TOTALLY_DISCONNECTED:
+        return INFINITE
+    if isinstance(g, GAk):
+        return canonical_value(LogRatio(g.k, parent_expansion(g.matrix)))
+    if isinstance(g, Composite):
+        return g.varpi
+    # millefeuille: log(k) / (t * log(expansion))
+    varpi = LogRatio(g.k, parent_expansion(g.conn))
+    return canonical_value(logratio_scale(varpi, F(g.t.denominator, g.t.numerator)))
+
+
+def parent_invariant_p0(g):
+    """Critical exponent log(delta)/log(lambda): delta is the total volume
+    expansion of the expanding generator and lambda its smallest eigenvalue
+    modulus on the connected part.
+
+    Totally disconnected descriptors have no connected part to slow the
+    expansion down and get INFINITE.
+    """
+    kind = parent_classify_type(g)
+    if kind is GroupType.TOTALLY_DISCONNECTED:
+        return INFINITE
+    a = parent_conn_matrix(g)
+    delta_con = parent_expansion(a)
+    lam = parent_min_expansion(a)
+    if kind is GroupType.CONNECTED:
+        return canonical_value(LogRatio(delta_con, lam))
+    if isinstance(g, GAk):
+        return canonical_value(LogRatio(g.k * delta_con, lam))
+    if isinstance(g, Composite):
+        # p0 = (1 + varpi) * p0(connected part)
+        return canonical_value(logratio_scale(LogRatio(delta_con, lam), 1 + g.varpi))
+    # millefeuille: p0(X) + log(k) / (t * log(lambda)), over the shared
+    # denominator: log(delta^tn * k^td) / log(lambda^tn)
+    tn, td = g.t.numerator, g.t.denominator
+    p0 = LogRatio(delta_con**tn * g.k**td, lam)
+    return canonical_value(logratio_scale(p0, F(1, tn)))
+
+
+# eigenvalues on the bases 2, 3, 6 and 10/3: a diagonal of one base gives a
+# rational p0(A), mixed bases an irrational one; tree parameters include
+# powers of those bases, so varpi is rational when k is a power of delta's base
+_EIGENVALUES = [F(1, 2), F(1, 4), F(1, 8), F(1, 3), F(1, 9), F(1, 6), F(1, 36), F(3, 10)]
+_TREE = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27, 36, 64]  # k = 1 only for GAk
+_SMALL_FRACTIONS = st.builds(F, st.integers(1, 5), st.integers(1, 4))
+
+
+@st.composite
+def focal_descriptors(draw):
+    kind = draw(st.sampled_from(["FT", "GAk", "Composite", "Millefeuille"]))
+    if kind == "FT":
+        return FT(draw(st.sampled_from(_TREE[1:]) | st.integers(2, 200)))
+    evs = draw(st.lists(st.sampled_from(_EIGENVALUES), min_size=kind != "GAk", max_size=3))
+    dim = len(evs)
+    above = st.integers(-2, 2).map(F)  # entries above the diagonal; Jordan blocks when equal
+    a = MatQ([[evs[i] if i == j else draw(above) if j > i else F(0) for j in range(dim)]
+              for i in range(dim)])
+    index = draw(st.integers(1, 4))
+    delta = prod(1 / ev for ev in evs)
+    powers = [delta.numerator**j for j in (1, 2)] if delta.denominator == 1 < delta else []
+    k = draw(st.sampled_from(_TREE[1:] + powers))  # a power of delta: varpi rational
+    if kind == "GAk":
+        return GAk(a, draw(st.sampled_from([1, k])) if dim else k, index)
+    if kind == "Composite":
+        return Composite(a, draw(_SMALL_FRACTIONS), k, index)
+    return Millefeuille(a, draw(_SMALL_FRACTIONS), k)
+
+
+@given(focal_descriptors())
+@example(GAk(MatQ([]), 8, 3))  # dimension 0: totally disconnected
+@example(GAk(diag("1/2", "1/3"), 1, 3))  # k = 1 at index 3: connected, (q, level) = (1, 3)
+@example(GAk(diag("1/2", "1/4"), 64, 2))  # k a power of delta's base: varpi = 2
+@example(GAk(diag("1/2", "1/3"), 36))  # varpi = 2 rational, p0(A) = log(6)/log(2) irrational
+@example(Millefeuille(diag("1/2", "1/3"), F(3, 2), 5))  # t != 1, varpi and p0(A) irrational
+@example(Millefeuille(diag("1/2"), F(2, 3), 4))  # t != 1, varpi rational
+@example(Composite(diag("3/10", "1/2"), F(5, 3), 4, 2))  # p0(A) irrational, varpi rational
+@settings(max_examples=250, deadline=None)
+def test_family_reading_matches_parent(g):
+    assert classify_type(g) is parent_classify_type(g)
+    assert invariant_s(g) == parent_invariant_s(g)
+    assert root_level(g) == parent_root_level(g)
+    inv = compute_invariants(g)
+    for got, want in ((invariant_varpi(g), parent_invariant_varpi(g)),
+                      (inv.varpi, parent_invariant_varpi(g)),
+                      (invariant_p0(g), parent_invariant_p0(g)),
+                      (inv.p0, parent_invariant_p0(g))):
+        assert got == want
+        assert render_value(got) == render_value(want)
