@@ -144,22 +144,16 @@ def descriptor_obj(g: FocalDescriptor) -> dict:
     """Canonical JSON object of a descriptor (fixed key order, index elided at 1)."""
     if isinstance(g, FT):
         return {"kind": "FT", "m": g.m}
+    if isinstance(g, Millefeuille):
+        return {"kind": "Millefeuille", "A": _matrix_obj(g.conn), "t": str(g.t), "k": g.k}
     if isinstance(g, GAk):
         obj = {"kind": "GAk", "A": _matrix_obj(g.matrix), "k": g.k}
-        if g.index != 1:
-            obj["index"] = g.index
-        return obj
-    if isinstance(g, Composite):
-        obj = {
-            "kind": "Composite",
-            "A": _matrix_obj(g.conn),
-            "varpi": str(g.varpi),
-            "q": g.q,
-        }
-        if g.index != 1:
-            obj["index"] = g.index
-        return obj
-    return {"kind": "Millefeuille", "A": _matrix_obj(g.conn), "t": str(g.t), "k": g.k}
+    else:
+        obj = {"kind": "Composite", "A": _matrix_obj(g.conn), "varpi": str(g.varpi),
+               "q": g.q}
+    if g.index != 1:
+        obj["index"] = g.index
+    return obj
 
 
 def _matrix_obj(a: MatQ) -> list:

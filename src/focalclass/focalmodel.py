@@ -213,7 +213,10 @@ def _reading(g: FocalDescriptor) -> _Reading:
 
 def classify_type(g: FocalDescriptor) -> GroupType:
     """Connected / totally disconnected / mixed trichotomy of the descriptor."""
-    f = _reading(g)
+    return _type(_reading(g))
+
+
+def _type(f: _Reading) -> GroupType:
     if f.conn is None:
         return GroupType.TOTALLY_DISCONNECTED
     return GroupType.CONNECTED if f.tree is None else GroupType.MIXED
@@ -221,7 +224,10 @@ def classify_type(g: FocalDescriptor) -> GroupType:
 
 def invariant_s(g: FocalDescriptor) -> int:
     """Positive generator of the modular image of the totally disconnected side."""
-    f = _reading(g)
+    return _s(_reading(g))
+
+
+def _s(f: _Reading) -> int:
     return 1 if f.tree is None else f.tree**f.index
 
 
@@ -229,7 +235,10 @@ def root_level(g: FocalDescriptor) -> tuple[int, int]:
     """(q, level) with s == q**level, q non-power: read from the tree
     parameter r**e and the index as (r, e * index), never from s itself.
     Connected type has no tree and reads (1, index)."""
-    f = _reading(g)
+    return _root_level(_reading(g))
+
+
+def _root_level(f: _Reading) -> tuple[int, int]:
     q, e = maxroot(f.tree or 1)
     return q, e * f.index
 
@@ -257,7 +266,10 @@ def invariant_varpi(g: FocalDescriptor):
     Returns Fraction(0) in connected type, INFINITE in totally disconnected
     type, otherwise a canonical Fraction or LogRatio.
     """
-    f = _reading(g)
+    return _varpi(_reading(g))
+
+
+def _varpi(f: _Reading):
     if f.conn is None:
         return INFINITE
     if f.tree is None:
@@ -276,11 +288,14 @@ def invariant_p0(g: FocalDescriptor, varpi=None):
     Totally disconnected descriptors have no connected part to slow the
     expansion down and get INFINITE.
     """
-    a = conn_matrix(g)
+    f = _reading(g)
+    return _p0(f, _varpi(f) if varpi is None else varpi)
+
+
+def _p0(f: _Reading, varpi):
+    a = f.conn
     if a is None:
         return INFINITE
-    if varpi is None:
-        varpi = invariant_varpi(g)
     p0_conn = LogRatio(_expansion(a), 1 / spectral_data(a).spectral_radius)
     if isinstance(varpi, LogRatio):
         # 1 + varpi = log(r^m * delta^n)/log(delta^n) ends at delta's base,
@@ -291,13 +306,13 @@ def invariant_p0(g: FocalDescriptor, varpi=None):
 
 def boundary(g: FocalDescriptor) -> BoundaryKind:
     """Topological type of the visual boundary."""
-    kind = classify_type(g)
-    if kind is GroupType.TOTALLY_DISCONNECTED:
+    return _boundary(_reading(g))
+
+
+def _boundary(f: _Reading) -> BoundaryKind:
+    if f.conn is None:
         return Cantor()
-    d = conn_matrix(g).dim
-    if kind is GroupType.CONNECTED:
-        return Sphere(d)
-    return Xi(d + 1)
+    return Sphere(f.conn.dim) if f.tree is None else Xi(f.conn.dim + 1)
 
 
 @dataclass(frozen=True)
@@ -311,14 +326,15 @@ class Invariants:
 
 
 def compute_invariants(g: FocalDescriptor) -> Invariants:
-    form = canonical_form(g)
+    f = _reading(g)
+    form = _form(f)
     return Invariants(
         group_type=form.group_type,
-        s=invariant_s(g),
+        s=_s(f),
         q=form.q,
         varpi=form.varpi,
-        p0=invariant_p0(g, form.varpi),
-        boundary=boundary(g),
+        p0=_p0(f, form.varpi),
+        boundary=_boundary(f),
     )
 
 
@@ -338,7 +354,10 @@ def conn_key(g: FocalDescriptor) -> ConnKey:
     so two connected data share a key iff one lies on the other's positive
     one-parameter group up to conjugacy.
     """
-    a = conn_matrix(g)
+    return _key(_reading(g).conn)
+
+
+def _key(a: Optional[MatQ]) -> ConnKey:
     if a is None:
         return ()
     data = spectral_data(a)
@@ -377,7 +396,11 @@ class CanonicalForm:
 
 
 def canonical_form(g: FocalDescriptor) -> CanonicalForm:
-    return CanonicalForm(classify_type(g), invariant_q(g), conn_key(g), invariant_varpi(g))
+    return _form(_reading(g))
+
+
+def _form(f: _Reading) -> CanonicalForm:
+    return CanonicalForm(_type(f), _root_level(f)[0], _key(f.conn), _varpi(f))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals for contracting actions.
 
-Matrices are immutable arrays of Fractions, and one Gaussian-elimination
-kernel serves the determinant, rank, inverse and nullspace.  Spectral
-analysis is restricted to characteristic polynomials that split over Q with
-positive roots.  Their roots are found exactly and completely by p-adic
-lifting; outside that family a typed error is raised, never a float guess.
-Similarity is decided by eigenvalue and Jordan block data, and every
-similarity witness is verified by exact multiplication before it is returned.
+Matrices are immutable arrays of Fractions, but the arithmetic runs over Z:
+one fraction-free integer kernel (Bareiss) serves the determinant, rank,
+inverse and nullspace, and the characteristic polynomial is Berkowitz's
+division-free one.  Spectral analysis is restricted to characteristic
+polynomials that split over Q with positive roots.  Their roots are found
+exactly and completely by p-adic lifting; outside that family a typed error
+is raised, never a float guess.  Similarity is decided by eigenvalue and
+Jordan block data, and every similarity witness is verified by exact
+multiplication before it is returned.
 
 A matrix's spectral data is computed at most once and kept on the matrix
 itself, so every caller that asks again reads the stored value.  A matrix
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 from random import Random
 from typing import Optional
 
@@ -93,81 +95,57 @@ class MatQ:
             [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         )
 
-    def add(self, other: "MatQ") -> "MatQ":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return MatQ([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
     def sub(self, other: "MatQ") -> "MatQ":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return MatQ([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
-    def scale(self, c) -> "MatQ":
-        c = _frac(c)
-        return MatQ([[c * x for x in row] for row in self.rows])
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.dim)), Fraction(0))
-
     def det(self) -> Fraction:
-        """Determinant by Gaussian elimination; empty matrix gives 1."""
-        m = [list(row) for row in self.rows]
-        pivots, sign = _echelon(m, self.dim)
+        """Determinant by fraction-free elimination; empty matrix gives 1."""
+        _, pivots, sign, last, scale = _eliminate(self.rows, self.dim)
         if len(pivots) < self.dim:
             return Fraction(0)
-        result = Fraction(sign)
-        for i in range(self.dim):
-            result *= m[i][i]
-        return result
+        return Fraction(sign * last, scale)
 
     def inverse(self) -> "MatQ":
         n = self.dim
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.rows)]
-        if len(_echelon(m, n, reduced=True)[0]) < n:
+        augmented = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(self.rows)]
+        m, pivots, _, last, _ = _eliminate(augmented, n, reduced=True)
+        if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
-        return MatQ([row[n:] for row in m])
+        return MatQ([[Fraction(x, last) for x in row[n:]] for row in m])
 
 
-def _echelon(m: list, ncols: int, reduced: bool = False) -> tuple[list, int]:
-    """Row-reduce the rows m in place on their first ncols columns.
+def _eliminate(rows, ncols: int, reduced: bool = False) -> tuple:
+    """Fraction-free elimination (Bareiss 1968) of the rows, each scaled to
+    integers, on the first ncols columns; later columns follow along.
 
-    Returns the pivot columns and the sign of the row permutation.  Each
-    pivot row is subtracted from the rows below it from the pivot column
-    rightwards, so columns past ncols (an augmented identity) follow along.
-    With reduced, a back-substitution pass then scales every pivot to 1 and
-    clears the entries above it, giving the reduced echelon form.
-    """
+    Returns the integer rows, the pivot columns, the permutation sign, the
+    last pivot (1 if none) and the product of the row scales.  Each update
+    divides exactly by the previous pivot, as every entry is a minor, and a
+    square full-rank input has determinant sign * last / scale.  With reduced
+    the rows above each pivot are cleared too (Gauss-Jordan): every pivot row
+    is then last times its row of the reduced echelon form."""
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, scales)]
     pivots: list = []
-    sign = 1
+    sign = prev = 1
     for col in range(ncols):
         r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        row = m[r]
-        inv = 1 / row[col]
-        for target in m[r + 1 :]:
-            if target[col] != 0:
-                factor = target[col] * inv
-                for c in range(col, len(row)):
-                    target[c] -= factor * row[c]
+        row, piv = m[r], m[r][col]
+        for i in range(len(m)) if reduced else range(r + 1, len(m)):
+            if i != r:
+                f = m[i][col]
+                m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], row)]
         pivots.append(col)
-    if reduced:
-        for r in reversed(range(len(pivots))):
-            col, row = pivots[r], m[r]
-            inv = 1 / row[col]
-            for c in range(col, len(row)):
-                row[c] *= inv
-            for target in m[:r]:
-                if target[col] != 0:
-                    factor = target[col]
-                    for c in range(col, len(row)):
-                        target[c] -= factor * row[c]
-    return pivots, sign
+        prev = piv
+    return m, pivots, sign, prev, prod(scales)
 
 
 def mat_power(a: MatQ, n: int) -> MatQ:
@@ -185,7 +163,7 @@ def mat_power(a: MatQ, n: int) -> MatQ:
 
 
 def rank(a: MatQ) -> int:
-    return len(_echelon([list(row) for row in a.rows], a.dim)[0])
+    return len(_eliminate(a.rows, a.dim)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +211,28 @@ def p_monic(p: Poly) -> Poly:
 
 
 def charpoly(a: MatQ) -> Poly:
-    """Monic characteristic polynomial det(xI - a), Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(xI - a), ascending: Berkowitz's
+    division-free algorithm (1984) over Z on b = d * a, d the lcm of the
+    denominators, then coefficient k of x**(n-k) divided by d**k.  Adding row
+    and column r to the leading block M multiplies the coefficients by the
+    lower-triangular Toeplitz matrix with first column
+    (1, -b_rr, -R c, -R M c, ..., -R M**(r-1) c), c above b_rr and R left of it.
+    """
     n = a.dim
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = MatQ.identity(n)
-    for k in range(1, n + 1):
-        am = a @ m
-        ck = -am.trace() / k
-        coeffs[n - k] = ck
-        m = am.add(MatQ.identity(n).scale(ck))
-    return tuple(coeffs)
+    d = lcm(*(x.denominator for row in a.rows for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in a.rows]
+    coeffs = [1]  # descending, of the leading r x r block
+    for r in range(n):
+        block = [b[i][:r] for i in range(r)]
+        row, vec = b[r][:r], [b[i][r] for i in range(r)]
+        toeplitz = [1, -b[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, vec)))
+            vec = [sum(x * y for x, y in zip(brow, vec)) for brow in block]
+        coeffs = [
+            sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, r) + 1)) for i in range(r + 2)
+        ]
+    return tuple(Fraction(coeffs[n - i], d ** (n - i)) for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +329,7 @@ def _rational_roots(p: Poly) -> dict:
     """Rational roots of the monic polynomial p with their multiplicities."""
     square_free = p_divmod(p, _poly_gcd(p, _p_derivative(p)))[0]
     m = p_deg(square_free)
-    denom_lcm = 1
-    for c in square_free:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for c in square_free))
     # y = denom_lcm * x turns the square-free part into a monic integer
     # polynomial whose rational roots are integers
     f = [(c * denom_lcm ** (m - i)).numerator for i, c in enumerate(square_free)]
@@ -392,19 +379,16 @@ def spectral_data(a: MatQ) -> SpectralData:
     entries = []
     for ev in sorted(roots):
         mult = roots[ev]
-        shifted = a.sub(MatQ.identity(n).scale(ev))
+        shifted = a.sub(MatQ.diag([ev] * n))
         ranks = [n, rank(shifted)]
         power = shifted
         while ranks[-1] > n - mult:
             power = power @ shifted
             ranks.append(rank(power))
-        # d[j] = number of blocks of size >= j; sizes from successive differences
-        d = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-        blocks = []
-        for j in range(1, len(d) + 1):
-            exactly = d[j - 1] - (d[j] if j < len(d) else 0)
-            blocks.extend([j] * exactly)
-        entries.append((ev, tuple(sorted(blocks, reverse=True))))
+        # d[j] = number of blocks of size > j; sizes from successive differences
+        d = [ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1)] + [0]
+        blocks = tuple(j for j in range(len(d) - 1, 0, -1) for _ in range(d[j - 1] - d[j]))
+        entries.append((ev, blocks))
     data = SpectralData(tuple(entries))
     assert sum(sum(blocks) for _, blocks in data.entries) == n
     object.__setattr__(a, "_spectral", data)
@@ -440,15 +424,14 @@ def _intertwiner_space(a: MatQ, b: MatQ) -> list[MatQ]:
 
 
 def _nullspace(rows: list, ncols: int) -> list:
-    m = [list(r) for r in rows]
-    pivots, _ = _echelon(m, ncols, reduced=True)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Nullspace basis, one vector per free column of the reduced echelon form."""
+    m, pivots, _, last, _ = _eliminate(rows, ncols, reduced=True)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for prow, pcol in enumerate(pivots):
-            vec[pcol] = -m[prow][fc]
+            vec[pcol] = Fraction(-m[prow][fc], last)
         basis.append(vec)
     return basis
 
@@ -458,14 +441,13 @@ def _conjugate_assuming(a: MatQ, b: MatQ) -> MatQ:
     if a == b:
         return MatQ.identity(a.dim)
     basis = _intertwiner_space(a, b)
+    n = a.dim
     rng = Random(0)
     for attempt in range(10000):
         bound = 3 + attempt // 50
         coeffs = [rng.randint(-bound, bound) for _ in basis]
-        p = MatQ([[Fraction(0)] * a.dim for _ in range(a.dim)])
-        for c, mat in zip(coeffs, basis):
-            if c:
-                p = p.add(mat.scale(c))
+        terms = [(c, mat.rows) for c, mat in zip(coeffs, basis) if c]
+        p = MatQ([[sum(c * m[i][j] for c, m in terms) for j in range(n)] for i in range(n)])
         if p.det() != 0:
             if p @ a != b @ p:
                 raise RuntimeError("intertwiner verification failed")

@@ -19,6 +19,7 @@ from focalclass.exactnum import (
     logratio_scale,
     maxroot,
 )
+from focalclass import focalmodel
 from focalclass.matexact import MatQ, mat_power, spectral_data
 from focalclass.focalmodel import (
     Cantor,
@@ -189,6 +190,24 @@ def test_canonical_form_examples():
     assert [r for r, _ in mixed.key] == [F(1), F(3)]
     assert mixed.varpi == F(1, 2)
     assert mixed.q == 2
+
+
+def test_one_reading_per_form_and_per_invariants(monkeypatch):
+    """canonical_form and compute_invariants read the descriptor once."""
+    calls = []
+    reading = focalmodel._reading
+
+    def counting_reading(g):
+        calls.append(g)
+        return reading(g)
+
+    monkeypatch.setattr(focalmodel, "_reading", counting_reading)
+    for g in (FT(9), GAk(HALF_QUARTER, 1), GAk(HALF_QUARTER, 4, index=2),
+              Composite(diag("1/2"), F(3, 2), 2), Millefeuille(diag("1/2"), F(2), 4)):
+        for build in (canonical_form, compute_invariants):
+            calls.clear()
+            build(g)
+            assert calls == [g], build.__name__
 
 
 def test_conn_key_is_scale_invariant():

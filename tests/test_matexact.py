@@ -21,6 +21,7 @@ from focalclass.focalmodel import GAk, compute_invariants
 from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
+    _intertwiner_space,
     _nullspace,
     charpoly,
     conjugate,
@@ -84,6 +85,94 @@ def rational_matrices(draw, max_dim=5):
     return MatQ(rows)
 
 
+@st.composite
+def jordan_blocks(draw, max_dim=6):
+    """(eigenvalue, size) blocks of total size 1 to max_dim; about a quarter
+    of the blocks repeat an earlier eigenvalue."""
+    height = st.integers(1, 10**18)
+    blocks, left = [], draw(st.integers(1, max_dim))
+    while left:
+        size = draw(st.integers(1, min(left, 3)))
+        if blocks and draw(st.integers(0, 3)) == 0:
+            ev = draw(st.sampled_from([ev for ev, _ in blocks]))
+        else:
+            ev = draw(st.builds(F, height, height))
+        blocks.append((ev, size))
+        left -= size
+    return blocks
+
+
+# The Fraction Gaussian elimination that served det, rank, inverse and the
+# nullspace before the fraction-free integer kernel, kept as its oracle.
+def parent_echelon(m: list, ncols: int, reduced: bool = False) -> tuple[list, int]:
+    pivots: list = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        row = m[r]
+        inv = 1 / row[col]
+        for target in m[r + 1 :]:
+            if target[col] != 0:
+                factor = target[col] * inv
+                for c in range(col, len(row)):
+                    target[c] -= factor * row[c]
+        pivots.append(col)
+    if reduced:
+        for r in reversed(range(len(pivots))):
+            col, row = pivots[r], m[r]
+            inv = 1 / row[col]
+            for c in range(col, len(row)):
+                row[c] *= inv
+            for target in m[:r]:
+                if target[col] != 0:
+                    factor = target[col]
+                    for c in range(col, len(row)):
+                        target[c] -= factor * row[c]
+    return pivots, sign
+
+
+def parent_det(a: MatQ) -> F:
+    m = [list(row) for row in a.rows]
+    pivots, sign = parent_echelon(m, a.dim)
+    if len(pivots) < a.dim:
+        return F(0)
+    result = F(sign)
+    for i in range(a.dim):
+        result *= m[i][i]
+    return result
+
+
+def parent_inverse(a: MatQ) -> MatQ:
+    n = a.dim
+    m = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a.rows)]
+    if len(parent_echelon(m, n, reduced=True)[0]) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return MatQ([row[n:] for row in m])
+
+
+def parent_rank(rows: list, ncols: int) -> int:
+    return len(parent_echelon([list(row) for row in rows], ncols)[0])
+
+
+def parent_nullspace(rows: list, ncols: int) -> list:
+    m = [list(r) for r in rows]
+    pivots, _ = parent_echelon(m, ncols, reduced=True)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        vec = [F(0)] * ncols
+        vec[fc] = F(1)
+        for prow, pcol in enumerate(pivots):
+            vec[pcol] = -m[prow][fc]
+        basis.append(vec)
+    return basis
+
+
 @given(rational_matrices())
 @settings(max_examples=150, deadline=None)
 def test_elimination_kernel_properties(a):
@@ -91,20 +180,189 @@ def test_elimination_kernel_properties(a):
     d = a.det()
     if n <= 4:
         assert d == cofactor_det(a.rows)
+    assert d == parent_det(a)
     basis = _nullspace(a.rows, n)
+    assert basis == parent_nullspace(a.rows, n)
+    assert rank(a) == parent_rank(a.rows, n)
     assert rank(a) + len(basis) == n
     for vec in basis:
         assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a.rows)
     if d:
+        assert a.inverse() == parent_inverse(a)
         assert a @ a.inverse() == MatQ.identity(n)
     else:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
 
 
+@st.composite
+def rectangular_systems(draw):
+    """(rows, ncols) of any shape.  Zero and repeated columns and rows that
+    combine earlier ones make the elimination skip pivot columns."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    cols = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(["free", "free", "zero", "repeat"]))
+        if kind == "zero" or (kind == "repeat" and not cols):
+            cols.append([F(0)] * nrows)
+        elif kind == "repeat":
+            cols.append([draw(st.integers(-2, 2)) * x for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append(draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+    rows = [list(row) for row in zip(*cols)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=i, max_size=i))
+            rows[i] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+    return rows, ncols
+
+
+@given(rectangular_systems())
+@settings(max_examples=150, deadline=None)
+def test_elimination_kernel_on_rectangular_systems(system):
+    rows, ncols = system
+    basis = _nullspace(rows, ncols)
+    assert basis == parent_nullspace(rows, ncols)
+    assert len(basis) == ncols - parent_rank(rows, ncols)
+
+
+def sylvester_rows(a: MatQ, b: MatQ) -> list:
+    """The n^2 x n^2 system P a - b P = 0 in the unknowns P[i][k], row-major."""
+    n = a.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [F(0)] * (n * n)
+            for k in range(n):
+                row[i * n + k] += a.rows[k][j]
+                row[k * n + j] -= b.rows[i][k]
+            rows.append(row)
+    return rows
+
+
+@given(jordan_blocks(max_dim=3), jordan_blocks(max_dim=3), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_elimination_kernel_on_intertwiner_systems(blocks1, blocks2, seed, similar):
+    """Intertwiner systems are singular, and rank-deficient at pivot columns
+    in the middle, so the exact divisions must survive skipped columns."""
+    rng = Random(seed)
+    j1 = jordan_matrix(blocks1)
+    j2 = j1 if similar or j1.dim != jordan_matrix(blocks2).dim else jordan_matrix(blocks2)
+    p, q = random_conjugator(rng, j1.dim), random_conjugator(rng, j1.dim)
+    a, b = p @ j1 @ p.inverse(), q @ j2 @ q.inverse()
+    rows, nn = sylvester_rows(a, b), a.dim * a.dim
+    basis = _nullspace(rows, nn)
+    assert basis == parent_nullspace(rows, nn)
+    space = _intertwiner_space(a, b)
+    assert [sum(mat.rows, ()) for mat in space] == [tuple(vec) for vec in basis]
+    for mat in space:
+        assert mat @ a == b @ mat
+
+
+def test_elimination_kernel_pinned_examples():
+    assert MatQ([[2, 3], [1, 4]]).det() == 5
+    assert MatQ([[0, 1], [1, 0]]).det() == -1
+    assert MatQ([["1/2", "1/3"], ["1/5", "1/7"]]).det() == F(1, 14) - F(1, 15)
+    assert MatQ([[1, 2], [2, 4]]).det() == 0
+    assert MatQ([["1/2", 1], [0, "1/3"]]).inverse() == MatQ([[2, -6], [0, 3]])
+    assert MatQ([[0, 1], [1, 0]]).inverse() == MatQ([[0, 1], [1, 0]])
+    # column 1 has no pivot, and the updates at column 2 divide exactly by
+    # the column-0 pivot 2
+    rows = [[2, 4, 1, 3], [3, 6, 2, 1], [1, 2, 3, 5]]
+    assert rank(MatQ([[2, 4, 1], [3, 6, 2], [1, 2, 3]])) == 2
+    assert _nullspace(rows, 4) == parent_nullspace(rows, 4) == [
+        [F(-2), F(1), F(0), F(0)],
+    ]
+
+
+def test_elimination_kernel_empty_conventions():
+    empty = MatQ([])
+    assert empty.det() == 1
+    assert empty.inverse() == empty
+    assert rank(empty) == 0
+    assert charpoly(empty) == (F(1),)
+    assert _nullspace([], 0) == []
+    assert _nullspace([], 2) == parent_nullspace([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert _nullspace([[0, 0]], 2) == parent_nullspace([[F(0), F(0)]], 2)
+
+
 def test_charpoly_rotation():
     # x^2 + 1, matching cofactor expansion of xI - A
     assert charpoly(MatQ([[0, 1], [-1, 0]])) == (F(1), F(0), F(1))
+
+
+def parent_charpoly(a: MatQ) -> tuple:
+    """The Faddeev-LeVerrier routine that computed charpoly before Berkowitz."""
+    n = a.dim
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
+    m = MatQ.identity(n)
+    for k in range(1, n + 1):
+        am = a @ m
+        ck = -sum((am.rows[i][i] for i in range(n)), F(0)) / k
+        coeffs[n - k] = ck
+        m = MatQ([[x + ck * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am.rows)])
+    return tuple(coeffs)
+
+
+def _poly_add(p, q):
+    return [x + y for x, y in zip(p + [0] * (len(q) - len(p)), q + [0] * (len(p) - len(q)))]
+
+
+def _poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def cofactor_charpoly(a: MatQ) -> tuple:
+    """det(xI - a) by cofactor expansion over Q[x], ascending coefficients."""
+
+    def det(m):
+        if not m:
+            return [F(1)]
+        total = [F(0)]
+        for j, entry in enumerate(m[0]):
+            minor = det([row[:j] + row[j + 1 :] for row in m[1:]])
+            term = _poly_mul(entry, minor)
+            total = _poly_add(total, term if j % 2 == 0 else [-x for x in term])
+        return total
+
+    return tuple(det([[[-x, F(1)] if i == j else [-x] for j, x in enumerate(row)]
+                      for i, row in enumerate(a.rows)]))
+
+
+def expected_charpoly(blocks) -> tuple:
+    out = [F(1)]
+    for ev, size in blocks:
+        for _ in range(size):
+            out = _poly_mul(out, [-F(ev), F(1)])
+    return tuple(out)
+
+
+@given(jordan_blocks(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_charpoly_of_dense_conjugates(blocks, seed):
+    jordan = jordan_matrix(blocks)
+    p = random_conjugator(Random(seed), jordan.dim)
+    a = p @ jordan @ p.inverse()
+    got = charpoly(a)
+    assert got == expected_charpoly(blocks)
+    assert got == parent_charpoly(a)
+    if a.dim <= 4:
+        assert got == cofactor_charpoly(a)
+
+
+def test_charpoly_of_dense_split_conjugates():
+    for name, a, evs in dense_split_conjugates():
+        got = charpoly(a)
+        assert got == expected_charpoly([(ev, 1) for ev in evs]), name
+        assert got == parent_charpoly(a), name
+        if a.dim <= 4:
+            assert got == cofactor_charpoly(a), name
 
 
 def test_empty_matrix_conventions():
@@ -147,23 +405,6 @@ def test_non_split_spectra_are_rejected():
 def test_spectral_data_of_dense_split_conjugates():
     for name, a, evs in dense_split_conjugates():
         assert spectral_data(a).entries == tuple((ev, (1,)) for ev in sorted(evs)), name
-
-
-@st.composite
-def jordan_blocks(draw):
-    """(eigenvalue, size) blocks of total size 1-6; about a quarter of the
-    blocks repeat an earlier eigenvalue."""
-    height = st.integers(1, 10**18)
-    blocks, left = [], draw(st.integers(1, 6))
-    while left:
-        size = draw(st.integers(1, min(left, 3)))
-        if blocks and draw(st.integers(0, 3)) == 0:
-            ev = draw(st.sampled_from([ev for ev, _ in blocks]))
-        else:
-            ev = draw(st.builds(F, height, height))
-        blocks.append((ev, size))
-        left -= size
-    return blocks
 
 
 @given(jordan_blocks(), st.integers(0, 2**32))
