@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
 
-from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_int, mpf_lt, round_ceiling, round_floor, to_float
+from mpmath.libmp.libmpi import mpi_div, mpi_log, mpi_mul, mpi_sub
 
 __all__ = [
     "maxroot",
@@ -287,11 +288,21 @@ Comparison = Union[_Certainty, Undecided]
 _INTERVAL_PREC = 256  # dyadic refinement depth for the NotEqual certificate
 
 
-def _ratio_interval(x: LogRatio, ctx: MPIntervalContext):
-    def log(q: Fraction):
-        return ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator))
+def _ratio_interval(x: LogRatio, prec: int) -> tuple:
+    """Enclosure (lower, upper) of x as raw mpmath floats, from mpmath's
+    interval primitives at prec bits."""
 
-    return ctx.mpf(x.m) * log(x.p) / (ctx.mpf(x.n) * log(x.q))
+    def enclose(k: int):
+        return (from_int(k, prec, round_floor), from_int(k, prec, round_ceiling))
+
+    def log(q: Fraction):
+        return mpi_sub(
+            mpi_log(enclose(q.numerator), prec), mpi_log(enclose(q.denominator), prec), prec
+        )
+
+    return mpi_div(
+        mpi_mul(enclose(x.m), log(x.p), prec), mpi_mul(enclose(x.n), log(x.q), prec), prec
+    )
 
 
 def _operand_bits(*values: LogRatio) -> int:
@@ -307,18 +318,15 @@ def _interval_compare(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> C
 
     The working precision is prec (default 256) bits plus the largest bit
     length among the numerators and denominators of the four primitive
-    bases; the exponents m and n do not enter it.
+    bases; the exponents m and n do not enter it.  The enclosures come from
+    mpmath's interval primitives at that precision, with no context object.
     """
-    ctx = MPIntervalContext()
-    ctx.prec = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
-    ix = _ratio_interval(x, ctx)
-    iy = _ratio_interval(y, ctx)
-    if ix.b < iy.a or iy.b < ix.a:
+    bits = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
+    (xa, xb), (ya, yb) = _ratio_interval(x, bits), _ratio_interval(y, bits)
+    if mpf_lt(xb, ya) or mpf_lt(yb, xa):
         return NOT_EQUAL
-    width = max(float(ix.b) - float(ix.a), float(iy.b) - float(iy.a))
-    mid_x = (float(ix.a) + float(ix.b)) / 2
-    mid_y = (float(iy.a) + float(iy.b)) / 2
-    return Undecided(mid_x, mid_y, width)
+    xa, xb, ya, yb = map(to_float, (xa, xb, ya, yb))
+    return Undecided((xa + xb) / 2, (ya + yb) / 2, max(xb - xa, yb - ya))
 
 
 def compare_values(x: Value, y: Value) -> Comparison:

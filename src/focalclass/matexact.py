@@ -2,11 +2,15 @@
 
 Matrices are immutable arrays of Fractions, but the arithmetic runs over Z:
 one fraction-free integer kernel (Bareiss) serves the determinant, rank,
-inverse and nullspace, and the characteristic polynomial is Berkowitz's
-division-free one.  Spectral analysis is restricted to characteristic
-polynomials that split over Q with positive roots.  Their roots are found
-exactly and completely by p-adic lifting; outside that family a typed error
-is raised, never a float guess.  Similarity is decided by eigenvalue and
+inverse and nullspace, the characteristic polynomial is Berkowitz's
+division-free one, and a product clears each operand's denominators,
+multiplies integers and builds one Fraction per entry.  Spectral analysis
+is restricted to characteristic polynomials that split over Q with positive
+roots.  Their roots are found exactly and completely over Z: a square-free
+part by primitive pseudo-remainders, its roots by p-adic lifting, and the
+multiplicities by synthetic division; outside that family a typed error is
+raised, never a float guess.  Jordan block sizes come from the ranks of the
+integer powers of a scaled a - ev I.  Similarity is decided by eigenvalue and
 Jordan block data, and every similarity witness is verified by exact
 multiplication before it is returned.
 
@@ -19,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 from random import Random
 from typing import Optional
 
@@ -44,6 +49,17 @@ class NonRationalSpectrumError(ValueError):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _integer_rows(rows) -> tuple[list, int]:
+    """(d * rows as lists of integers, d), d the lcm of all denominators."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _int_product(a: list, b: list) -> list:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 class MatQ:
@@ -89,16 +105,9 @@ class MatQ:
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
-        a, b = self.rows, other.rows
-        return MatQ(
-            [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        )
-
-    def sub(self, other: "MatQ") -> "MatQ":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return MatQ([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        (a, da), (b, db) = _integer_rows(self.rows), _integer_rows(other.rows)
+        d = da * db
+        return MatQ([[Fraction(x, d) for x in row] for row in _int_product(a, b)])
 
     def det(self) -> Fraction:
         """Determinant by fraction-free elimination; empty matrix gives 1."""
@@ -162,55 +171,18 @@ def mat_power(a: MatQ, n: int) -> MatQ:
     return result
 
 
-def rank(a: MatQ) -> int:
-    return len(_eliminate(a.rows, a.dim)[1])
+def rank(a) -> int:
+    """Rank of a MatQ, or of a square matrix given as rows of integers."""
+    rows = a.rows if isinstance(a, MatQ) else a
+    return len(_eliminate(rows, len(rows))[1])
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q: tuples of Fractions, ascending, no trailing 0
+# the characteristic polynomial: a tuple of Fractions, ascending
 # ---------------------------------------------------------------------------
 
-Poly = tuple
 
-
-def _p_trim(c) -> Poly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def p_deg(p: Poly) -> int:
-    return len(p) - 1  # zero polynomial gets degree -1
-
-
-def p_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq, lead = len(q) - 1, q[-1]
-    while len(rem) - 1 >= dq and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - 1 - dq
-        coeff = rem[-1] / lead
-        quo[shift] = coeff
-        for i in range(len(q)):
-            rem[shift + i] -= coeff * q[i]
-        rem.pop()
-    return _p_trim(quo), _p_trim(rem)
-
-
-def p_monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    lead = p[-1]
-    return tuple(x / lead for x in p)
-
-
-def charpoly(a: MatQ) -> Poly:
+def charpoly(a: MatQ) -> tuple:
     """Monic characteristic polynomial det(xI - a), ascending: Berkowitz's
     division-free algorithm (1984) over Z on b = d * a, d the lcm of the
     denominators, then coefficient k of x**(n-k) divided by d**k.  Adding row
@@ -219,8 +191,7 @@ def charpoly(a: MatQ) -> Poly:
     (1, -b_rr, -R c, -R M c, ..., -R M**(r-1) c), c above b_rr and R left of it.
     """
     n = a.dim
-    d = lcm(*(x.denominator for row in a.rows for x in row))
-    b = [[x.numerator * (d // x.denominator) for x in row] for row in a.rows]
+    b, d = _integer_rows(a.rows)
     coeffs = [1]  # descending, of the leading r x r block
     for r in range(n):
         block = [b[i][:r] for i in range(r)]
@@ -274,15 +245,44 @@ class SpectralData:
         return all(all(b == 1 for b in blocks) for _, blocks in self.entries)
 
 
-def _poly_gcd(p: Poly, q: Poly) -> Poly:
-    while q:
-        _, r = p_divmod(p, q)
-        p, q = q, r
-    return p_monic(p)
+# integer polynomials: lists of ints, ascending, no trailing zero
 
 
-def _p_derivative(p: Poly) -> Poly:
-    return _p_trim([i * c for i, c in enumerate(p)][1:])
+def _primitive(f: list) -> list:
+    """f over its content, with a positive leading coefficient; [] stays []."""
+    g = gcd(*f) if f and f[-1] > 0 else -gcd(*f)
+    return [c // g for c in f]
+
+
+def _pseudo_remainder(f: list, g: list) -> list:
+    """lc(g)**k * f mod g for some k >= 0, without trailing zeros."""
+    rem, lead = list(f), g[-1]
+    while len(rem) >= len(g):
+        c = rem.pop()
+        shift = len(rem) + 1 - len(g)
+        rem = [lead * x - (c * g[i - shift] if i >= shift else 0) for i, x in enumerate(rem)]
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _zgcd(f: list, g: list) -> list:
+    """Primitive gcd of integer polynomials, f nonzero, by the primitive
+    pseudo-remainder sequence (Collins 1967)."""
+    while g:
+        f, g = g, _primitive(_pseudo_remainder(f, g))
+    return _primitive(f)
+
+
+def _zdivmod(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of integer polynomials, g monic."""
+    rem, quo = list(f), []
+    for shift in range(len(f) - len(g), -1, -1):
+        c = rem[shift + len(g) - 1]
+        quo.append(c)
+        for i, x in enumerate(g):
+            rem[shift + i] -= c * x
+    return quo[::-1], rem[: len(g) - 1]
 
 
 def _horner(f: list, x: int) -> int:
@@ -325,22 +325,26 @@ def _integer_roots(f: list) -> list:
     return [y for y in residues if _horner(f, y) == 0]
 
 
-def _rational_roots(p: Poly) -> dict:
-    """Rational roots of the monic polynomial p with their multiplicities."""
-    square_free = p_divmod(p, _poly_gcd(p, _p_derivative(p)))[0]
-    m = p_deg(square_free)
-    denom_lcm = lcm(*(c.denominator for c in square_free))
-    # y = denom_lcm * x turns the square-free part into a monic integer
-    # polynomial whose rational roots are integers
-    f = [(c * denom_lcm ** (m - i)).numerator for i, c in enumerate(square_free)]
+def _rational_roots(p: tuple) -> dict:
+    """Rational roots of the monic polynomial p with their multiplicities.
+
+    y = d * x, d the lcm of the denominators, turns p into a monic integer
+    polynomial f whose rational roots are integers.  f / gcd(f, f') is its
+    square-free part, monic as f is; synthetic division of f by y - root
+    counts each root of that part.
+    """
+    n = len(p) - 1
+    d = lcm(*(c.denominator for c in p))
+    f = [c.numerator * (d ** (n - i) // c.denominator) for i, c in enumerate(p)]
+    square_free = _zdivmod(f, _zgcd(f, [i * c for i, c in enumerate(f)][1:]))[0]
     roots: dict[Fraction, int] = {}
-    for y in _integer_roots(f):
-        root = Fraction(y, denom_lcm)
-        quo, rem = p_divmod(p, (-root, Fraction(1)))
-        while not rem:
-            roots[root] = roots.get(root, 0) + 1
-            p = quo
-            quo, rem = p_divmod(p, (-root, Fraction(1)))
+    for y in _integer_roots(square_free):
+        mult = 0
+        quo, rem = _zdivmod(f, [-y, 1])
+        while not rem[0]:
+            f, mult = quo, mult + 1
+            quo, rem = _zdivmod(f, [-y, 1])
+        roots[Fraction(y, d)] = mult
     return roots
 
 
@@ -376,14 +380,19 @@ def spectral_data(a: MatQ) -> SpectralData:
         raise NonRationalSpectrumError("characteristic polynomial does not split over Q")
     if any(ev <= 0 for ev in roots):
         raise NonRationalSpectrumError("spectrum contains a non-positive rational eigenvalue")
+    b, den = _integer_rows(a.rows)
     entries = []
     for ev in sorted(roots):
         mult = roots[ev]
-        shifted = a.sub(MatQ.diag([ev] * n))
+        # scale * (a - ev I) over Z: the same ranks for every power
+        scale = lcm(den, ev.denominator)
+        shift = ev.numerator * (scale // ev.denominator)
+        shifted = [[x * (scale // den) - shift * (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(b)]
         ranks = [n, rank(shifted)]
         power = shifted
         while ranks[-1] > n - mult:
-            power = power @ shifted
+            power = _int_product(power, shifted)
             ranks.append(rank(power))
         # d[j] = number of blocks of size > j; sizes from successive differences
         d = [ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1)] + [0]

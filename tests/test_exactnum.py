@@ -8,6 +8,7 @@ from random import Random
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.ctx_iv import MPIntervalContext
 
 from focalclass.exactnum import (
     EQUAL,
@@ -27,7 +28,14 @@ from focalclass.exactnum import (
     mult_dependent,
 )
 from focalclass import exactnum
-from focalclass.exactnum import _interval_compare, _is_prime as exactnum_is_prime, _prime_iter
+from focalclass.exactnum import (
+    _INTERVAL_PREC,
+    _interval_compare,
+    _is_prime as exactnum_is_prime,
+    _operand_bits,
+    _prime_iter,
+    _ratio_interval,
+)
 
 
 def sieve(n):
@@ -384,6 +392,65 @@ def test_interval_compare_refinement_separates():
     x, y = LogRatio(F(a + 1), F(7)), LogRatio(F(a + 2), F(7))
     assert isinstance(_interval_compare(x, y, prec=0), Undecided)
     assert _interval_compare(x, y) is NOT_EQUAL
+
+
+# The MPIntervalContext enclosures that _interval_compare built before it
+# called mpmath's interval primitives directly, kept as their oracle.
+def context_interval(x: LogRatio, ctx: MPIntervalContext):
+    def log(q: F):
+        return ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator))
+
+    return ctx.mpf(x.m) * log(x.p) / (ctx.mpf(x.n) * log(x.q))
+
+
+def context_compare(x: LogRatio, y: LogRatio, prec=None):
+    ctx = MPIntervalContext()
+    ctx.prec = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
+    ix = context_interval(x, ctx)
+    iy = context_interval(y, ctx)
+    if ix.b < iy.a or iy.b < ix.a:
+        return NOT_EQUAL
+    width = max(float(ix.b) - float(ix.a), float(iy.b) - float(iy.a))
+    mid_x = (float(ix.a) + float(ix.b)) / 2
+    mid_y = (float(iy.a) + float(iy.b)) / 2
+    return Undecided(mid_x, mid_y, width)
+
+
+above_one = st.builds(lambda n, d: F(n + d, d), st.integers(1, 10**40), st.integers(1, 10**40))
+
+
+@st.composite
+def ratio_pairs(draw):
+    """Two log-ratios: independent ones with exponents from small powers, or
+    the near pair log(a+1)/log(a), log(a+2)/log(a+1) that enclosures of a
+    few hundred bits cannot tell apart."""
+    if draw(st.booleans()):
+        a = 10 ** draw(st.integers(1, 120)) + draw(st.integers(0, 10**6))
+        return LogRatio(F(a + 1), F(a)), LogRatio(F(a + 2), F(a + 1))
+    power = st.integers(1, 3)
+    return tuple(LogRatio(draw(above_one) ** draw(power), draw(above_one) ** draw(power))
+                 for _ in range(2))
+
+
+@given(ratio_pairs(), st.none() | st.integers(0, 600))
+@settings(max_examples=150, deadline=None)
+def test_interval_enclosures_match_interval_context(pair, prec):
+    x, y = pair
+    bits = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
+    ctx = MPIntervalContext()
+    ctx.prec = bits
+    for value in pair:
+        assert _ratio_interval(value, bits) == context_interval(value, ctx)._mpi_
+    # repr, not ==: an enclosure of a log too close to 0 for prec is unbounded
+    # and its midpoint nan, which == never matches; repr shows floats exactly
+    assert repr(_interval_compare(x, y, prec)) == repr(context_compare(x, y, prec))
+
+
+def test_readme_undecided_pair_keeps_its_fields():
+    a = 10**80
+    x, y = LogRatio(F(a + 1), F(a)), LogRatio(F(a + 2), F(a + 1))
+    assert _interval_compare(x, y) == context_compare(x, y) == Undecided(1.0, 1.0, 0.0)
+    assert compare_values(x, y) == Undecided(1.0, 1.0, 0.0)
 
 
 def test_compare_values_mixed_kinds():

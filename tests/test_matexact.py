@@ -1,6 +1,7 @@
 """Unit tests for the exact rational linear algebra kernels."""
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction as F
 from random import Random
@@ -21,8 +22,10 @@ from focalclass.focalmodel import GAk, compute_invariants
 from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
+    _integer_roots,
     _intertwiner_space,
     _nullspace,
+    _rational_roots,
     charpoly,
     conjugate,
     is_contracting,
@@ -61,6 +64,53 @@ def test_det_and_power_examples():
 def test_negative_power_of_singular_matrix():
     with pytest.raises(ZeroDivisionError):
         mat_power(MatQ([[0, 1], [0, 0]]), -1)
+
+
+def naive_product(a: MatQ, b: MatQ) -> MatQ:
+    n = a.dim
+    return MatQ([[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), F(0)) for j in range(n)]
+                 for i in range(n)])
+
+
+def naive_power(a: MatQ, n: int) -> MatQ:
+    if n < 0:
+        a, n = parent_inverse(a), -n
+    result = MatQ.identity(a.dim)
+    for _ in range(n):
+        result = naive_product(result, a)
+    return result
+
+
+@st.composite
+def mixed_matrices(draw, n):
+    """n x n matrices whose entries mix small and large denominators; about
+    a third have a zero or repeated row, so they are singular."""
+    den = st.sampled_from([1, 1, 2, 3, 12, 49, 10**9 + 7, 2**61 - 1])
+    entry = st.builds(F, st.integers(-10**12, 10**12), den)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.integers(0, 2)) == 0:
+        rows[-1] = [F(0)] * n if draw(st.booleans()) else rows[0]
+    return MatQ(rows)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(mixed_matrices(n), mixed_matrices(n))),
+       st.integers(-3, 5))
+@settings(max_examples=80, deadline=None)
+def test_products_match_naive_oracle(pair, k):
+    a, b = pair
+    assert a @ b == naive_product(a, b)
+    assert b @ a == naive_product(b, a)
+    if k >= 0 or a.det():
+        assert mat_power(a, k) == naive_power(a, k)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            mat_power(a, k)
+
+
+def test_product_dimension_mismatch():
+    for a, b in ((diag("1/2"), diag("1/2", "1/3")), (MatQ([]), diag(1)), (diag(1), MatQ([]))):
+        with pytest.raises(ValueError):
+            a @ b
 
 
 def cofactor_det(rows):
@@ -363,6 +413,130 @@ def test_charpoly_of_dense_split_conjugates():
         assert got == parent_charpoly(a), name
         if a.dim <= 4:
             assert got == cofactor_charpoly(a), name
+
+
+# The Fraction root finder that ran before the integer one, with its
+# polynomial helpers, kept verbatim as the oracle of _rational_roots.
+Poly = tuple
+
+
+def _p_trim(c) -> Poly:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def p_deg(p: Poly) -> int:
+    return len(p) - 1  # zero polynomial gets degree -1
+
+
+def p_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    quo = [F(0)] * max(0, len(p) - len(q) + 1)
+    dq, lead = len(q) - 1, q[-1]
+    while len(rem) - 1 >= dq and any(rem):
+        if rem[-1] == 0:
+            rem.pop()
+            continue
+        shift = len(rem) - 1 - dq
+        coeff = rem[-1] / lead
+        quo[shift] = coeff
+        for i in range(len(q)):
+            rem[shift + i] -= coeff * q[i]
+        rem.pop()
+    return _p_trim(quo), _p_trim(rem)
+
+
+def p_monic(p: Poly) -> Poly:
+    if not p:
+        return p
+    lead = p[-1]
+    return tuple(x / lead for x in p)
+
+
+def _poly_gcd(p: Poly, q: Poly) -> Poly:
+    while q:
+        _, r = p_divmod(p, q)
+        p, q = q, r
+    return p_monic(p)
+
+
+def _p_derivative(p: Poly) -> Poly:
+    return _p_trim([i * c for i, c in enumerate(p)][1:])
+
+
+def parent_rational_roots(p: Poly) -> dict:
+    """Rational roots of the monic polynomial p with their multiplicities."""
+    square_free = p_divmod(p, _poly_gcd(p, _p_derivative(p)))[0]
+    m = p_deg(square_free)
+    denom_lcm = math.lcm(*(c.denominator for c in square_free))
+    # y = denom_lcm * x turns the square-free part into a monic integer
+    # polynomial whose rational roots are integers
+    f = [(c * denom_lcm ** (m - i)).numerator for i, c in enumerate(square_free)]
+    roots: dict[F, int] = {}
+    for y in _integer_roots(f):
+        root = F(y, denom_lcm)
+        quo, rem = p_divmod(p, (-root, F(1)))
+        while not rem:
+            roots[root] = roots.get(root, 0) + 1
+            p = quo
+            quo, rem = p_divmod(p, (-root, F(1)))
+    return roots
+
+
+@given(jordan_blocks(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_of_dense_conjugates(blocks, seed):
+    jordan = jordan_matrix(blocks)
+    p = random_conjugator(Random(seed), jordan.dim)
+    poly = charpoly(p @ jordan @ p.inverse())
+    expected = Counter()
+    for ev, size in blocks:
+        expected[ev] += size
+    assert _rational_roots(poly) == parent_rational_roots(poly) == dict(expected)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """Monic products of linear factors x - r, r of either sign and some
+    repeated, and of quadratics x^2 - c with c not a rational square (c < 0
+    included), so about half of them do not split over Q."""
+    poly = [F(1)]
+    rational = st.builds(F, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(rational)
+        for _ in range(draw(st.integers(1, 3))):
+            poly = _poly_mul(poly, [-r, F(1)])
+    scale = st.builds(F, st.integers(1, 10**9), st.integers(1, 10**9))
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.sampled_from([-1, -3, 2, 3, 5, -7])) * draw(scale) ** 2
+        poly = _poly_mul(poly, [-c, F(0), F(1)])
+    return tuple(poly)
+
+
+@given(factored_polynomials())
+@settings(max_examples=100, deadline=None)
+def test_rational_roots_of_factored_polynomials(poly):
+    assert _rational_roots(poly) == parent_rational_roots(poly)
+
+
+def test_rational_roots_pinned_examples():
+    for name, a, evs in dense_split_conjugates():
+        poly = charpoly(a)
+        assert _rational_roots(poly) == parent_rational_roots(poly) == dict.fromkeys(evs, 1), name
+    rotation = charpoly(MatQ([[0, 1], [-1, 0]]))  # x^2 + 1
+    negative = tuple(_poly_mul([F(1, 2), F(1)], [F(-1, 3), F(1)]))  # (x + 1/2)(x - 1/3)
+    cases = [
+        (rotation, {}),
+        ((F(-2), F(0), F(1)), {}),  # x^2 - 2
+        (negative, {F(-1, 2): 1, F(1, 3): 1}),
+        (expected_charpoly([(F(1, 2), 3), (F(-4, 9), 2)]), {F(1, 2): 3, F(-4, 9): 2}),
+    ]
+    for poly, roots in cases:
+        assert _rational_roots(poly) == parent_rational_roots(poly) == roots
 
 
 def test_empty_matrix_conventions():
