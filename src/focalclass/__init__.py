@@ -17,7 +17,6 @@ from .exactnum import (
     logratio_add_one,
     logratio_chain_mul,
     maxroot,
-    mult_dependent,
 )
 from .matexact import (
     MatQ,

@@ -31,7 +31,6 @@ from .focalmodel import (
     HullNotImplementedError,
     Millefeuille,
     boundary,
-    classify_type,
     compute_invariants,
     focal_universal_hull,
     is_special,
@@ -296,13 +295,13 @@ def cmd_boundary(args) -> int:
 
 def cmd_hull(args) -> int:
     g = load_descriptor(args.file)
-    if classify_type(g) is not GroupType.CONNECTED:
-        raise DescriptorError("the hull is defined for connected-type descriptors")
     try:
         hull = focal_universal_hull(g)
     except HullNotImplementedError as exc:
         _emit({"verdict": "undecided", "detail": str(exc)}, args.human)
         return EXIT_UNDECIDED
+    except ValueError as exc:  # not of connected type
+        raise DescriptorError(str(exc)) from None
     _emit({"hull": hull.render(), "dim": hull.dim, "factors": list(hull.factors)}, args.human)
     return EXIT_YES
 
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_com.add_argument("fileB")
     p_com.add_argument("--within-focal", action="store_true", dest="within_focal")
     p_com.add_argument("--witness", action="store_true")
-    p_com.add_argument("--qi", action="store_true")
     p_com.set_defaults(func=cmd_commable)
 
     p_qi = sub.add_parser("qi", help="decide quasi-isometry of two descriptors")

@@ -213,11 +213,15 @@ Verdict = Union[Yes, No, UndecidedVerdict]
 # ---------------------------------------------------------------------------
 
 
-_OBSTRUCTIONS = {  # invariant: (its value in a form, the note of a No)
-    "type": (lambda f: f.group_type.value, "the type is a commability invariant"),
-    "q": (lambda f: f.q, "q is an invariant of commability within focal groups"),
-    "connected-key": (lambda f: _render_key(f.key), "the connected sides are not commable"),
-    "varpi": (lambda f: render_value(f.varpi), "varpi is an invariant of commability"),
+_OBSTRUCTIONS = {  # invariant: (its value in a form, the note of a No, its quasi-isometry note)
+    "type": (lambda f: f.group_type.value, "the type is a commability invariant",
+             "the boundary topology separates the types"),
+    "q": (lambda f: f.q, "q is an invariant of commability within focal groups",
+          "the non-power root is a quasi-isometry invariant on mixed type"),
+    "connected-key": (lambda f: _render_key(f.key), "the connected sides are not commable",
+                      "one-parameter classes are quasi-isometry classes here"),
+    "varpi": (lambda f: render_value(f.varpi), "varpi is an invariant of commability",
+              "varpi is a quasi-isometry invariant"),
 }
 
 
@@ -296,39 +300,12 @@ def _empty_chain(g: FocalDescriptor) -> WitnessChain:
     return WitnessChain(nodes=(SDesc(g),), arrows=())
 
 
-def _td_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
-    """G1 up FT(s1) down FT_q^[n] up FT(s2) down G2, n = max level."""
-    (q, n1), (_, n2) = root_level(g1), root_level(g2)
-    s1, s2 = invariant_s(g1), invariant_s(g2)
-    n = max(n1, n2)
+def _valley(g1, x1, top, x2, g2, outer: str, inner: str) -> WitnessChain:
+    """The chain G1 ↗ x1 ↖ top ↗ x2 ↖ G2: the outer arrows cite ``outer``,
+    the two arrows at ``top``, a common subgroup of x1 and x2, cite ``inner``."""
     return WitnessChain(
-        nodes=(SDesc(g1), SDesc(FT(s1)), SFTpow(q, n), SDesc(FT(s2)), SDesc(g2)),
-        arrows=(
-            Arrow(INTO, "bass-serre-embedding"),
-            Arrow(FROM, "finite-index-subgroup"),
-            Arrow(INTO, "finite-index-subgroup"),
-            Arrow(FROM, "bass-serre-embedding"),
-        ),
-    )
-
-
-def _mixed_chain(g1: FocalDescriptor, g2: FocalDescriptor, key: tuple, varpi) -> WitnessChain:
-    (q, n1), (_, n2) = root_level(g1), root_level(g2)
-    n = max(n1, n2)
-    return WitnessChain(
-        nodes=(
-            SDesc(g1),
-            SCompositeProduct(key, varpi, q**n1, 1),
-            SCompositeProduct(key, varpi, q, n),
-            SCompositeProduct(key, varpi, q**n2, 1),
-            SDesc(g2),
-        ),
-        arrows=(
-            Arrow(INTO, "modular-fibered-product"),
-            Arrow(FROM, "finite-index-subgroup"),
-            Arrow(INTO, "finite-index-subgroup"),
-            Arrow(FROM, "modular-fibered-product"),
-        ),
+        nodes=(SDesc(g1), x1, top, x2, SDesc(g2)),
+        arrows=(Arrow(INTO, outer), Arrow(FROM, inner), Arrow(INTO, inner), Arrow(FROM, outer)),
     )
 
 
@@ -340,25 +317,6 @@ def _connected_chain(g1: FocalDescriptor, g2: FocalDescriptor, key: tuple) -> Wi
     return WitnessChain(
         nodes=(SDesc(g1), SHull(key, hull), SDesc(g2)),
         arrows=(Arrow(INTO, "focal-universal-hull"), Arrow(FROM, "focal-universal-hull")),
-    )
-
-
-def _free_chain(g1: FocalDescriptor, g2: FocalDescriptor) -> WitnessChain:
-    """G1 up Aut(tree1) down F_k up Aut(tree2) down G2.
-
-    rank - 1 = lcm(m1 - 1, m2 - 1) makes a cocompact free lattice of that
-    rank available in both tree automorphism groups.
-    """
-    m1, m2 = invariant_s(g1), invariant_s(g2)
-    rank = 1 + lcm(m1 - 1, m2 - 1)
-    return WitnessChain(
-        nodes=(SDesc(g1), SAutTree(m1), SFreeGroup(rank), SAutTree(m2), SDesc(g2)),
-        arrows=(
-            Arrow(INTO, "tree-automorphism-group"),
-            Arrow(FROM, "tree-lattice-free-group"),
-            Arrow(INTO, "tree-lattice-free-group"),
-            Arrow(FROM, "tree-automorphism-group"),
-        ),
     )
 
 
@@ -381,16 +339,22 @@ def commable_within_focal(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
     f1, f2 = canonical_form(g1), canonical_form(g2)
     step = _ladder(f1, f2)
     if step is None:
-        if f1.group_type is GroupType.TOTALLY_DISCONNECTED:
-            return Yes(_td_chain(g1, g2))
         if f1.group_type is GroupType.CONNECTED:
             return Yes(_connected_chain(g1, g2, f1.key))
-        return Yes(_mixed_chain(g1, g2, f1.key, f1.varpi))
+        # both sides step down to the level n = max(n1, n2) of their common root q
+        (q, n1), (_, n2) = root_level(g1), root_level(g2)
+        n = max(n1, n2)
+        if f1.group_type is GroupType.TOTALLY_DISCONNECTED:  # through FT(s), s = q**level
+            return Yes(_valley(g1, SDesc(FT(q**n1)), SFTpow(q, n), SDesc(FT(q**n2)), g2,
+                               "bass-serre-embedding", "finite-index-subgroup"))
+        x1, top, x2 = (SCompositeProduct(f1.key, f1.varpi, m, i)
+                       for m, i in ((q**n1, 1), (q, n), (q**n2, 1)))
+        return Yes(_valley(g1, x1, top, x2, g2, "modular-fibered-product", "finite-index-subgroup"))
     invariant, verdict = step
     if verdict is not NOT_EQUAL:
         what = "connected key" if invariant == "connected-key" else invariant
         return UndecidedVerdict(f"{what} comparison undecided: {verdict!r}")
-    render, note = _OBSTRUCTIONS[invariant]
+    render, note, _ = _OBSTRUCTIONS[invariant]
     if invariant == "connected-key" and f1.group_type is GroupType.CONNECTED:
         note = "the actions lie on different one-parameter classes"
     return No(invariant, (render(f1), render(f2)), note)
@@ -401,14 +365,18 @@ def commable(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
 
     Coincides with commability within focal groups except that all totally
     disconnected descriptors are equivalent, through a free-group chain.
+    The ladder separates two of them on q alone, so only that No changes.
     """
     within = commable_within_focal(g1, g2)
-    if isinstance(within, (Yes, UndecidedVerdict)):
+    if not (isinstance(within, No) and within.invariant == "q"
+            and classify_type(g1) is GroupType.TOTALLY_DISCONNECTED):
         return within
-    t1, t2 = classify_type(g1), classify_type(g2)
-    if t1 is GroupType.TOTALLY_DISCONNECTED and t2 is GroupType.TOTALLY_DISCONNECTED:
-        return Yes(_free_chain(g1, g2))
-    return within
+    # rank - 1 = lcm(m1 - 1, m2 - 1) makes a cocompact free lattice of that
+    # rank available in both tree automorphism groups
+    m1, m2 = invariant_s(g1), invariant_s(g2)
+    free = SFreeGroup(1 + lcm(m1 - 1, m2 - 1))
+    return Yes(_valley(g1, SAutTree(m1), free, SAutTree(m2), g2,
+                       "tree-automorphism-group", "tree-lattice-free-group"))
 
 
 def quasi_isometric(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
@@ -423,13 +391,7 @@ def quasi_isometric(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
     """
     verdict = commable(g1, g2)
     if isinstance(verdict, No):
-        notes = {
-            "varpi": "varpi is a quasi-isometry invariant",
-            "q": "the non-power root is a quasi-isometry invariant on mixed type",
-            "type": "the boundary topology separates the types",
-            "connected-key": "one-parameter classes are quasi-isometry classes here",
-        }
-        return No(verdict.invariant, verdict.values, notes[verdict.invariant])
+        return No(verdict.invariant, verdict.values, _OBSTRUCTIONS[verdict.invariant][2])
     return verdict
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "maxroot",
     "common_power",
     "mult_decompose",
-    "mult_dependent",
     "LogRatio",
     "canonical_value",
     "EQUAL",
@@ -146,7 +145,11 @@ def common_power(k1: int, k2: int) -> Optional[tuple[int, int]]:
     """
     if k1 < 2 or k2 < 2:
         raise ValueError("common_power expects k1, k2 >= 2")
-    return mult_dependent(k1, k2)
+    (q1, e1), (q2, e2) = maxroot(k1), maxroot(k2)
+    if q1 != q2:
+        return None
+    g = gcd(e1, e2)
+    return (e2 // g, e1 // g)
 
 
 def mult_decompose(x: Fraction) -> tuple[Fraction, int]:
@@ -168,29 +171,6 @@ def mult_decompose(x: Fraction) -> tuple[Fraction, int]:
     qd, ed = maxroot(den)
     g = gcd(en, ed)
     return Fraction(qn ** (en // g), qd ** (ed // g)), g
-
-
-def mult_dependent(a: Fraction, b: Fraction) -> Optional[tuple[int, int]]:
-    """Coprime nonzero (m, n) with a**m == b**n and n > 0, or None.
-
-    Exists iff the prime exponent vectors of a and b are parallel; a and b
-    must be positive and different from 1.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 1 or b == 1:
-        raise ValueError("mult_dependent is undefined for base 1")
-    if a <= 0 or b <= 0:
-        raise ValueError("mult_dependent expects positive rationals")
-    base_a, ea = mult_decompose(a)
-    base_b, eb = mult_decompose(b)
-    if base_a != base_b:
-        return None
-    # a^m = b^n  <=>  ea*m = eb*n; minimal coprime solution, sign fixed by n > 0
-    g = gcd(ea, eb)
-    m, n = eb // g, ea // g
-    if n < 0:
-        m, n = -m, -n
-    return (m, n)
 
 
 @dataclass(frozen=True, init=False, repr=False)

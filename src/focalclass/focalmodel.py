@@ -279,17 +279,16 @@ def _varpi(f: _Reading):
     return canonical_value(logratio_scale(LogRatio(f.tree, _expansion(f.conn)), 1 / f.t))
 
 
-def invariant_p0(g: FocalDescriptor, varpi=None):
+def invariant_p0(g: FocalDescriptor):
     """Critical exponent (1 + varpi) * p0(A), where p0(A) = log(delta)/log(lambda):
     delta is the total volume expansion of the expanding generator and lambda
-    its smallest eigenvalue modulus on the connected part.  ``varpi``, when
-    given, is invariant_varpi(g), so a caller that has it need not build it again.
+    its smallest eigenvalue modulus on the connected part.
 
     Totally disconnected descriptors have no connected part to slow the
     expansion down and get INFINITE.
     """
     f = _reading(g)
-    return _p0(f, _varpi(f) if varpi is None else varpi)
+    return _p0(f, _varpi(f))
 
 
 def _p0(f: _Reading, varpi):
@@ -327,15 +326,8 @@ class Invariants:
 
 def compute_invariants(g: FocalDescriptor) -> Invariants:
     f = _reading(g)
-    form = _form(f)
-    return Invariants(
-        group_type=form.group_type,
-        s=_s(f),
-        q=form.q,
-        varpi=form.varpi,
-        p0=_p0(f, form.varpi),
-        boundary=_boundary(f),
-    )
+    varpi = _varpi(f)
+    return Invariants(_type(f), _s(f), _root_level(f)[0], varpi, _p0(f, varpi), _boundary(f))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,32 @@ def test_qi_witness_chain(capsys):
     assert any(n["kind"] == "CompositeProduct" for n in chain["nodes"])
 
 
+def test_qi_is_a_subcommand_only(capsys):
+    """`qi` is the one route to quasi-isometry: `commable --qi` is a usage
+    error, and `qi --witness` prints these bytes."""
+    with pytest.raises(SystemExit) as exc:
+        main(["commable", corpus_path("ft2"), corpus_path("ft3"), "--qi"])
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--qi" in captured.err
+    assert main(["qi", corpus_path("ft2"), corpus_path("ft3"), "--witness"]) == EXIT_YES
+    assert capsys.readouterr().out == (
+        '{"verdict": "yes", "chain": {"nodes": [{"kind": "FT", "m": 2}, '
+        '{"kind": "AutTree", "m": 2}, {"kind": "FreeGroup", "rank": 3}, '
+        '{"kind": "AutTree", "m": 3}, {"kind": "FT", "m": 3}], "arrows": ['
+        '{"direction": "into-next", "citation": "tree-automorphism-group"}, '
+        '{"direction": "from-next", "citation": "tree-lattice-free-group"}, '
+        '{"direction": "into-next", "citation": "tree-lattice-free-group"}, '
+        '{"direction": "from-next", "citation": "tree-automorphism-group"}], '
+        '"pattern": "\\u2197\\u2196\\u2197\\u2196"}}\n'
+    )
+    assert main(["qi", corpus_path("mf_b"), corpus_path("mf_c"), "--witness"]) == EXIT_NO
+    assert capsys.readouterr().out == (
+        '{"verdict": "no", "obstruction": {"invariant": "q", "values": [2, 3], '
+        '"note": "the non-power root is a quasi-isometry invariant on mixed type"}}\n'
+    )
+
+
 def test_invariants_composite_and_millefeuille(capsys):
     code, out = run_cli(capsys, "invariants", corpus_path("comp_a"))
     assert code == EXIT_YES

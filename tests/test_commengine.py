@@ -409,6 +409,72 @@ def test_corpus_pairs_validate_and_are_symmetric():
     assert seen["yes"] > 0 and seen["no"] > 0
 
 
+def _corpus_group(name: str):
+    from focalclass.cli import load_descriptor
+
+    return load_descriptor(str(Path(__file__).parent / "corpus" / f"{name}.json"))
+
+
+def _valley_arrows(outer: str, inner: str) -> list:
+    return [{"direction": d, "citation": c}
+            for d, c in ((INTO, outer), (FROM, inner), (INTO, inner), (FROM, outer))]
+
+
+def test_valley_chains_are_pinned():
+    """The three five-node chains, as the CLI prints them under --witness:
+    the totally disconnected, the mixed and the free-group valley."""
+    from focalclass.cli import chain_obj
+
+    key = [["1", [1]], ["2", [1]]]
+    a = [["1/2", "0"], ["0", "1/4"]]
+    cases = [
+        (commable_within_focal, "ft2", "ft4",
+         [{"kind": "FT", "m": 2}, {"kind": "FT", "m": 2}, {"kind": "FTpow", "q": 2, "n": 2},
+          {"kind": "FT", "m": 4}, {"kind": "FT", "m": 4}],
+         _valley_arrows("bass-serre-embedding", "finite-index-subgroup")),
+        (commable_within_focal, "comp_b", "comp_b_idx",
+         [{"kind": "Composite", "A": a, "varpi": "1", "q": 2},
+          {"kind": "CompositeProduct", "key": key, "varpi": "1", "m": 2},
+          {"kind": "CompositeProduct", "key": key, "varpi": "1", "m": 2, "index": 4},
+          {"kind": "CompositeProduct", "key": key, "varpi": "1", "m": 16},
+          {"kind": "Composite", "A": a, "varpi": "1", "q": 4, "index": 2}],
+         _valley_arrows("modular-fibered-product", "finite-index-subgroup")),
+        (commable, "ft2", "ft3",
+         [{"kind": "FT", "m": 2}, {"kind": "AutTree", "m": 2}, {"kind": "FreeGroup", "rank": 3},
+          {"kind": "AutTree", "m": 3}, {"kind": "FT", "m": 3}],
+         _valley_arrows("tree-automorphism-group", "tree-lattice-free-group")),
+    ]
+    for decide, name1, name2, nodes, arrows in cases:
+        verdict = decide(_corpus_group(name1), _corpus_group(name2))
+        assert isinstance(verdict, Yes)
+        assert chain_obj(verdict.chain) == {"nodes": nodes, "arrows": arrows, "pattern": "↗↖↗↖"}
+        assert validate_chain(verdict.chain) == (True, "ok")
+
+
+def test_obstruction_notes_are_pinned():
+    """The note of each commability obstruction and of its quasi-isometry twin."""
+    cases = [
+        ("ft2", "gak_conn", "type", "the type is a commability invariant",
+         "the boundary topology separates the types"),
+        ("gak_mixed", "comp_a", "q", "q is an invariant of commability within focal groups",
+         "the non-power root is a quasi-isometry invariant on mixed type"),
+        ("gak_mixed", "gak_indexed", "connected-key", "the connected sides are not commable",
+         "one-parameter classes are quasi-isometry classes here"),
+        ("gak_conn", "gak_conn_scalar", "connected-key",
+         "the actions lie on different one-parameter classes",
+         "one-parameter classes are quasi-isometry classes here"),
+        ("gak_mixed", "gak_mixed_small", "varpi", "varpi is an invariant of commability",
+         "varpi is a quasi-isometry invariant"),
+    ]
+    for name1, name2, invariant, note, qi_note in cases:
+        g1, g2 = _corpus_group(name1), _corpus_group(name2)
+        com, qi = commable(g1, g2), quasi_isometric(g1, g2)
+        assert isinstance(com, No) and isinstance(qi, No)
+        assert (com.invariant, com.note) == (invariant, note)
+        assert (qi.invariant, qi.note) == (invariant, qi_note)
+        assert qi.values == com.values
+
+
 def test_chain_arrow_count_enforced():
     with pytest.raises(ValueError):
         WitnessChain(nodes=(SDesc(FT(2)),), arrows=(Arrow(INTO, "identity"),))

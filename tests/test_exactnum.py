@@ -25,7 +25,6 @@ from focalclass.exactnum import (
     logratio_scale,
     maxroot,
     mult_decompose,
-    mult_dependent,
 )
 from focalclass import exactnum
 from focalclass.exactnum import (
@@ -208,22 +207,6 @@ def test_common_power_of_shared_base(base, e1, e2):
     assert common_power(q**e1, q**e2) == (e2 // g, e1 // g)
 
 
-@given(
-    st.fractions(min_value=F(1, 50), max_value=50),
-    st.integers(min_value=-4, max_value=4),
-    st.integers(min_value=-4, max_value=4),
-)
-@settings(max_examples=200, deadline=None)
-def test_mult_dependent_roundtrip_property(base, i, j):
-    if base == 1 or i == 0 or j == 0:
-        return
-    a, b = base**i, base**j
-    got = mult_dependent(a, b)
-    assert got is not None
-    m, n = got
-    assert a**m == b**n and n > 0 and math.gcd(m, n) == 1
-
-
 def test_common_power_matches_exhaustive_search():
     limit = 40
     power_sets = {k: {k**e for e in range(1, limit + 1)} for k in range(2, 41)}
@@ -240,7 +223,7 @@ def test_common_power_matches_exhaustive_search():
 
 
 # ---------------------------------------------------------------------------
-# mult_decompose / mult_dependent
+# mult_decompose
 # ---------------------------------------------------------------------------
 
 
@@ -250,43 +233,6 @@ def test_mult_decompose_basics():
     assert mult_decompose(F(9, 4)) == (F(3, 2), 2)
     base, e = mult_decompose(F(10, 7))
     assert base == F(10, 7) and e == 1
-
-
-def test_mult_dependent_examples():
-    assert mult_dependent(F(2), F(8)) == (3, 1)
-    assert mult_dependent(F(2, 3), F(9, 4)) == (-2, 1)
-    assert F(2, 3) ** -2 == F(9, 4)
-    assert mult_dependent(F(2), F(3)) is None
-
-
-def test_mult_dependent_degenerate_inputs():
-    with pytest.raises(ValueError):
-        mult_dependent(F(1), F(2))
-    with pytest.raises(ValueError):
-        mult_dependent(F(2), F(1))
-    with pytest.raises(ValueError):
-        mult_dependent(F(-2), F(2))
-
-
-def test_mult_dependent_verified_by_exponentiation():
-    rng = Random(1)
-    bases = [F(2), F(3), F(2, 3), F(10, 7), F(5, 4)]
-    for _ in range(300):
-        base = rng.choice(bases)
-        i = rng.choice([e for e in range(-5, 6) if e])
-        j = rng.choice([e for e in range(-5, 6) if e])
-        a, b = base**i, base**j
-        m, n = mult_dependent(a, b)
-        assert n > 0 and math.gcd(m, n) == 1
-        assert a**m == b**n
-
-
-def test_mult_dependent_independent_pairs():
-    rng = Random(2)
-    for _ in range(200):
-        a = F(rng.choice([2, 3, 5, 7])) ** rng.randint(1, 4)
-        b = F(rng.choice([6, 10, 15, 14])) ** rng.randint(1, 4)
-        assert mult_dependent(F(a), F(b)) is None
 
 
 # ---------------------------------------------------------------------------

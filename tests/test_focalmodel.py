@@ -210,6 +210,33 @@ def test_one_reading_per_form_and_per_invariants(monkeypatch):
             assert calls == [g], build.__name__
 
 
+def test_compute_invariants_builds_no_connected_key(monkeypatch):
+    """compute_invariants reads each field off the one reading, never through
+    a connected key, and on the corpus every field equals its own function."""
+    from pathlib import Path
+
+    from focalclass.cli import load_descriptor
+
+    calls = []
+    key = focalmodel._key
+
+    def counting_key(a):
+        calls.append(a)
+        return key(a)
+
+    corpus = sorted((Path(__file__).parent / "corpus").glob("*.json"))
+    groups = [load_descriptor(str(p)) for p in corpus]
+    monkeypatch.setattr(focalmodel, "_key", counting_key)
+    for g in groups:
+        inv = compute_invariants(g)
+        assert calls == []
+        assert inv.group_type is classify_type(g)
+        assert (inv.s, inv.q) == (invariant_s(g), invariant_q(g))
+        for got, want in ((inv.varpi, invariant_varpi(g)), (inv.p0, invariant_p0(g))):
+            assert got == want and render_value(got) == render_value(want)
+        assert inv.boundary == boundary(g)
+
+
 def test_conn_key_is_scale_invariant():
     rng = Random(21)
     for _ in range(20):
