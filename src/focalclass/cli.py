@@ -66,7 +66,6 @@ EXIT_NO = 1
 EXIT_PARSE = 2
 EXIT_UNDECIDED = 3
 
-log = logging.getLogger("focalclass")
 
 _RATSTR = re.compile(r"-?[0-9]+(/[0-9]+)?$")
 

@@ -17,6 +17,7 @@ guessed from floats.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,9 @@ __all__ = [
     "as_float",
     "MultiplicativeIndependenceError",
 ]
+
+
+_log = logging.getLogger(__name__)
 
 
 class MultiplicativeIndependenceError(ValueError):
@@ -315,17 +319,23 @@ def compare_values(x: Value, y: Value) -> Comparison:
     EQUAL and NOT_EQUAL are only ever returned with a rigorous certificate:
     matching canonical forms, a rational-vs-irrational mismatch (irrational
     is certified by multiplicative independence of primitive bases), or
-    disjoint interval enclosures.  Everything else is Undecided.
+    disjoint interval enclosures.  Everything else is Undecided.  At DEBUG
+    the focalclass.exactnum logger gets one line naming the deciding rung.
     """
     cx, cy = canonical_value(x), canonical_value(y)
-    if isinstance(cx, Fraction) and isinstance(cy, Fraction):
-        return EQUAL if cx == cy else NOT_EQUAL
-    if isinstance(cx, Fraction) or isinstance(cy, Fraction):
-        # one value rational, the other certified irrational
-        return NOT_EQUAL
     if cx == cy:
-        return EQUAL
-    return _interval_compare(cx, cy)
+        verdict, rung = EQUAL, "canonical match"
+    elif isinstance(cx, Fraction) and isinstance(cy, Fraction):
+        verdict, rung = NOT_EQUAL, "canonical mismatch of two rationals"
+    elif isinstance(cx, Fraction) or isinstance(cy, Fraction):
+        # one value rational, the other certified irrational
+        verdict, rung = NOT_EQUAL, "rational against irrational"
+    else:
+        verdict = _interval_compare(cx, cy)
+        rung = "disjoint enclosures" if verdict is NOT_EQUAL else "undecided"
+        rung += f" at {_INTERVAL_PREC + _operand_bits(cx, cy)} bits"
+    _log.debug("compare %s with %s: %s by %s", cx, cy, verdict, rung)
+    return verdict
 
 
 def logratio_add_one(x: LogRatio) -> LogRatio:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import NamedTuple, Optional, Union
 
 from .exactnum import (
@@ -253,12 +252,6 @@ def conn_matrix(g: FocalDescriptor) -> Optional[MatQ]:
     return _reading(g).conn
 
 
-def _expansion(a: MatQ) -> Fraction:
-    """Volume multiplier of the expanding generator on the connected part:
-    the product of 1/ev over the spectrum, with algebraic multiplicity."""
-    return prod((1 / ev) ** sum(blocks) for ev, blocks in spectral_data(a).entries)
-
-
 def invariant_varpi(g: FocalDescriptor):
     """Ratio of the totally disconnected to the connected restricted modular
     logs, taken at the volume-expanding generator so the value is positive.
@@ -276,7 +269,10 @@ def _varpi(f: _Reading):
         return Fraction(0)
     if f.varpi is not None:
         return f.varpi
-    return canonical_value(logratio_scale(LogRatio(f.tree, _expansion(f.conn)), 1 / f.t))
+    # log r / log delta from r's root and delta's stored power: nothing is decomposed again
+    root, e = maxroot(f.tree)
+    varpi = LogRatio.of_powers(Fraction(root), e, *spectral_data(f.conn).delta_power())
+    return canonical_value(logratio_scale(varpi, 1 / f.t))
 
 
 def invariant_p0(g: FocalDescriptor):
@@ -292,10 +288,11 @@ def invariant_p0(g: FocalDescriptor):
 
 
 def _p0(f: _Reading, varpi):
-    a = f.conn
-    if a is None:
+    if f.conn is None:
         return INFINITE
-    p0_conn = LogRatio(_expansion(a), 1 / spectral_data(a).spectral_radius)
+    # log delta / log(1/rho): 1/rho is the largest eigenvalue's expansion factor
+    data = spectral_data(f.conn)
+    p0_conn = LogRatio.of_powers(*data.delta_power(), *data.expansion_powers()[-1])
     if isinstance(varpi, LogRatio):
         # 1 + varpi = log(r^m * delta^n)/log(delta^n) ends at delta's base,
         # where p0(A) starts, so the product only multiplies exponents
@@ -350,16 +347,7 @@ def conn_key(g: FocalDescriptor) -> ConnKey:
 
 
 def _key(a: Optional[MatQ]) -> ConnKey:
-    if a is None:
-        return ()
-    data = spectral_data(a)
-    powers = data.expansion_powers()
-    ref = powers[-1]  # the largest eigenvalue
-    key = [
-        (canonical_value(LogRatio.of_powers(*power, *ref)), blocks)
-        for power, (_, blocks) in zip(powers, data.entries)
-    ]
-    return tuple(reversed(key))
+    return () if a is None else spectral_data(a).ratio_key()
 
 
 def conn_key_equal(k1: ConnKey, k2: ConnKey) -> Comparison:

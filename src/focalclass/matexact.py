@@ -15,8 +15,10 @@ Jordan block data, and every similarity witness is verified by exact
 multiplication before it is returned.
 
 A matrix's spectral data is computed at most once and kept on the matrix
-itself, so every caller that asks again reads the stored value.  A matrix
-outside the family keeps nothing and raises again on each call.
+itself, and the logs the invariants derive from it (expansion powers, the
+volume expansion delta, the connected key) once each on the spectral data,
+so every caller that asks again reads the stored value.  A matrix outside
+the family keeps nothing and raises again on each call.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from operator import mul
 from random import Random
 from typing import Optional
 
-from .exactnum import _is_prime, common_power, mult_decompose
+from .exactnum import LogRatio, _is_prime, canonical_value, common_power, mult_decompose
 
 __all__ = [
     "MatQ",
@@ -217,11 +219,14 @@ class SpectralData:
 
     entries[i] = (eigenvalue, blocks) with blocks a descending tuple of block
     sizes; the block sizes over all eigenvalues sum to the dimension.  The
-    _expansions slot holds expansion_powers() once it has been computed.
+    _expansions, _delta and _key slots hold expansion_powers(), delta_power()
+    and ratio_key() once computed; equality, hashing and repr ignore them.
     """
 
     entries: tuple
     _expansions: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _delta: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def expansion_powers(self) -> tuple:
         """Each expansion factor 1/ev, for eigenvalues in (0, 1), written as
@@ -230,6 +235,24 @@ class SpectralData:
             powers = tuple(mult_decompose(1 / ev) for ev in self.eigenvalues)
             object.__setattr__(self, "_expansions", powers)
         return self._expansions
+
+    def delta_power(self) -> tuple:
+        """The volume expansion delta, the product of 1/ev over the spectrum
+        with algebraic multiplicity, as (primitive base, exponent); computed once."""
+        if self._delta is None:
+            delta = prod((1 / ev) ** sum(blocks) for ev, blocks in self.entries)
+            object.__setattr__(self, "_delta", mult_decompose(delta))
+        return self._delta
+
+    def ratio_key(self) -> tuple:
+        """(log(1/ev)/log(1/ev_max) as a canonical value, blocks) for each
+        eigenvalue, largest first: the connected key; computed once."""
+        if self._key is None:
+            powers = self.expansion_powers()
+            key = tuple((canonical_value(LogRatio.of_powers(*power, *powers[-1])), blocks)
+                        for power, (_, blocks) in zip(powers, self.entries))
+            object.__setattr__(self, "_key", key[::-1])
+        return self._key
 
     @property
     def eigenvalues(self) -> tuple:

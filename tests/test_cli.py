@@ -326,9 +326,10 @@ def test_radical_check_bounds_p_before_primality(capsys):
 # ---------------------------------------------------------------------------
 
 
-def run_python(*args, timeout):
-    """Run the interpreter on args as a child process; a child that outlives
-    `timeout` seconds is killed and the calling test fails instead of stalling."""
+def run_python(*args, timeout, env=()):
+    """Run the interpreter on args as a child process, with the variables of
+    env added; a child that outlives `timeout` seconds is killed and the
+    calling test fails instead of stalling."""
     # the child imports focalclass from wherever this process found it
     src = str(Path(focalclass.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -336,14 +337,29 @@ def run_python(*args, timeout):
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **dict(env)},
         timeout=timeout,
     )
 
 
-def run_child(*argv, timeout):
+def run_child(*argv, timeout, env=()):
     """Run the CLI as a child process, under the timeout of run_python."""
-    return run_python("-m", "focalclass.cli", *argv, timeout=timeout)
+    return run_python("-m", "focalclass.cli", *argv, timeout=timeout, env=env)
+
+
+def test_focal_log_writes_certificates_to_stderr_only():
+    """FOCAL_LOG=DEBUG names the certificate of each comparison on stderr;
+    stdout and the exit code stay byte-identical.  The pair's decision
+    compares connected keys, then varpi."""
+    argv = ("commable", corpus_path("gak_pair_a"), corpus_path("gak_pair_b"), "--within-focal")
+    plain, debug = (run_child(*argv, timeout=20, env={"FOCAL_LOG": level})
+                    for level in ("", "DEBUG"))
+    assert (plain.returncode, plain.stdout) == (debug.returncode, debug.stdout)
+    assert (plain.returncode, plain.stdout) == (0, '{"verdict": "yes"}\n')
+    assert plain.stderr == ""
+    lines = debug.stderr.splitlines()
+    assert lines and all(line.startswith("DEBUG:focalclass.exactnum:compare ") for line in lines)
+    assert all(line.endswith(": EQUAL by canonical match") for line in lines)
 
 
 def test_console_entry_point_runs():

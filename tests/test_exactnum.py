@@ -1,5 +1,6 @@
 """Unit tests for the exact integer/rational kernels."""
 
+import logging
 import math
 import re
 from fractions import Fraction as F
@@ -535,3 +536,24 @@ def test_operations_on_built_values_make_no_maxroot_calls(monkeypatch):
         compare_values(v, F(3, 2))
     assert compare_values(w, F(3, 2)) is EQUAL
     assert calls == []
+
+
+def test_compare_values_logs_its_certificate(caplog):
+    """At DEBUG each comparison logs one line naming the rung that decided."""
+    near = 10**80
+    cases = [
+        (F(2, 3), F(2, 3), EQUAL, "canonical match"),
+        (LogRatio(9, 4), LogRatio(3, 2), EQUAL, "canonical match"),
+        (F(1, 2), F(2, 3), NOT_EQUAL, "canonical mismatch of two rationals"),
+        (F(1), LogRatio(3, 2), NOT_EQUAL, "rational against irrational"),
+        (LogRatio(3, 2), LogRatio(5, 3), NOT_EQUAL, "disjoint enclosures at 259 bits"),
+        (LogRatio(near + 1, near), LogRatio(near + 2, near + 1), Undecided(1.0, 1.0, 0.0),
+         f"undecided at {_INTERVAL_PREC + (near + 2).bit_length()} bits"),
+    ]
+    caplog.set_level(logging.DEBUG, logger="focalclass")
+    for x, y, verdict, rung in cases:
+        caplog.clear()
+        assert compare_values(x, y) == verdict
+        records = [(r.name, r.levelno) for r in caplog.records]
+        assert records == [("focalclass.exactnum", logging.DEBUG)]
+        assert caplog.records[0].getMessage().endswith(f": {verdict} by {rung}")

@@ -1,6 +1,8 @@
 """Unit tests for descriptors and classification invariants."""
 
+import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction as F
 from math import prod
 from random import Random
@@ -19,9 +21,11 @@ from focalclass.exactnum import (
     logratio_scale,
     maxroot,
 )
-from focalclass import focalmodel
-from focalclass.matexact import MatQ, mat_power, spectral_data
+from focalclass import exactnum, focalmodel, matexact
+from focalclass.commengine import commable, commable_within_focal, quasi_isometric, validate_chain
+from focalclass.matexact import MatQ, SpectralData, mat_power, spectral_data
 from focalclass.focalmodel import (
+    CanonicalForm,
     Cantor,
     Composite,
     FT,
@@ -29,6 +33,7 @@ from focalclass.focalmodel import (
     GroupType,
     HullNotImplementedError,
     INFINITE,
+    Invariants,
     Millefeuille,
     Sphere,
     Xi,
@@ -38,6 +43,7 @@ from focalclass.focalmodel import (
     compute_invariants,
     conn_key,
     conn_key_equal,
+    conn_matrix,
     focal_universal_hull,
     invariant_p0,
     invariant_q,
@@ -48,7 +54,13 @@ from focalclass.focalmodel import (
     root_level,
 )
 
-from helpers import descriptor_pool, random_triangular
+from helpers import (
+    descriptor_pool,
+    jordan_matrix,
+    random_conjugator,
+    random_triangular,
+    unit_lower,
+)
 
 
 def diag(*values):
@@ -244,6 +256,36 @@ def test_conn_key_is_scale_invariant():
         g1 = GAk(a, 2)
         g2 = GAk(mat_power(a, 3), 2)
         assert conn_key_equal(conn_key(g1), conn_key(g2)) is EQUAL
+
+
+def test_spectral_logs_decomposed_once_per_matrix(monkeypatch):
+    """The dense mixed pair of test_one_charpoly_per_dense_matrix, through
+    both invariant sets, three decisions and validate_chain on each yes,
+    sends each matrix's delta and each expansion factor 1/ev to
+    mult_decompose exactly once: they are kept on the spectral data."""
+    calls = Counter()
+    counted = exactnum.mult_decompose
+
+    def counting_decompose(x):
+        calls[x] += 1
+        return counted(x)
+
+    for module in (exactnum, matexact):
+        monkeypatch.setattr(module, "mult_decompose", counting_decompose)
+    l = unit_lower(4, [1, -1, 2, 1, 0, -1])
+    u = MatQ(zip(*unit_lower(4, [2, 1, -1, 0, 1, 1]).rows))
+    p, q = l @ u, u @ l
+    g1 = GAk(p @ jordan_matrix([(F(1, 4), 2), (F(1, 9), 1), (F(1, 25), 1)]) @ p.inverse(), 4)
+    g2 = GAk(q @ jordan_matrix([(F(1, 2), 2), (F(1, 3), 1), (F(1, 5), 1)]) @ q.inverse(), 2)
+    compute_invariants(g1)
+    compute_invariants(g2)
+    verdicts = (commable_within_focal(g1, g2), commable(g1, g2), quasi_isometric(g1, g2))
+    assert [v.kind for v in verdicts] == ["yes"] * 3
+    for v in verdicts:
+        assert validate_chain(v.chain)[0]
+    for g, delta in ((g1, F(3600)), (g2, F(60))):
+        logs = [delta] + [1 / ev for ev in spectral_data(g.matrix).eigenvalues]
+        assert {x: calls[x] for x in logs} == dict.fromkeys(logs, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -531,3 +573,76 @@ def test_family_reading_matches_parent(g):
                       (inv.p0, parent_invariant_p0(g))):
         assert got == want
         assert render_value(got) == render_value(want)
+
+
+# The connected key as built before the spectral data kept it, verbatim: the
+# oracle, beside the parent varpi and p0 above, for the values now read off
+# the stored delta power and key.
+def parent_key(a):
+    if a is None:
+        return ()
+    data = spectral_data(a)
+    powers = data.expansion_powers()
+    ref = powers[-1]  # the largest eigenvalue
+    key = [
+        (canonical_value(LogRatio.of_powers(*power, *ref)), blocks)
+        for power, (_, blocks) in zip(powers, data.entries)
+    ]
+    return tuple(reversed(key))
+
+
+def fresh(g):
+    """g over a new matrix with the same rows, so nothing but its spectral
+    data (computed by the validation) is stored on it yet."""
+    for name in ("matrix", "conn"):
+        if hasattr(g, name):
+            return dataclasses.replace(g, **{name: MatQ(getattr(g, name).rows)})
+    return g
+
+
+@st.composite
+def dense_focal_descriptors(draw):
+    """A focal_descriptors draw with its triangular matrix a, which has a
+    Jordan block where a repeated eigenvalue has a nonzero entry above it,
+    replaced by the dense conjugate p a p^-1, p a product of shears."""
+    g = draw(focal_descriptors())
+    a = conn_matrix(g)
+    if a is None:
+        return g
+    p = random_conjugator(Random(draw(st.integers(0, 2**32))), a.dim)
+    name = "matrix" if isinstance(g, GAk) else "conn"
+    return dataclasses.replace(g, **{name: p @ a @ p.inverse()})
+
+
+_SHEAR = unit_lower(3, [1, -1, 2])
+# dense, with a Jordan block of size 2 at 1/2 and delta = 12
+_DENSE_JORDAN = _SHEAR @ jordan_matrix([(F(1, 2), 2), (F(1, 3), 1)]) @ _SHEAR.inverse()
+
+
+@given(dense_focal_descriptors())
+@example(GAk(_DENSE_JORDAN, 1))  # connected
+@example(GAk(_DENSE_JORDAN, 144))  # k = delta^2: varpi = 2
+@example(GAk(_DENSE_JORDAN, 6))  # varpi = log(6)/log(12)
+@example(Millefeuille(_DENSE_JORDAN, F(3, 2), 5))
+@example(Composite(_DENSE_JORDAN, F(5, 3), 4, 2))
+@settings(max_examples=100, deadline=None)
+def test_stored_spectral_logs_match_parent(g):
+    kind, s, q = parent_classify_type(g), parent_invariant_s(g), parent_root_level(g)[0]
+    key = parent_key(parent_conn_matrix(fresh(g)))
+    varpi, p0 = parent_invariant_varpi(g), parent_invariant_p0(g)
+    form_first, invariants_first = fresh(g), fresh(g)
+    form1, inv1 = canonical_form(form_first), compute_invariants(form_first)
+    inv2 = compute_invariants(invariants_first)
+    form2 = canonical_form(invariants_first)
+    for h, form, inv in ((form_first, form1, inv1), (invariants_first, form2, inv2)):
+        assert form == CanonicalForm(kind, q, key, varpi)
+        assert inv == Invariants(kind, s, q, varpi, p0, boundary(g))
+        assert (conn_key(h), invariant_p0(h)) == (key, p0)
+        assert render_value(form.varpi) == render_value(varpi)
+        assert render_value(inv.p0) == render_value(p0)
+        a = conn_matrix(h)
+        if a is not None:
+            data = spectral_data(a)
+            assert None not in (data._expansions, data._delta, data._key)
+            bare = SpectralData(data.entries)
+            assert data == bare and hash(data) == hash(bare) and repr(data) == repr(bare)
