@@ -244,7 +244,7 @@ def _emit(obj: dict, human: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> tuple[dict, int]:
     g = load_descriptor(args.file)
     inv = compute_invariants(g)
     special, reason = is_special(g)
@@ -268,11 +268,10 @@ def cmd_invariants(args) -> int:
     if args.tolerance is not None:
         obj["varpi_float"] = as_float(inv.varpi)
         obj["p0_float"] = as_float(inv.p0)
-    _emit(obj, args.human)
-    return EXIT_YES
+    return obj, EXIT_YES
 
 
-def cmd_commable(args) -> int:
+def cmd_commable(args) -> tuple[dict, int]:
     g1 = load_descriptor(args.fileA)
     g2 = load_descriptor(args.fileB)
     if getattr(args, "qi", False):
@@ -281,31 +280,26 @@ def cmd_commable(args) -> int:
         verdict = commable_within_focal(g1, g2)
     else:
         verdict = commable(g1, g2)
-    obj, code = verdict_obj(verdict, getattr(args, "witness", False))
-    _emit(obj, args.human)
-    return code
+    return verdict_obj(verdict, getattr(args, "witness", False))
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args) -> tuple[dict, int]:
     g = load_descriptor(args.file)
-    _emit({"boundary": boundary(g).render()}, args.human)
-    return EXIT_YES
+    return {"boundary": boundary(g).render()}, EXIT_YES
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args) -> tuple[dict, int]:
     g = load_descriptor(args.file)
     try:
         hull = focal_universal_hull(g)
     except HullNotImplementedError as exc:
-        _emit({"verdict": "undecided", "detail": str(exc)}, args.human)
-        return EXIT_UNDECIDED
+        return {"verdict": "undecided", "detail": str(exc)}, EXIT_UNDECIDED
     except ValueError as exc:  # not of connected type
         raise DescriptorError(str(exc)) from None
-    _emit({"hull": hull.render(), "dim": hull.dim, "factors": list(hull.factors)}, args.human)
-    return EXIT_YES
+    return {"hull": hull.render(), "dim": hull.dim, "factors": list(hull.factors)}, EXIT_YES
 
 
-def cmd_pattern(args) -> int:
+def cmd_pattern(args) -> tuple[dict, int]:
     g1 = load_descriptor(args.fileA)
     g2 = load_descriptor(args.fileB)
     try:
@@ -317,11 +311,10 @@ def cmd_pattern(args) -> int:
             {"pattern": e.pattern, "status": e.status, "citation": e.citation} for e in entries
         ]
     }
-    _emit(obj, args.human)
-    return EXIT_YES
+    return obj, EXIT_YES
 
 
-def cmd_radical_check(args) -> int:
+def cmd_radical_check(args) -> tuple[dict, int]:
     if args.p > _MAX_P:
         raise DescriptorError("--p out of range")
     if not _is_prime(args.p):
@@ -346,18 +339,16 @@ def cmd_radical_check(args) -> int:
         "twist_identity": "pass" if twist else "fail",
         "non_torsion_units": "pass" if units_ok else "fail",
     }
-    _emit(obj, args.human)
-    return EXIT_YES if ok else EXIT_NO
+    return obj, EXIT_YES if ok else EXIT_NO
 
 
-def cmd_ft_oracle(args) -> int:
+def cmd_ft_oracle(args) -> tuple[dict, int]:
     try:
         index = ft_index_oracle(args.m, args.depth)
     except ValueError as exc:
         raise DescriptorError(str(exc)) from None
     obj = {"index": index, "expected": args.m, "match": index == args.m}
-    _emit(obj, args.human)
-    return EXIT_YES if index == args.m else EXIT_NO
+    return obj, EXIT_YES if index == args.m else EXIT_NO
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,10 +420,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        obj, code = args.func(args)
     except DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    try:
+        _emit(obj, args.human)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the exit code still carries the answer; stdout on the null device
+        # keeps the flush at exit from raising again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

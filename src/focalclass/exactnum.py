@@ -289,23 +289,22 @@ def _ratio_interval(x: LogRatio, prec: int) -> tuple:
     )
 
 
-def _operand_bits(*values: LogRatio) -> int:
-    bits = 0
-    for v in values:
-        for q in (v.p, v.q):
-            bits = max(bits, q.numerator.bit_length(), q.denominator.bit_length())
-    return bits
+def _working_precision(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> int:
+    """The precision of an interval comparison of x and y: prec (default 256)
+    bits plus the largest bit length among the numerators and denominators
+    of the four primitive bases; the exponents m and n do not enter it."""
+    bits = max(b for v in (x, y) for q in (v.p, v.q)
+               for b in (q.numerator.bit_length(), q.denominator.bit_length()))
+    return (prec if prec is not None else _INTERVAL_PREC) + bits
 
 
 def _interval_compare(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> Comparison:
     """NotEqual when rigorous enclosures are disjoint, else Undecided.
 
-    The working precision is prec (default 256) bits plus the largest bit
-    length among the numerators and denominators of the four primitive
-    bases; the exponents m and n do not enter it.  The enclosures come from
-    mpmath's interval primitives at that precision, with no context object.
+    The enclosures come from mpmath's interval primitives at the working
+    precision _working_precision(x, y, prec), with no context object.
     """
-    bits = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
+    bits = _working_precision(x, y, prec)
     (xa, xb), (ya, yb) = _ratio_interval(x, bits), _ratio_interval(y, bits)
     if mpf_lt(xb, ya) or mpf_lt(yb, xa):
         return NOT_EQUAL
@@ -333,7 +332,7 @@ def compare_values(x: Value, y: Value) -> Comparison:
     else:
         verdict = _interval_compare(cx, cy)
         rung = "disjoint enclosures" if verdict is NOT_EQUAL else "undecided"
-        rung += f" at {_INTERVAL_PREC + _operand_bits(cx, cy)} bits"
+        rung += f" at {_working_precision(cx, cy)} bits"
     _log.debug("compare %s with %s: %s by %s", cx, cy, verdict, rung)
     return verdict
 

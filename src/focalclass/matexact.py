@@ -10,9 +10,10 @@ roots.  Their roots are found exactly and completely over Z: a square-free
 part by primitive pseudo-remainders, its roots by p-adic lifting, and the
 multiplicities by synthetic division; outside that family a typed error is
 raised, never a float guess.  Jordan block sizes come from the ranks of the
-integer powers of a scaled a - ev I.  Similarity is decided by eigenvalue and
-Jordan block data, and every similarity witness is verified by exact
-multiplication before it is returned.
+integer powers of a scaled a - ev I and Jordan chains from their kernels.
+Similarity is decided by eigenvalue and Jordan block data; its witness maps
+one Jordan basis onto the other, built without search, and is verified by
+exact multiplication before it is returned.
 
 A matrix's spectral data is computed at most once and kept on the matrix
 itself, and the logs the invariants derive from it (expansion powers, the
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, islice, repeat, takewhile
 from math import gcd, lcm, prod
 from operator import mul
-from random import Random
 from typing import Optional
 
 from .exactnum import LogRatio, _is_prime, canonical_value, common_power, mult_decompose
@@ -163,14 +164,13 @@ def mat_power(a: MatQ, n: int) -> MatQ:
     """a**n by repeated squaring; n < 0 requires det(a) != 0."""
     if n < 0:
         return mat_power(a.inverse(), -n)
-    result = MatQ.identity(a.dim)
-    base = a
+    result, base = None, a
     while n:
         if n & 1:
-            result = result @ base
+            result = base if result is None else result @ base
         base = base @ base if n > 1 else base
         n >>= 1
-    return result
+    return MatQ.identity(a.dim) if result is None else result
 
 
 def rank(a) -> int:
@@ -381,6 +381,17 @@ def _triangular_diagonal(a: MatQ) -> Optional[list]:
     return None
 
 
+def _shifted_powers(b: list, den: int, ev: Fraction) -> tuple:
+    """L = lcm(den, ev.denominator) and the powers (L * (a - ev I))**j over Z,
+    j = 1, 2, ..., for b, den = _integer_rows(a.rows): they have the ranks
+    and kernels of the powers of a - ev I."""
+    scale = lcm(den, ev.denominator)
+    shift = ev.numerator * (scale // ev.denominator)
+    shifted = [[x * (scale // den) - shift * (i == j) for j, x in enumerate(row)]
+               for i, row in enumerate(b)]
+    return scale, accumulate(repeat(shifted), _int_product)
+
+
 def spectral_data(a: MatQ) -> SpectralData:
     """Eigenvalues, multiplicities and Jordan block sizes of a.
 
@@ -403,20 +414,11 @@ def spectral_data(a: MatQ) -> SpectralData:
         raise NonRationalSpectrumError("characteristic polynomial does not split over Q")
     if any(ev <= 0 for ev in roots):
         raise NonRationalSpectrumError("spectrum contains a non-positive rational eigenvalue")
-    b, den = _integer_rows(a.rows)
     entries = []
-    for ev in sorted(roots):
-        mult = roots[ev]
-        # scale * (a - ev I) over Z: the same ranks for every power
-        scale = lcm(den, ev.denominator)
-        shift = ev.numerator * (scale // ev.denominator)
-        shifted = [[x * (scale // den) - shift * (i == j) for j, x in enumerate(row)]
-                   for i, row in enumerate(b)]
-        ranks = [n, rank(shifted)]
-        power = shifted
-        while ranks[-1] > n - mult:
-            power = _int_product(power, shifted)
-            ranks.append(rank(power))
+    b, den = _integer_rows(a.rows)
+    for ev, mult in sorted(roots.items()):
+        _, powers = _shifted_powers(b, den, ev)
+        ranks = [n, *takewhile(lambda r: r > n - mult, map(rank, powers)), n - mult]
         # d[j] = number of blocks of size > j; sizes from successive differences
         d = [ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1)] + [0]
         blocks = tuple(j for j in range(len(d) - 1, 0, -1) for _ in range(d[j - 1] - d[j]))
@@ -439,22 +441,6 @@ def is_contracting(a: MatQ) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _intertwiner_space(a: MatQ, b: MatQ) -> list[MatQ]:
-    """Basis of {P : P@a == b@P} as matrices, via the Sylvester system."""
-    n = a.dim
-    nn = n * n
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [Fraction(0)] * nn
-            for k in range(n):
-                row[i * n + k] += a.rows[k][j]   # P[i,k] * a[k,j]
-                row[k * n + j] -= b.rows[i][k]   # -b[i,k] * P[k,j]
-            rows.append(row)
-    basis = _nullspace(rows, nn)
-    return [MatQ([vec[i * n : (i + 1) * n] for i in range(n)]) for vec in basis]
-
-
 def _nullspace(rows: list, ncols: int) -> list:
     """Nullspace basis, one vector per free column of the reduced echelon form."""
     m, pivots, _, last, _ = _eliminate(rows, ncols, reduced=True)
@@ -468,40 +454,54 @@ def _nullspace(rows: list, ncols: int) -> list:
     return basis
 
 
-def _conjugate_assuming(a: MatQ, b: MatQ) -> MatQ:
-    """Witness for matrices already known to be similar, exactly verified."""
-    if a == b:
-        return MatQ.identity(a.dim)
-    basis = _intertwiner_space(a, b)
-    n = a.dim
-    rng = Random(0)
-    for attempt in range(10000):
-        bound = 3 + attempt // 50
-        coeffs = [rng.randint(-bound, bound) for _ in basis]
-        terms = [(c, mat.rows) for c, mat in zip(coeffs, basis) if c]
-        p = MatQ([[sum(c * m[i][j] for c, m in terms) for j in range(n)] for i in range(n)])
-        if p.det() != 0:
-            if p @ a != b @ p:
-                raise RuntimeError("intertwiner verification failed")
-            return p
-    raise RuntimeError("similar matrices but no invertible intertwiner found")
+def _jordan_basis(x: MatQ, data: SpectralData) -> MatQ:
+    """B with B^-1 @ x @ B the Jordan matrix of data, x's spectral data: for
+    each eigenvalue ev and each block, largest first, the chain N**(k-1) v,
+    ..., N v, v with N = x - ev I, k the block size.  One elimination per
+    size k, largest first, on at most dim columns, picks as tops the v in
+    ker N**k whose N**(k-1) v are independent of the longer chains' bottoms."""
+    columns, (b, den) = [], _integer_rows(x.rows)
+    for ev, blocks in data.entries:
+        scale, powers = _shifted_powers(b, den, ev)
+        powers = list(islice(powers, blocks[0]))
+        chains: list = []  # each bottom first
+        for k in sorted(set(blocks), reverse=True):
+            kernel = _integer_rows(_nullspace(powers[k - 1], x.dim))[0]
+            images = kernel if k == 1 else [
+                [sum(map(mul, row, v)) for row in powers[k - 2]] for v in kernel]
+            known = len(chains)
+            cols = [chain[0] for chain in chains] + images
+            for col in _eliminate(list(zip(*cols)), len(cols))[1][known:]:
+                top = kernel[col - known]
+                # N**j top = (L * N)**j top / L**j
+                chains.append([[Fraction(sum(map(mul, row, top)), scale**j)
+                                for row in powers[j - 1]] for j in range(k - 1, 0, -1)] + [top])
+        columns += [v for chain in chains for v in chain]
+    return MatQ(zip(*columns))
+
+
+def _similarity(a: MatQ, b: MatQ, data: SpectralData) -> MatQ:
+    """B_b @ B_a^-1 for a and b of spectral data data, exactly verified."""
+    p = _jordan_basis(b, data) @ _jordan_basis(a, data).inverse()
+    if p @ a != b @ p:
+        raise RuntimeError("similarity witness verification failed")
+    return p
 
 
 def conjugate(a: MatQ, b: MatQ) -> Optional[MatQ]:
     """Similarity witness P with P @ a @ P^-1 == b, or None.
 
     Present iff a and b have equal spectral data; a matrix outside the split
-    positive family raises NonRationalSpectrumError.  The witness is an
-    invertible element of the intertwiner space {P : Pa = bP}; when the
-    matrices are similar such elements are dense in that space, so a short
-    randomized search over integer combinations finds one.  The witness is
-    verified exactly before being returned.
+    positive family raises NonRationalSpectrumError.  The witness is
+    B_b @ B_a^-1 for Jordan bases of a and b in the same order: deterministic,
+    and verified exactly before being returned.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if spectral_data(a) != spectral_data(b):
+    data = spectral_data(a)
+    if data != spectral_data(b):
         return None
-    return _conjugate_assuming(a, b)
+    return _similarity(a, b, data)
 
 
 def power_conjugacy(
@@ -514,7 +514,8 @@ def power_conjugacy(
     structure is stable under powers; hence a1**(j*m) ~ a2**(j*n) already
     forces a1**m ~ a2**n.  For the same reason the spectrum of a power is the
     powered spectrum with unchanged blocks, so the decision runs on the base
-    spectra and only the witness touches the powered matrices.
+    spectra, and the witness builds the Jordan bases of the powered matrices
+    from the powered spectrum, with no spectral analysis of its own.
     """
     if not (is_contracting(a1) and is_contracting(a2)):
         raise ValueError("power_conjugacy expects contracting matrices")
@@ -530,5 +531,5 @@ def power_conjugacy(
     powered2 = tuple((ev**n2, blocks) for ev, blocks in s2.entries)
     if powered1 != powered2:
         return None
-    witness = _conjugate_assuming(mat_power(a1, n1), mat_power(a2, n2))
+    witness = _similarity(mat_power(a1, n1), mat_power(a2, n2), SpectralData(powered1))
     return (n1, n2, witness)

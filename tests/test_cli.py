@@ -326,25 +326,42 @@ def test_radical_check_bounds_p_before_primality(capsys):
 # ---------------------------------------------------------------------------
 
 
-def run_python(*args, timeout, env=()):
+def run_python(*args, timeout, env=(), stdout=subprocess.PIPE):
     """Run the interpreter on args as a child process, with the variables of
-    env added; a child that outlives `timeout` seconds is killed and the
-    calling test fails instead of stalling."""
+    env added and stdout (captured by default) as given; a child that
+    outlives `timeout` seconds is killed and the calling test fails instead
+    of stalling."""
     # the child imports focalclass from wherever this process found it
     src = str(Path(focalclass.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **dict(env)},
         timeout=timeout,
     )
 
 
-def run_child(*argv, timeout, env=()):
+def run_child(*argv, timeout, env=(), stdout=subprocess.PIPE):
     """Run the CLI as a child process, under the timeout of run_python."""
-    return run_python("-m", "focalclass.cli", *argv, timeout=timeout, env=env)
+    return run_python("-m", "focalclass.cli", *argv, timeout=timeout, env=env, stdout=stdout)
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    """A reader that closed its end of the pipe before the answer came does
+    not turn yes into no: the exit code stays 0 and stderr stays empty, with
+    stdout buffered or not."""
+    argv = ("commable", corpus_path("gak_pair_a"), corpus_path("gak_pair_b"), "--within-focal")
+    for unbuffered in ("", "1"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_child(*argv, timeout=20, env={"PYTHONUNBUFFERED": unbuffered}, stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, ""), unbuffered
 
 
 def test_focal_log_writes_certificates_to_stderr_only():

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from focalclass.exactnum import Undecided
 from focalclass.matexact import MatQ, mat_power
 from focalclass.focalmodel import (
     FT,
@@ -30,6 +31,7 @@ from focalclass.commengine import (
     SFreeGroup,
     SFTpow,
     SHull,
+    UndecidedComparisonError,
     UndecidedVerdict,
     WitnessChain,
     Yes,
@@ -122,6 +124,19 @@ def test_connected_and_mixed_undecided_comparisons():
     assert isinstance(commable_within_focal(GAk(m1, 1), GAk(m2, 1)), UndecidedVerdict)
     assert isinstance(commable_within_focal(GAk(m1, 2), GAk(m2, 2)), UndecidedVerdict)
     assert isinstance(quasi_isometric(GAk(m1, 2), GAk(m2, 2)), UndecidedVerdict)
+
+
+def test_chain_with_undecided_keys_raises():
+    """Two fibered products whose connected keys come from the pair above:
+    validate_chain can neither accept nor reject the edge between them."""
+    a = 10**80
+    key1 = conn_key(GAk(diag(F(1, a), F(1, a + 1)), 1))
+    key2 = conn_key(GAk(diag(F(1, a + 1), F(1, a + 2)), 1))
+    nodes = (SCompositeProduct(key1, F(1), 2, 1), SCompositeProduct(key2, F(1), 2, 1))
+    chain = WitnessChain(nodes=nodes, arrows=(Arrow(INTO, "identity"),))
+    with pytest.raises(UndecidedComparisonError) as caught:
+        validate_chain(chain)
+    assert caught.value.detail == Undecided(1.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from focalclass.exactnum import (
     _INTERVAL_PREC,
     _interval_compare,
     _is_prime as exactnum_is_prime,
-    _operand_bits,
     _prime_iter,
     _ratio_interval,
+    _working_precision,
 )
 
 
@@ -341,6 +341,14 @@ def test_interval_compare_refinement_separates():
     assert _interval_compare(x, y) is NOT_EQUAL
 
 
+def test_working_precision_reads_bases_not_exponents():
+    # the primitive bases are 5/7, 2, 2**100 + 1 and 3; the exponent 10**6 adds nothing
+    x, y = LogRatio.of_powers(F(5, 7), 10**6, F(2), 1), LogRatio(F(2**100 + 1), F(3))
+    assert _working_precision(x, y) == _INTERVAL_PREC + 101
+    assert _working_precision(x, x, prec=0) == 3
+    assert _working_precision(y, x, prec=512) == 613
+
+
 # The MPIntervalContext enclosures that _interval_compare built before it
 # called mpmath's interval primitives directly, kept as their oracle.
 def context_interval(x: LogRatio, ctx: MPIntervalContext):
@@ -352,7 +360,7 @@ def context_interval(x: LogRatio, ctx: MPIntervalContext):
 
 def context_compare(x: LogRatio, y: LogRatio, prec=None):
     ctx = MPIntervalContext()
-    ctx.prec = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
+    ctx.prec = _working_precision(x, y, prec)
     ix = context_interval(x, ctx)
     iy = context_interval(y, ctx)
     if ix.b < iy.a or iy.b < ix.a:
@@ -383,7 +391,7 @@ def ratio_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_interval_enclosures_match_interval_context(pair, prec):
     x, y = pair
-    bits = (prec if prec is not None else _INTERVAL_PREC) + _operand_bits(x, y)
+    bits = _working_precision(x, y, prec)
     ctx = MPIntervalContext()
     ctx.prec = bits
     for value in pair:

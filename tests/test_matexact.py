@@ -23,7 +23,7 @@ from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
     _integer_roots,
-    _intertwiner_space,
+    _jordan_basis,
     _nullspace,
     _rational_roots,
     charpoly,
@@ -304,9 +304,9 @@ def test_elimination_kernel_on_intertwiner_systems(blocks1, blocks2, seed, simil
     rows, nn = sylvester_rows(a, b), a.dim * a.dim
     basis = _nullspace(rows, nn)
     assert basis == parent_nullspace(rows, nn)
-    space = _intertwiner_space(a, b)
-    assert [sum(mat.rows, ()) for mat in space] == [tuple(vec) for vec in basis]
-    for mat in space:
+    n = a.dim
+    for vec in basis:
+        mat = MatQ([vec[i * n : (i + 1) * n] for i in range(n)])
         assert mat @ a == b @ mat
 
 
@@ -732,6 +732,82 @@ def test_conjugate_outside_family_raises():
     p = random_conjugator(Random(14), 2)
     with pytest.raises(NonRationalSpectrumError):
         conjugate(rot, p @ rot @ p.inverse())
+
+
+# block shapes of one eigenvalue, with repeated sizes among them
+BLOCK_SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1)]
+
+
+@st.composite
+def jordan_spectra(draw, max_dim=6):
+    """(eigenvalue, size) blocks of total size 1 to max_dim, in shuffled
+    order: up to three distinct eigenvalues in (0, 1), each with a block
+    shape from BLOCK_SHAPES."""
+    blocks, left = [], max_dim
+    for _ in range(draw(st.integers(1, 3))):
+        shapes = [shape for shape in BLOCK_SHAPES if sum(shape) <= left]
+        num = draw(st.integers(1, 10**6))
+        ev = F(num, num + draw(st.integers(1, 10**6)))
+        if not shapes or ev in (e for e, _ in blocks):
+            break
+        shape = draw(st.sampled_from(shapes))
+        blocks += [(ev, size) for size in shape]
+        left -= sum(shape)
+    return draw(st.permutations(blocks))
+
+
+def jordan_of(data) -> MatQ:
+    return jordan_matrix([(ev, size) for ev, sizes in data.entries for size in sizes])
+
+
+@given(jordan_spectra(), st.integers(0, 2**32))
+@example([(F(1, 2), 2), (F(1, 2), 2)], 0)
+@example([(F(1, 3), 1), (F(1, 3), 2), (F(1, 3), 1)], 1)
+@example([(F(2, 5), 1), (F(2, 5), 3)], 2)
+@example([(F(1, 2), 2), (F(1, 7), 1), (F(1, 2), 1), (F(1, 7), 2)], 3)
+@settings(max_examples=60, deadline=None)
+def test_similarity_witnesses_from_jordan_bases(blocks, seed):
+    rng = Random(seed)
+    jordan = jordan_matrix(blocks)
+    p, q = random_conjugator(rng, jordan.dim), random_conjugator(rng, jordan.dim)
+    a, b = p @ jordan @ p.inverse(), q @ jordan @ q.inverse()
+    data = spectral_data(a)
+    basis = _jordan_basis(a, data)
+    assert basis.inverse() @ a @ basis == jordan_of(data)
+    witness = conjugate(a, b)
+    assert witness.det() != 0 and witness @ a == b @ witness
+    assert conjugate(MatQ(a.rows), MatQ(b.rows)) == witness
+    # a**2 against a dense conjugate of jordan**2, at the minimal pair (2, 1) of (4, 16)
+    c = q @ mat_power(jordan, 2) @ q.inverse()
+    got = power_conjugacy(a, c, 4, 16)
+    n1, n2, witness = got
+    assert (n1, n2) == (2, 1)
+    assert witness.det() != 0 and witness @ mat_power(a, 2) == c @ witness
+    assert power_conjugacy(MatQ(a.rows), MatQ(c.rows), 4, 16) == got
+
+
+def test_witnesses_eliminate_at_most_dim_columns(monkeypatch):
+    """No elimination behind a witness is larger than the matrix: neither
+    its rows nor its pivot columns exceed the dimension."""
+    shapes = []
+    counted = matexact._eliminate
+
+    def recording_eliminate(rows, ncols, reduced=False):
+        shapes.append((len(rows), ncols))
+        return counted(rows, ncols, reduced)
+
+    monkeypatch.setattr(matexact, "_eliminate", recording_eliminate)
+    rng = Random(20)
+    cases = [[(F(1, 2), 2), (F(1, 2), 2)], [(F(1, 3), 3), (F(1, 3), 1), (F(1, 5), 1)],
+             [(F(2, 7), 2), (F(2, 7), 1), (F(2, 7), 1)], [(F(1, 4), 1), (F(1, 9), 1)]]
+    for blocks in cases:
+        jordan = jordan_matrix(blocks)
+        p, q = random_conjugator(rng, jordan.dim), random_conjugator(rng, jordan.dim)
+        a, b = p @ jordan @ p.inverse(), q @ jordan @ q.inverse()
+        shapes.clear()
+        assert conjugate(a, b) is not None
+        assert power_conjugacy(a, q @ mat_power(jordan, 2) @ q.inverse(), 4, 16) is not None
+        assert shapes and all(max(shape) <= jordan.dim for shape in shapes), (blocks, shapes)
 
 
 # ---------------------------------------------------------------------------
