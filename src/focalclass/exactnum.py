@@ -12,7 +12,8 @@ The central object is :class:`LogRatio`, the exact value log(a)/log(b)
 for rationals a, b > 1, kept as exponents over primitive bases.  Equality
 of two such values is decided only when a rigorous certificate exists;
 otherwise the comparison is reported as undecided instead of being
-guessed from floats.
+guessed from floats.  The last certificate, disjoint interval enclosures,
+is computed on Python ints with mpmath's directed-rounding rules.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
-
-from mpmath.libmp import from_int, mpf_lt, round_ceiling, round_floor, to_float
-from mpmath.libmp.libmpi import mpi_div, mpi_log, mpi_mul, mpi_sub
 
 __all__ = [
     "maxroot",
@@ -270,23 +268,103 @@ class Undecided:
 Comparison = Union[_Certainty, Undecided]
 
 _INTERVAL_PREC = 256  # dyadic refinement depth for the NotEqual certificate
+_GUARD = 64  # fixed-point bits of the log kernel beyond the working precision
 
 
-def _ratio_interval(x: LogRatio, prec: int) -> tuple:
-    """Enclosure (lower, upper) of x as raw mpmath floats, from mpmath's
-    interval primitives at prec bits."""
+def _round(man: int, exp: int, prec: int, up: bool = False) -> tuple[int, int]:
+    """The dyadic man·2^exp, man >= 0, rounded down (or up) to prec significant bits."""
+    shift = man.bit_length() - prec
+    if shift <= 0:
+        return man, exp
+    return (-(-man >> shift) if up else man >> shift), exp + shift
+
+
+def _diff(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The exact difference a - b of two dyadics (man, exp)."""
+    e = min(a[1], b[1])
+    return (a[0] << a[1] - e) - (b[0] << b[1] - e), e
+
+
+def _ln_fixed(r: int, w: int) -> tuple[int, int]:
+    """(L, E) with |L - 2^w·ln(r/2^w)| <= E, for 1/√2 <= r/2^w <= 2.
+
+    k truncated square roots leave y within 2^-k·ln 2 of 1 in log and less than
+    3 units of 2^-w low.  Then ln y = 2·atanh(z), z = (y-1)/(y+1) less than 3
+    units off, is summed as Σ z^(2i+1)/(2i+1), each of the N terms less than 2
+    units off and the tail below 2: E = 2^(k+1)·(2N + 7) (Brent and
+    Zimmermann, Modern Computer Arithmetic, §4.4).
+    """
+    # k >= 2 as w > 64; the cap keeps E below 2^34 up to w = 3·10^5 bits
+    k, one = min(math.isqrt(w) // 4, 16), 1 << w
+    if r == one:
+        return 0, 0
+    for _ in range(k):
+        r = math.isqrt(r << w)
+    z = ((r - one) << w) // (r + one)
+    z2, t, s, j = z * z >> w, abs(z), 0, 1
+    while t:
+        s, t, j = s + t // j, t * z2 >> w, j + 2
+    return (s if z >= 0 else -s) << (k + 1), (j + 6) << (k + 1)
+
+
+def _logs(prec: int):
+    """log(d, up): ln d rounded down (or up) to prec bits, for dyadic integers
+    d = (man, exp) with man <= 2^prec, each d computed once.  The two ends of
+    e·ln 2 + ln(d/2^e) ± E, d/2^e in [1/√2, √2), come from _ln_fixed at _GUARD
+    more bits; they are the correctly rounded ones unless ln d is within E of
+    a multiple of the unit, a chance below 2^-30 for prec up to 10^5, and
+    outward even then.
+    """
+    w, memo = prec + _GUARD, {(1, 0): ((0, 0), (0, 0))}
+    l2, e2 = _ln_fixed(2 << w, w)
+
+    def log(d: tuple[int, int], up: bool = False) -> tuple[int, int]:
+        if d not in memo:
+            man, exp = d
+            b = man.bit_length()
+            e = b + exp - (man * man < 1 << 2 * b - 1)
+            lr, er = _ln_fixed(man << w + exp - e, w)
+            memo[d] = [_round(e * l2 + lr + s * (e * e2 + er), -w, prec, s > 0) for s in (-1, 1)]
+        return memo[d][up]
+
+    return log
+
+
+def _ratio_interval(x: LogRatio, prec: int, log=None) -> Optional[tuple]:
+    """Enclosure (lower, upper) of x as dyadics (man, exp) by mpmath's libmpi
+    rules on positive operands at prec bits: outward rounding of each integer,
+    log, sub, mul and div, the last three computed exactly first.  None if the
+    enclosure of log p or log q is not positive, as at a precision of a few bits."""
+    log = log or _logs(prec)
 
     def enclose(k: int):
-        return (from_int(k, prec, round_floor), from_int(k, prec, round_ceiling))
+        return _round(k, 0, prec), _round(k, 0, prec, True)
 
-    def log(q: Fraction):
-        return mpi_sub(
-            mpi_log(enclose(q.numerator), prec), mpi_log(enclose(q.denominator), prec), prec
-        )
+    def ln(q: Fraction):
+        (nlo, nhi), (dlo, dhi) = enclose(q.numerator), enclose(q.denominator)
+        lo, hi = _diff(log(nlo), log(dhi, True)), _diff(log(nhi, True), log(dlo))
+        return lo[0] > 0 and (_round(*lo, prec), _round(*hi, prec, True))
 
-    return mpi_div(
-        mpi_mul(enclose(x.m), log(x.p), prec), mpi_mul(enclose(x.n), log(x.q), prec), prec
-    )
+    def mul(a, b, up=False):
+        return _round(a[0] * b[0], a[1] + b[1], prec, up)
+
+    def div(a, b, up=False):
+        s = max(0, prec + 1 + b[0].bit_length() - a[0].bit_length())
+        q = -(-(a[0] << s) // b[0]) if up else (a[0] << s) // b[0]
+        return _round(q, a[1] - b[1] - s, prec, up)
+
+    lp, lq = ln(x.p), ln(x.q)
+    if not (lp and lq):
+        return None
+    (mlo, mhi), (nlo, nhi) = enclose(x.m), enclose(x.n)
+    return (div(mul(mlo, lp[0]), mul(nhi, lq[1], True)),
+            div(mul(mhi, lp[1], True), mul(nlo, lq[0]), True))
+
+
+def _to_float(d: tuple[int, int]) -> float:
+    """The dyadic d truncated to a float, as mpmath's to_float does by default."""
+    man, exp = _round(*d, 53)
+    return math.ldexp(man, exp) if exp + man.bit_length() <= 1024 else math.inf
 
 
 def _working_precision(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> int:
@@ -301,14 +379,16 @@ def _working_precision(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> 
 def _interval_compare(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> Comparison:
     """NotEqual when rigorous enclosures are disjoint, else Undecided.
 
-    The enclosures come from mpmath's interval primitives at the working
-    precision _working_precision(x, y, prec), with no context object.
+    The enclosures are _ratio_interval's at _working_precision(x, y, prec),
+    on Python ints, with the logs of one call computed once; a missing one
+    counts as (-inf, inf).
     """
     bits = _working_precision(x, y, prec)
-    (xa, xb), (ya, yb) = _ratio_interval(x, bits), _ratio_interval(y, bits)
-    if mpf_lt(xb, ya) or mpf_lt(yb, xa):
+    log = _logs(bits)
+    ex, ey = _ratio_interval(x, bits, log), _ratio_interval(y, bits, log)
+    if ex and ey and (_diff(ey[0], ex[1])[0] > 0 or _diff(ex[0], ey[1])[0] > 0):
         return NOT_EQUAL
-    xa, xb, ya, yb = map(to_float, (xa, xb, ya, yb))
+    (xa, xb), (ya, yb) = (map(_to_float, e) if e else (-math.inf, math.inf) for e in (ex, ey))
     return Undecided((xa + xb) / 2, (ya + yb) / 2, max(xb - xa, yb - ya))
 
 

@@ -24,6 +24,7 @@ the family keeps nothing and raises again on each call.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
@@ -32,6 +33,8 @@ from operator import mul
 from typing import Optional
 
 from .exactnum import LogRatio, _is_prime, canonical_value, common_power, mult_decompose
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "MatQ",
@@ -405,11 +408,12 @@ def spectral_data(a: MatQ) -> SpectralData:
     n = a.dim
     diagonal = _triangular_diagonal(a)
     if diagonal is not None:
-        roots: dict = {}
+        path, roots = "triangular diagonal", {}
         for ev in diagonal:
             roots[ev] = roots.get(ev, 0) + 1
     else:
-        roots = _rational_roots(charpoly(a))
+        path, roots = "charpoly roots", _rational_roots(charpoly(a))
+    _log.debug("spectral data of a %d x %d matrix from its %s", n, n, path)
     if sum(roots.values()) < n:
         raise NonRationalSpectrumError("characteristic polynomial does not split over Q")
     if any(ev <= 0 for ev in roots):

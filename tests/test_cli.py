@@ -365,9 +365,9 @@ def test_closed_stdout_keeps_the_exit_code():
 
 
 def test_focal_log_writes_certificates_to_stderr_only():
-    """FOCAL_LOG=DEBUG names the certificate of each comparison on stderr;
-    stdout and the exit code stay byte-identical.  The pair's decision
-    compares connected keys, then varpi."""
+    """FOCAL_LOG=DEBUG names the spectral path of each matrix and the
+    certificate of each comparison on stderr; stdout and the exit code stay
+    byte-identical.  The pair's decision compares connected keys, then varpi."""
     argv = ("commable", corpus_path("gak_pair_a"), corpus_path("gak_pair_b"), "--within-focal")
     plain, debug = (run_child(*argv, timeout=20, env={"FOCAL_LOG": level})
                     for level in ("", "DEBUG"))
@@ -375,8 +375,46 @@ def test_focal_log_writes_certificates_to_stderr_only():
     assert (plain.returncode, plain.stdout) == (0, '{"verdict": "yes"}\n')
     assert plain.stderr == ""
     lines = debug.stderr.splitlines()
-    assert lines and all(line.startswith("DEBUG:focalclass.exactnum:compare ") for line in lines)
-    assert all(line.endswith(": EQUAL by canonical match") for line in lines)
+    spectral = [line for line in lines if line.startswith("DEBUG:focalclass.matexact:")]
+    assert spectral == ["DEBUG:focalclass.matexact:spectral data of a 2 x 2 matrix"
+                        " from its triangular diagonal"] * 2
+    compares = [line for line in lines if line not in spectral]
+    assert compares and all(line.startswith("DEBUG:focalclass.exactnum:compare ") for line in compares)
+    assert all(line.endswith(": EQUAL by canonical match") for line in compares)
+
+
+# runs the CLI in a child where importing mpmath fails
+WITHOUT_MPMATH = ("import runpy, sys; sys.modules['mpmath'] = None; "
+                  "runpy.run_module('focalclass.cli', run_name='__main__')")
+
+
+def test_cli_runs_without_mpmath(tmp_path):
+    """The CLI imports only the standard library: with mpmath unimportable,
+    interval enclosures still certify a connected-key obstruction, and the
+    README's 10^80 pair still ends undecided."""
+    def gak(name, *diagonal):
+        rows = [["0"] * len(diagonal) for _ in diagonal]
+        for i, entry in enumerate(diagonal):
+            rows[i][i] = entry
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "GAk", "A": rows, "k": 1}), encoding="utf-8")
+        return str(path)
+
+    pair = gak("a", "1/2", "1/3"), gak("b", "1/2", "1/5")
+    proc = run_python("-c", WITHOUT_MPMATH, "commable", *pair, "--within-focal",
+                      timeout=20, env={"FOCAL_LOG": "DEBUG"})
+    assert proc.returncode == EXIT_NO, proc.stderr
+    assert json.loads(proc.stdout)["obstruction"]["invariant"] == "connected-key"
+    assert proc.stderr.splitlines()[-1] == (
+        "DEBUG:focalclass.exactnum:compare log(3)/log(2) with log(5)/log(2): "
+        "NOT_EQUAL by disjoint enclosures at 259 bits")
+    a = 10**80
+    near = gak("u0", f"1/{a}", f"1/{a + 1}"), gak("u1", f"1/{a + 1}", f"1/{a + 2}")
+    proc = run_python("-c", WITHOUT_MPMATH, "commable", *near, "--within-focal", timeout=20)
+    assert proc.returncode == EXIT_UNDECIDED, proc.stderr
+    proc = run_python("-c", "import sys, focalclass.cli; "
+                      "print(sorted(m for m in sys.modules if m.startswith('mpmath')))", timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_console_entry_point_runs():

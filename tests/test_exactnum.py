@@ -10,6 +10,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import from_int, round_ceiling, round_floor, to_rational
+from mpmath.libmp.libmpi import mpi_div, mpi_log, mpi_mul, mpi_pos, mpi_sub
 
 from focalclass.exactnum import (
     EQUAL,
@@ -32,8 +34,11 @@ from focalclass.exactnum import (
     _INTERVAL_PREC,
     _interval_compare,
     _is_prime as exactnum_is_prime,
+    _ln_fixed,
+    _logs,
     _prime_iter,
     _ratio_interval,
+    _round,
     _working_precision,
 )
 
@@ -351,11 +356,12 @@ def test_working_precision_reads_bases_not_exponents():
 
 # The MPIntervalContext enclosures that _interval_compare built before it
 # called mpmath's interval primitives directly, kept as their oracle.
-def context_interval(x: LogRatio, ctx: MPIntervalContext):
-    def log(q: F):
-        return ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator))
+def context_log(q: F, ctx: MPIntervalContext):
+    return ctx.log(ctx.mpf(q.numerator)) - ctx.log(ctx.mpf(q.denominator))
 
-    return ctx.mpf(x.m) * log(x.p) / (ctx.mpf(x.n) * log(x.q))
+
+def context_interval(x: LogRatio, ctx: MPIntervalContext):
+    return ctx.mpf(x.m) * context_log(x.p, ctx) / (ctx.mpf(x.n) * context_log(x.q, ctx))
 
 
 def context_compare(x: LogRatio, y: LogRatio, prec=None):
@@ -369,6 +375,34 @@ def context_compare(x: LogRatio, y: LogRatio, prec=None):
     mid_x = (float(ix.a) + float(ix.b)) / 2
     mid_y = (float(iy.a) + float(iy.b)) / 2
     return Undecided(mid_x, mid_y, width)
+
+
+def libmpi_interval(x: LogRatio, prec: int, extra: int = 0):
+    """The same enclosure from mpmath's libmpi primitives, with each log taken
+    at prec + extra bits and then rounded outward to prec.  mpmath's mpf_log
+    works at prec + 20 bits and can miss the correctly rounded end by one
+    unit; 100 extra bits make that vanishingly rare."""
+    def enclose(k: int):
+        return from_int(k, prec, round_floor), from_int(k, prec, round_ceiling)
+
+    def log(q: F):
+        logs = (mpi_pos(mpi_log(enclose(k), prec + extra), prec) for k in (q.numerator, q.denominator))
+        return mpi_sub(*logs, prec)
+
+    return mpi_div(mpi_mul(enclose(x.m), log(x.p), prec), mpi_mul(enclose(x.n), log(x.q), prec), prec)
+
+
+def dyadic(d) -> F:
+    """A dyadic (man, exp) of the interval kernel as a Fraction."""
+    return F(d[0]) * F(2) ** d[1]
+
+
+def rational(interval) -> tuple:
+    return tuple(F(*to_rational(end)) for end in interval)
+
+
+def _mp_exact(value):
+    return F(*to_rational(value._mpf_))
 
 
 above_one = st.builds(lambda n, d: F(n + d, d), st.integers(1, 10**40), st.integers(1, 10**40))
@@ -394,11 +428,66 @@ def test_interval_enclosures_match_interval_context(pair, prec):
     bits = _working_precision(x, y, prec)
     ctx = MPIntervalContext()
     ctx.prec = bits
-    for value in pair:
-        assert _ratio_interval(value, bits) == context_interval(value, ctx)._mpi_
-    # repr, not ==: an enclosure of a log too close to 0 for prec is unbounded
-    # and its midpoint nan, which == never matches; repr shows floats exactly
-    assert repr(_interval_compare(x, y, prec)) == repr(context_compare(x, y, prec))
+    verdict = _interval_compare(x, y, prec)
+    if all(context_log(q, ctx).a > 0 for value in pair for q in (value.p, value.q)):
+        for value in pair:
+            ours = tuple(map(dyadic, _ratio_interval(value, bits)))
+            # mpmath's, unless one of mpmath's logs misses its correctly
+            # rounded end; ours are the correctly rounded ones
+            assert ours == rational(libmpi_interval(value, bits, 100))
+            assert ours == rational(context_interval(value, ctx)._mpi_) or (
+                libmpi_interval(value, bits) != libmpi_interval(value, bits, 100))
+        # repr, not ==: repr shows floats exactly
+        assert repr(verdict) == repr(context_compare(x, y, prec))
+    else:
+        # only a precision of a few bits leaves a log enclosure that is not positive
+        assert prec is not None
+        assert isinstance(verdict, Undecided) or verdict is NOT_EQUAL
+        if verdict is NOT_EQUAL:
+            with mpmath.workdps(1000):
+                assert _mp_value(x) != _mp_value(y)
+
+
+@given(st.integers(1, 2**4000), st.integers(2, 2000))
+@settings(max_examples=100, deadline=None)
+def test_log_enclosures_contain_mpmath_log(n, prec):
+    log = _logs(prec)
+    lower, upper = log(_round(n, 0, prec)), log(_round(n, 0, prec, True), True)
+    with mpmath.workprec(2 * prec + 64):
+        value = _mp_exact(mpmath.log(n))
+    assert dyadic(lower) <= value <= dyadic(upper)
+    # both ends have P significant bits, one more after a carry of the upward rounding
+    assert all(d[0].bit_length() <= prec + 1 for d in (lower, upper))
+
+
+@given(st.integers(65, 6000), st.floats(2**-0.5, 2.0))
+@settings(max_examples=100, deadline=None)
+def test_ln_fixed_keeps_its_error_bound(w, y):
+    # r/2^w is y, kept inside [1/√2, 2]
+    r = max(math.isqrt(1 << 2 * w - 1) + 1, min(int(F(y) * 2**w), 2 << w))
+    approx, bound = _ln_fixed(r, w)
+    with mpmath.workprec(w + 64):
+        exact = _mp_exact(mpmath.log(mpmath.mpf(r) / mpmath.mpf(2) ** w) * mpmath.mpf(2) ** w)
+    assert abs(approx - exact) <= bound < 2**40
+
+
+def test_log_enclosures_are_computed_once_per_comparison(monkeypatch):
+    calls = []
+    real = exactnum._ln_fixed
+    monkeypatch.setattr(exactnum, "_ln_fixed", lambda r, w: calls.append(w) or real(r, w))
+    # each of 9, 8, 7, 81 and 80 is needed rounded down and up, in both values
+    x, y = LogRatio(F(9, 8), F(7)), LogRatio(F(81, 80), F(7))
+    _interval_compare(x, y)
+    # ln 2 once, then each integer once, all at one fixed-point precision
+    assert len(calls) == 6 and len(set(calls)) == 1
+
+
+def test_undecided_estimates_past_the_float_range_are_inf():
+    # exponents of 400 digits put both enclosures near 10^400, as mpmath's
+    # to_float reports them
+    x, y = LogRatio.of_powers(F(2), 10**400, F(3), 1), LogRatio.of_powers(F(2), 10**400 + 1, F(3), 1)
+    assert repr(_interval_compare(x, y)) == repr(context_compare(x, y))
+    assert _interval_compare(x, y).estimate_x == math.inf
 
 
 def test_readme_undecided_pair_keeps_its_fields():

@@ -1,6 +1,7 @@
 """Unit tests for the exact rational linear algebra kernels."""
 
 import json
+import logging
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -601,6 +602,28 @@ def test_stored_spectral_data_is_transparent(blocks, seed):
     fresh = MatQ(a.rows)
     assert spectral_data(fresh) == data
     assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+
+
+def _spectral_log(caplog, a: MatQ) -> list:
+    caplog.set_level(logging.DEBUG, logger="focalclass.matexact")
+    caplog.clear()
+    spectral_data(a)
+    spectral_data(a)  # stored: the second call logs nothing
+    return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def test_spectral_data_logs_the_triangular_path(caplog):
+    a = MatQ([[F(1, 2), 7, 0], [0, F(1, 3), 5], [0, 0, F(1, 2)]])
+    assert _spectral_log(caplog, a) == [
+        ("focalclass.matexact", logging.DEBUG,
+         "spectral data of a 3 x 3 matrix from its triangular diagonal")]
+
+
+def test_spectral_data_logs_the_charpoly_path(caplog):
+    name, a, _ = next(iter(dense_split_conjugates()))
+    assert _spectral_log(caplog, MatQ(a.rows)) == [
+        ("focalclass.matexact", logging.DEBUG,
+         f"spectral data of a {a.dim} x {a.dim} matrix from its charpoly roots")], name
 
 
 def test_spectral_errors_are_not_stored():

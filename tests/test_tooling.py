@@ -1,6 +1,7 @@
 """Static checks on the package source, with the stdlib ``ast`` module only."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "focalclass"
@@ -49,6 +50,22 @@ def _memoiser_uses(source: str) -> list:
     return found
 
 
+def _non_stdlib_imports(source: str) -> list:
+    """(line, module) for each absolute import, at any depth, of a module
+    outside the standard library; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
 def test_unused_import_detector():
     source = ("import os\nimport sys as system\nfrom math import gcd, lcm\n"
               "__all__ = ['lcm']\nprint(system.argv, gcd)\n")
@@ -75,3 +92,17 @@ def test_no_functools_memoisers():
     assert modules
     found = {p.name: _memoiser_uses(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_non_stdlib_import_detector():
+    source = ("from __future__ import annotations\nimport os, mpmath.libmp\n"
+              "from fractions import Fraction\nfrom .exactnum import LogRatio\n"
+              "def f():\n    from mpmath.libmp import mpf_log\n    import numpy as np\n")
+    assert _non_stdlib_imports(source) == [(2, "mpmath.libmp"), (6, "mpmath.libmp"), (7, "numpy")]
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: _non_stdlib_imports(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: imports for name, imports in found.items() if imports} == {}
