@@ -9,8 +9,9 @@ is never collapsed into yes or no.
 
 Witness chains are symbolic: an edge asserts the existence of a copci
 homomorphism by citing a constructive law, and :func:`validate_chain` checks
-the conservation laws rather than materializing homomorphisms.  Decisions
-and validation compare canonical forms with one ladder (:func:`_ladder`).
+the conservation laws rather than materializing homomorphisms.  Decisions,
+validation and the pattern catalog compare canonical forms, each built once
+and kept on its descriptor, with one ladder (:func:`_ladder`).
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ from .focalmodel import (
     HullNotImplementedError,
     HullSpec,
     canonical_form,
-    classify_type,
     conn_key_equal,
     focal_universal_hull,
-    invariant_q,
     invariant_s,
     render_value,
     root_level,
@@ -250,11 +249,10 @@ def _ladder(f1: CanonicalForm, f2: CanonicalForm) -> Optional[tuple[str, Compari
 def _node_form(node: SymbolicGroup) -> Optional[CanonicalForm]:
     """Canonical form of a focal chain node; None for free groups and full
     tree groups, which are not focal."""
-    td = GroupType.TOTALLY_DISCONNECTED
     if isinstance(node, SDesc):
         return canonical_form(node.desc)
     if isinstance(node, SFTpow):
-        return CanonicalForm(td, maxroot(node.q)[0], (), INFINITE)
+        return CanonicalForm(GroupType.TOTALLY_DISCONNECTED, maxroot(node.q)[0], (), INFINITE)
     if isinstance(node, SCompositeProduct):
         return CanonicalForm(GroupType.MIXED, maxroot(node.m)[0], node.key, node.varpi)
     if isinstance(node, SHull):
@@ -296,10 +294,6 @@ def validate_chain(chain: WitnessChain) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _empty_chain(g: FocalDescriptor) -> WitnessChain:
-    return WitnessChain(nodes=(SDesc(g),), arrows=())
-
-
 def _valley(g1, x1, top, x2, g2, outer: str, inner: str) -> WitnessChain:
     """The chain G1 ↗ x1 ↖ top ↗ x2 ↖ G2: the outer arrows cite ``outer``,
     the two arrows at ``top``, a common subgroup of x1 and x2, cite ``inner``."""
@@ -335,7 +329,7 @@ def commable_within_focal(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
     the other's positive one-parameter group up to conjugacy.
     """
     if g1 == g2:
-        return Yes(_empty_chain(g1))
+        return Yes(WitnessChain(nodes=(SDesc(g1),), arrows=()))
     f1, f2 = canonical_form(g1), canonical_form(g2)
     step = _ladder(f1, f2)
     if step is None:
@@ -369,7 +363,7 @@ def commable(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
     """
     within = commable_within_focal(g1, g2)
     if not (isinstance(within, No) and within.invariant == "q"
-            and classify_type(g1) is GroupType.TOTALLY_DISCONNECTED):
+            and canonical_form(g1).group_type is GroupType.TOTALLY_DISCONNECTED):
         return within
     # rank - 1 = lcm(m1 - 1, m2 - 1) makes a cocompact free lattice of that
     # rank available in both tree automorphism groups
@@ -414,18 +408,16 @@ def pattern_catalog(g1: FocalDescriptor, g2: FocalDescriptor) -> list[PatternEnt
     the identity.  Boundary-stabilizer pairs carry the richest catalog,
     including the single-valley shape whose status is an open question.
     """
-    t1, t2 = classify_type(g1), classify_type(g2)
-    if not (
-        (t1 is GroupType.TOTALLY_DISCONNECTED and t2 is GroupType.TOTALLY_DISCONNECTED)
-        or (t1 is GroupType.MIXED and t2 is GroupType.MIXED)
-    ):
+    f1, f2 = canonical_form(g1), canonical_form(g2)
+    if f1.group_type is not f2.group_type or f1.group_type is GroupType.CONNECTED:
         raise ValueError("pattern catalog covers totally disconnected or mixed pairs")
     if g1 == g2:
         return [PatternEntry("", "exists", "identity")]
-    if t1 is GroupType.TOTALLY_DISCONNECTED:
-        same_root = invariant_q(g1) == invariant_q(g2)
+    # one ladder step: q alone on a totally disconnected pair, the whole form on a mixed one
+    agree = _ladder(f1, f2) is None
+    if f1.group_type is GroupType.TOTALLY_DISCONNECTED:
         if isinstance(g1, FT) and isinstance(g2, FT):
-            if same_root:
+            if agree:
                 return [
                     PatternEntry("↗↖", "impossible", "no-common-overgroup"),
                     PatternEntry("↖↗", "exists", "padic-cocompact-lattice"),
@@ -436,14 +428,13 @@ def pattern_catalog(g1: FocalDescriptor, g2: FocalDescriptor) -> list[PatternEnt
                 PatternEntry("↗↖", "impossible", "no-common-overgroup"),
                 PatternEntry("↖↗↖", "impossible", "no-two-step-valley"),
             ]
-        if same_root:
+        if agree:
             return [
                 PatternEntry("↗↖↗↖", "exists", "ft-ladder"),
                 PatternEntry("↖↗↖↗", "exists", "index-ladder"),
             ]
         return []
-    verdict = commable_within_focal(g1, g2)
-    if isinstance(verdict, Yes):
+    if agree:
         return [
             PatternEntry("↗↖↗↖", "exists", "fibered-ladder"),
             PatternEntry("↖↗↖↗", "exists", "fibered-ladder"),

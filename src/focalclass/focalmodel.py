@@ -21,7 +21,7 @@ values in canonical form, never as floats.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -115,7 +115,15 @@ def _check_connspec(a: MatQ, what: str):
 
 
 @dataclass(frozen=True)
-class FT:
+class _Descriptor:
+    """Base of the descriptors: _form keeps the canonical form once built.
+    ==, hash and repr ignore it, and dataclasses.replace does not copy it."""
+
+    _form: Optional[CanonicalForm] = field(default=None, init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class FT(_Descriptor):
     """Boundary-point stabilizer in Aut of the (m+1)-regular tree."""
 
     m: int
@@ -126,7 +134,7 @@ class FT:
 
 
 @dataclass(frozen=True)
-class GAk:
+class GAk(_Descriptor):
     """(R^(d-1) x U_k) extended by Z acting by (A, tree shift); index n picks
     the open subgroup where Z is replaced by nZ."""
 
@@ -146,7 +154,7 @@ class GAk:
 
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(_Descriptor):
     """Fibered product of the connected group of ``conn`` with the tree
     stabilizer of parameter q, matched through the exponent ``varpi``."""
 
@@ -167,7 +175,7 @@ class Composite:
 
 
 @dataclass(frozen=True)
-class Millefeuille:
+class Millefeuille(_Descriptor):
     """Horocyclic product of the t-rescaled space of ``conn`` with a
     (k+1)-regular tree."""
 
@@ -341,13 +349,18 @@ def conn_key(g: FocalDescriptor) -> ConnKey:
     canonical ratio log(1/ev)/log(1/ev_max) together with its Jordan block
     multiset.  Rescaling the action by a positive power leaves the key fixed,
     so two connected data share a key iff one lies on the other's positive
-    one-parameter group up to conjugacy.
+    one-parameter group up to conjugacy; it is read off g's canonical form.
     """
-    return _key(_reading(g).conn)
+    return canonical_form(g).key
 
 
 def _key(a: Optional[MatQ]) -> ConnKey:
-    return () if a is None else spectral_data(a).ratio_key()
+    if a is None:
+        return ()
+    data = spectral_data(a)
+    powers = data.expansion_powers()  # ascending eigenvalues: the largest is last
+    return tuple((canonical_value(LogRatio.of_powers(*power, *powers[-1])), blocks)
+                 for power, (_, blocks) in zip(powers, data.entries))[::-1]
 
 
 def conn_key_equal(k1: ConnKey, k2: ConnKey) -> Comparison:
@@ -376,11 +389,13 @@ class CanonicalForm:
 
 
 def canonical_form(g: FocalDescriptor) -> CanonicalForm:
-    return _form(_reading(g))
-
-
-def _form(f: _Reading) -> CanonicalForm:
-    return CanonicalForm(_type(f), _root_level(f)[0], _key(f.conn), _varpi(f))
+    """The form of g, built from one reading on the first call and kept on
+    g's _form slot, so every later decision on g reads it there."""
+    if g._form is None:
+        f = _reading(g)
+        form = CanonicalForm(_type(f), _root_level(f)[0], _key(f.conn), _varpi(f))
+        object.__setattr__(g, "_form", form)
+    return g._form
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ one Jordan basis onto the other, built without search, and is verified by
 exact multiplication before it is returned.
 
 A matrix's spectral data is computed at most once and kept on the matrix
-itself, and the logs the invariants derive from it (expansion powers, the
-volume expansion delta, the connected key) once each on the spectral data,
-so every caller that asks again reads the stored value.  A matrix outside
-the family keeps nothing and raises again on each call.
+itself, and the logs the invariants derive from it (expansion powers and
+the volume expansion delta) once each on the spectral data, so every caller
+that asks again reads the stored value.  The connected key is built from
+the expansion powers by focalmodel and kept there, in the descriptor's
+canonical form.  A matrix outside the family keeps nothing and raises again
+on each call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional
 
-from .exactnum import LogRatio, _is_prime, canonical_value, common_power, mult_decompose
+from .exactnum import _is_prime, common_power, mult_decompose
 
 _log = logging.getLogger(__name__)
 
@@ -222,14 +224,15 @@ class SpectralData:
 
     entries[i] = (eigenvalue, blocks) with blocks a descending tuple of block
     sizes; the block sizes over all eigenvalues sum to the dimension.  The
-    _expansions, _delta and _key slots hold expansion_powers(), delta_power()
-    and ratio_key() once computed; equality, hashing and repr ignore them.
+    _expansions and _delta slots hold expansion_powers() and delta_power()
+    once computed; equality, hashing and repr ignore them.  The connected
+    key, read off expansion_powers(), is kept on the descriptor's canonical
+    form, not here.
     """
 
     entries: tuple
     _expansions: Optional[tuple] = field(default=None, compare=False, repr=False)
     _delta: Optional[tuple] = field(default=None, compare=False, repr=False)
-    _key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def expansion_powers(self) -> tuple:
         """Each expansion factor 1/ev, for eigenvalues in (0, 1), written as
@@ -246,16 +249,6 @@ class SpectralData:
             delta = prod((1 / ev) ** sum(blocks) for ev, blocks in self.entries)
             object.__setattr__(self, "_delta", mult_decompose(delta))
         return self._delta
-
-    def ratio_key(self) -> tuple:
-        """(log(1/ev)/log(1/ev_max) as a canonical value, blocks) for each
-        eigenvalue, largest first: the connected key; computed once."""
-        if self._key is None:
-            powers = self.expansion_powers()
-            key = tuple((canonical_value(LogRatio.of_powers(*power, *powers[-1])), blocks)
-                        for power, (_, blocks) in zip(powers, self.entries))
-            object.__setattr__(self, "_key", key[::-1])
-        return self._key
 
     @property
     def eigenvalues(self) -> tuple:

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -508,3 +512,46 @@ def test_human_output_is_not_json(capsys):
     assert code == EXIT_YES
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# the standing sweep over the corpus
+# ---------------------------------------------------------------------------
+
+_SWEEP_ONE = (("invariants",), ("boundary",), ("hull",))
+_SWEEP_PAIR = (("commable",), ("commable", "--within-focal", "--witness"), ("qi", "--witness"),
+               ("pattern",))
+_SWEEP_DIGESTS = {  # re-pinned only for a deliberate change of wire output
+    "invariants": "065749de322e940d6588acf2be6f532abe91b6f58e65ae6f10f1cd4e053fb521",
+    "boundary": "a2159c5c0ff5805e58907a2f5ea357bab99ef66a3b9a0e95c84b589f2e5d250a",
+    "hull": "dd2836c633faedc1ce28b5c5c0242e78316bf16cff465e8ac23b4e6a576cda89",
+    "commable": "f61bf63263dc063322d618b99d13ff09f654802cb922420214b9361a442f69ea",
+    "commable --within-focal --witness":
+        "17b59a50bb0929902e1526958f369840eb4e741881520b39b38958bb7e2e164c",
+    "qi --witness": "827f2fb81c97e1fff8291082afb141e9742ee3f91107306a32f0395e67c4fbbf",
+    "pattern": "959842c1254fb1864252d3b187f10d858088c552c18e8673fa4b31a0459193dc",
+}
+
+
+def test_corpus_sweep_is_pinned(monkeypatch):
+    """Each one-file subcommand on each corpus file and each pair subcommand
+    on each ordered pair of files, 1660 in-process calls: the histogram of
+    exit codes and one sha256 per subcommand over the file names, exit code,
+    stdout and stderr of its calls (paths reduced to basenames) are pinned,
+    so any change to wire output or exit codes shows here."""
+    monkeypatch.delenv("FOCAL_LOG", raising=False)
+    files = sorted(CORPUS.glob("*.json"))
+    assert len(files) == 20
+    runs = [(cmd, (f,)) for cmd in _SWEEP_ONE for f in files]
+    runs += [(cmd, (a, b)) for cmd in _SWEEP_PAIR for a in files for b in files]
+    codes, digests = Counter(), {}
+    for cmd, paths in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([cmd[0], *map(str, paths), *cmd[1:]])
+        codes[code] += 1
+        record = "\t".join([*(p.name for p in paths), str(code), out.getvalue(), err.getvalue()])
+        record = record.replace(f"{CORPUS}{os.sep}", "")
+        digests.setdefault(" ".join(cmd), hashlib.sha256()).update(record.encode() + b"\n")
+    assert dict(codes) == {0: 368, 1: 1032, 2: 260}
+    assert {cmd: h.hexdigest() for cmd, h in digests.items()} == _SWEEP_DIGESTS

@@ -8,6 +8,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalclass.exactnum import Undecided
 from focalclass.matexact import MatQ, mat_power
@@ -15,6 +17,7 @@ from focalclass.focalmodel import (
     FT,
     Composite,
     GAk,
+    GroupType,
     Millefeuille,
     classify_type,
     conn_key,
@@ -45,6 +48,7 @@ from focalclass.commengine import (
 
 from helpers import (
     descriptor_pool,
+    jordan_matrix,
     random_conjugator,
     random_diagonalizable,
     recheck_obstruction,
@@ -588,6 +592,97 @@ def test_mixed_decision_matches_power_conjugacy_on_random_pairs():
         assert (verdict.kind == "yes") == (raw is not None)
         yes_count += raw is not None
     assert yes_count >= 20
+
+
+# ---------------------------------------------------------------------------
+# decision-level properties: verdicts known by construction, and relations
+# between the decisions that hold on every pair
+# ---------------------------------------------------------------------------
+
+_EIGENVALUES = [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 5)]
+_TREES = [2, 3, 4, 5, 6, 8, 9]  # roots 2, 3, 5 and 6
+
+
+@st.composite
+def constructed_pairs(draw):
+    """Pairs whose within-focal verdict is known by construction, as
+    (g1, g2, expected kind, expected obstruction or None).
+
+    A is a Jordan matrix of dimension at most 3 and P a random unimodular
+    conjugator.  GAk(A, 1) against GAk(P A**m P^-1, 1), and GAk(A, k)
+    against GAk(P A**m P^-1, k**m), are yes; changing q or varpi, or the
+    key (the smallest eigenvalue squared, when A has two), gives a no on
+    that invariant."""
+    blocks = draw(st.lists(st.tuples(st.sampled_from(_EIGENVALUES), st.integers(1, 2)),
+                           min_size=1, max_size=2).filter(lambda b: sum(n for _, n in b) <= 3))
+    m, k = draw(st.integers(1, 3)), draw(st.sampled_from(_TREES))
+    other_root = draw(st.sampled_from([t for t in _TREES if t % k and k % t]))
+    varpi = F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    a = jordan_matrix(blocks)
+    p = random_conjugator(Random(draw(st.integers(0, 2**32))), a.dim)
+
+    def conj(x, n=m):
+        return p @ mat_power(x, n) @ p.inverse()
+
+    b = conj(a)
+    pairs = [
+        (GAk(a, 1), GAk(b, 1), "yes", None),
+        (GAk(a, k), GAk(b, k**m), "yes", None),
+        (Composite(a, varpi, k), Composite(conj(a, 2), varpi, k**2), "yes", None),
+        (GAk(a, k), GAk(b, other_root**m), "no", "q"),
+        (GAk(a, k), GAk(b, k ** (m + 1)), "no", "varpi"),
+        (Composite(a, varpi, k), Composite(b, varpi + 1, k), "no", "varpi"),
+    ]
+    smallest = min(ev for ev, _ in blocks)
+    if any(ev != smallest for ev, _ in blocks):
+        other = conj(jordan_matrix([(ev**2 if ev == smallest else ev, n) for ev, n in blocks]))
+        pairs += [(GAk(a, 1), GAk(other, 1), "no", "connected-key"),
+                  (GAk(a, k), GAk(other, k**m), "no", "connected-key")]
+    return pairs
+
+
+@given(constructed_pairs())
+@settings(max_examples=80, deadline=None)
+def test_decisions_on_constructed_pairs(pairs):
+    """Each pair gets its constructed verdict; yes within focal groups is
+    yes for commable, and qi agrees with commable; every decision answers
+    the swapped pair alike, with the obstruction's values swapped; every
+    yes chain validates; and on a mixed pair the catalog lists the fibered
+    ladder iff the within-focal decision says yes."""
+    decisions = (commable_within_focal, commable, quasi_isometric)
+    for g1, g2, kind, invariant in pairs:
+        there = [decide(g1, g2) for decide in decisions]
+        back = [decide(g2, g1) for decide in decisions]
+        within, plain, qi = there
+        assert (within.kind, getattr(within, "invariant", None)) == (kind, invariant)
+        assert plain.kind == "yes" or kind == "no"
+        assert qi.kind == plain.kind
+        for v, w in zip(there, back):
+            assert w.kind == v.kind
+            if isinstance(v, No):
+                assert w.invariant == v.invariant
+                assert tuple(w.values) == tuple(v.values)[::-1]
+        for v in there + back:
+            if isinstance(v, Yes):
+                assert validate_chain(v.chain) == (True, "ok")
+        if classify_type(g1) is GroupType.MIXED and g1 != g2:
+            citations = {e.citation for e in pattern_catalog(g1, g2)}
+            assert ("fibered-ladder" in citations) == (kind == "yes")
+
+
+def test_td_catalog_depends_on_ft_and_q_only():
+    """On totally disconnected pairs the catalog is a function of whether
+    both sides are FT and whether their q agree, four distinct catalogs."""
+    pool = [FT(m) for m in range(2, 10)] + [
+        GAk(MatQ([]), k, index) for k in (2, 3, 4, 8, 9) for index in (1, 2)]
+    catalogs: dict = {}
+    for g1, g2 in product(pool, repeat=2):
+        if g1 == g2:
+            continue
+        key = (isinstance(g1, FT) and isinstance(g2, FT), invariant_q(g1) == invariant_q(g2))
+        catalogs.setdefault(key, set()).add(tuple(pattern_catalog(g1, g2)))
+    assert len(catalogs) == 4 and all(len(c) == 1 for c in catalogs.values())
+    assert len({c for cs in catalogs.values() for c in cs}) == 4
 
 
 # ---------------------------------------------------------------------------

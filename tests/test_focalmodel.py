@@ -22,7 +22,15 @@ from focalclass.exactnum import (
     maxroot,
 )
 from focalclass import exactnum, focalmodel, matexact
-from focalclass.commengine import commable, commable_within_focal, quasi_isometric, validate_chain
+from focalclass.commengine import (
+    SDesc,
+    Yes,
+    commable,
+    commable_within_focal,
+    pattern_catalog,
+    quasi_isometric,
+    validate_chain,
+)
 from focalclass.matexact import MatQ, SpectralData, mat_power, spectral_data
 from focalclass.focalmodel import (
     CanonicalForm,
@@ -247,6 +255,66 @@ def test_compute_invariants_builds_no_connected_key(monkeypatch):
         for got, want in ((inv.varpi, invariant_varpi(g)), (inv.p0, invariant_p0(g))):
             assert got == want and render_value(got) == render_value(want)
         assert inv.boundary == boundary(g)
+
+
+def test_stored_form_is_invisible_and_not_carried_by_replace():
+    """The canonical form kept on a descriptor leaves ==, hash and repr as
+    they were, and dataclasses.replace gives a descriptor that builds the
+    form of its own data, never inheriting the one stored on the original."""
+    cases = [
+        (FT(4), {"m": 9}),
+        (GAk(HALF_QUARTER, 8), {"matrix": diag("1/2", "1/8")}),
+        (GAk(HALF_QUARTER, 8), {"k": 3}),
+        (Composite(diag("1/2"), F(3, 2), 2), {"conn": diag("1/3", "1/9")}),
+        (Millefeuille(diag("1/2"), F(2), 4), {"t": F(1, 3)}),
+    ]
+    for g, changes in cases:
+        form = canonical_form(g)
+        assert canonical_form(g) is form and g._form is form
+        twin = dataclasses.replace(g)
+        assert twin._form is None
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g._form = None
+        h = dataclasses.replace(g, **changes)
+        assert h._form is None
+        oracle = CanonicalForm(parent_classify_type(h), parent_root_level(h)[0],
+                               parent_key(parent_conn_matrix(h)), parent_invariant_varpi(h))
+        assert canonical_form(h) == oracle != form
+
+
+def test_one_connected_key_per_descriptor_across_decisions(monkeypatch):
+    """compute_invariants, the three decisions, validate_chain on each yes
+    and pattern_catalog share one canonical form per descriptor: every
+    descriptor, inputs and the chains' own nodes alike, reaches _key once,
+    however many pairs it is in."""
+    calls = Counter()
+    key = focalmodel._key
+
+    def counting_key(a):
+        calls[id(a)] += 1
+        return key(a)
+
+    monkeypatch.setattr(focalmodel, "_key", counting_key)
+    l = unit_lower(3, [1, -1, 2])
+    dense = l @ jordan_matrix([(F(1, 2), 2), (F(1, 3), 1)]) @ l.inverse()
+    mixed = [GAk(dense, 6), GAk(mat_power(dense, 2), 36), GAk(jordan_matrix([(F(1, 4), 3)]), 2)]
+    connected = [GAk(MatQ(dense.rows), 1), GAk(l @ mat_power(dense, 3) @ l.inverse(), 1)]
+    td = [FT(2), FT(4), GAk(MatQ([]), 3, index=2)]
+    pairs = [(g1, g2) for group in (mixed, connected, td) for g1 in group for g2 in group]
+    seen = [g for group in (mixed, connected, td) for g in group]
+    for g1, g2 in pairs:
+        compute_invariants(g1)
+        compute_invariants(g2)
+        for v in (commable_within_focal(g1, g2), commable(g1, g2), quasi_isometric(g1, g2)):
+            if isinstance(v, Yes):
+                assert validate_chain(v.chain) == (True, "ok")
+                seen += [n.desc for n in v.chain.nodes if isinstance(n, SDesc)]
+        if classify_type(g1) is not GroupType.CONNECTED:
+            pattern_catalog(g1, g2)
+    assert sum(calls.values()) == len({id(g) for g in seen})
+    for g in mixed + connected:
+        assert calls[id(conn_matrix(g))] == 1
 
 
 def test_conn_key_is_scale_invariant():
@@ -643,6 +711,6 @@ def test_stored_spectral_logs_match_parent(g):
         a = conn_matrix(h)
         if a is not None:
             data = spectral_data(a)
-            assert None not in (data._expansions, data._delta, data._key)
+            assert None not in (data._expansions, data._delta)
             bare = SpectralData(data.entries)
             assert data == bare and hash(data) == hash(bare) and repr(data) == repr(bare)
