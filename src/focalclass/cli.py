@@ -52,14 +52,6 @@ from .commengine import (
     pattern_catalog,
     quasi_isometric,
 )
-from .radicalcheck import (
-    Gamma,
-    check_center_gamma2,
-    check_twist_identity,
-    conjugacy_orbit_size,
-    designated_units,
-    unit_infinite_order,
-)
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -319,18 +311,18 @@ def cmd_radical_check(args) -> tuple[dict, int]:
         raise DescriptorError("--p out of range")
     if not _is_prime(args.p):
         raise DescriptorError(f"--p must be prime, got {args.p}")
-    if args.samples < 1 or args.samples > 10**4:
+    # the centre is checked on Laurent polynomials of degree <= 4, of which there are p^9
+    if args.samples < 1 or args.samples > min(10**4, args.p**9):
         raise DescriptorError("--samples out of range")
     if args.conj_bound < 1 or args.conj_bound > 10**3:
         raise DescriptorError("--conj-bound out of range")
-    center = check_center_gamma2(args.p, args.samples, degree=4)
-    units_ok = all(unit_infinite_order(u) for u in designated_units(args.p).values())
-    gamma1 = Gamma(1, args.p)
-    min_orbit = min(
-        conjugacy_orbit_size(1, gen, args.conj_bound)
-        for gen in gamma1.coordinate_generators()
-    )
-    twist = check_twist_identity(args.p)
+    from . import radicalcheck as rad  # only this command does F_p(t) arithmetic
+
+    center = rad.check_center_gamma2(args.p, args.samples, degree=4)
+    units_ok = all(rad.unit_infinite_order(u) for u in rad.designated_units(args.p).values())
+    min_orbit = min(rad.conjugacy_orbit_size(1, gen, args.conj_bound)
+                    for gen in rad.Gamma(1, args.p).coordinate_generators())
+    twist = rad.check_twist_identity(args.p)
     ok = center and units_ok and twist and min_orbit >= args.conj_bound
     obj = {
         "p": args.p,

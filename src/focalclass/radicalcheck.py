@@ -5,7 +5,8 @@ units s = t^2 + t^-2, u1 = 1 + t, u2 = 1 + 1/t, a pair of Heisenberg groups
 over the Laurent ring embedded into H3(F_p(t)), the level-1 and level-2
 scaling actions, and the compact-twist identity that makes the two ambient
 groups isomorphic.  The interesting claims reduce to: an exact central
-family in the level-2 group, unbounded conjugacy growth in the level-1
+family in the level-2 group (checked on enumerated Laurent polynomials,
+monomials first, which span it), unbounded conjugacy growth in the level-1
 group (counted from the stabiliser: non-torsion unit multipliers fix no
 nonzero power), and a componentwise identity of scaling automorphisms.
 """
@@ -13,8 +14,8 @@ nonzero power), and a componentwise identity of scaling automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import lcm
-from random import Random
 
 from .exactnum import _is_prime
 
@@ -403,30 +404,35 @@ class Gamma:
         return all(c.is_laurent() for c in coords)
 
 
+def _laurent_polys(p: int, degree: int):
+    """Each Laurent polynomial sum c_k t^k over F_p with |k| <= degree once:
+    t^-degree, ..., t^degree first, then the others in base-p order of
+    their coefficient vectors (c_-degree, ..., c_degree), whose last digit
+    runs fastest, so polynomials in t alone come early and stay cheap."""
+    width, den = 2 * degree + 1, (0,) * degree + (1,)
+    monomials = [p**k for k in reversed(range(width))]
+    for n in chain(monomials, (n for n in range(p**width) if n not in monomials)):
+        yield FpRat._reduced(p, [n // p**k % p for k in reversed(range(width))], den)
+
+
 def check_center_gamma2(p: int, samples: int, degree: int) -> bool:
     """The family (1, (0,0,z)) with Laurent z is exactly central at level 2.
 
-    Checks, for `samples` distinct Laurent values z of degree <= `degree`,
-    that the level-2 action fixes (0,0,z) and that the element commutes with
-    the cyclic generator and all six coordinate generators.
+    Checks, for the first `samples` Laurent polynomials z of degree <=
+    `degree` in the order of _laurent_polys, that the level-2 action fixes
+    (0,0,z) and that the element commutes with the cyclic generator and all
+    six coordinate generators.  Each condition is F_p-linear in z: beta
+    fixes (0,0,z) iff (w - 1) z = 0 for its w = uv, and the two products of
+    a commutator check differ by (0, 0, (1 - w^n) z).  So the 2*degree + 1
+    monomials, which come first, settle every z of that degree.  Raises
+    ValueError only if samples exceeds the p^(2*degree + 1) polynomials.
     """
+    if samples > p ** (2 * degree + 1):
+        raise ValueError(f"only {p}^{2 * degree + 1} Laurent polynomials have degree <= {degree}")
     gamma = Gamma(2, p)
     zero = FpRat.const(p, 0)
-    rng = Random(97)
-    zs = {zero, FpRat.monomial(p, 1)}
-    attempts = 0
-    while len(zs) < samples:
-        attempts += 1
-        if attempts > 100 * samples:
-            raise ValueError("degree bound too small for the requested sample count")
-        coeffs = {rng.randint(-degree, degree): rng.randrange(p) for _ in range(3)}
-        z = zero
-        for k, c in coeffs.items():
-            if c:
-                z = z + FpRat.monomial(p, k, c)
-        zs.add(z)
     generators = gamma.coordinate_generators() + [gamma.zgen()]
-    for z in zs:
+    for z in islice(_laurent_polys(p, degree), samples):
         zelem = H3Elem(zero, zero, z)
         if gamma.beta.apply(zelem) != zelem:
             return False

@@ -312,6 +312,15 @@ def test_radical_check_command(capsys):
     assert out["icc_gamma1_min_orbit"] >= 20
 
 
+def test_radical_check_accepts_every_documented_sample_count(capsys):
+    # degree 4 over F_2 has 2^9 = 512 Laurent polynomials: 131 of them are
+    # checked, and 513 do not exist
+    code, out = run_cli(capsys, "radical-check", "--p", "2", "--samples", "131")
+    assert (code, out["center_gamma2"]) == (EXIT_YES, "pass")
+    assert main(["radical-check", "--p", "2", "--samples", "513"]) == EXIT_PARSE
+    assert "--samples out of range" in capsys.readouterr().err
+
+
 def test_radical_check_rejects_composite_p(capsys):
     assert main(["radical-check", "--p", "4"]) == EXIT_PARSE
 
@@ -395,7 +404,8 @@ WITHOUT_MPMATH = ("import runpy, sys; sys.modules['mpmath'] = None; "
 def test_cli_runs_without_mpmath(tmp_path):
     """The CLI imports only the standard library: with mpmath unimportable,
     interval enclosures still certify a connected-key obstruction, and the
-    README's 10^80 pair still ends undecided."""
+    README's 10^80 pair still ends undecided.  Importing the CLI loads
+    neither mpmath nor radicalcheck, which only radical-check uses."""
     def gak(name, *diagonal):
         rows = [["0"] * len(diagonal) for _ in diagonal]
         for i, entry in enumerate(diagonal):
@@ -416,8 +426,8 @@ def test_cli_runs_without_mpmath(tmp_path):
     near = gak("u0", f"1/{a}", f"1/{a + 1}"), gak("u1", f"1/{a + 1}", f"1/{a + 2}")
     proc = run_python("-c", WITHOUT_MPMATH, "commable", *near, "--within-focal", timeout=20)
     assert proc.returncode == EXIT_UNDECIDED, proc.stderr
-    proc = run_python("-c", "import sys, focalclass.cli; "
-                      "print(sorted(m for m in sys.modules if m.startswith('mpmath')))", timeout=20)
+    proc = run_python("-c", "import sys, focalclass.cli; print(sorted(m for m in sys.modules "
+                      "if m.startswith(('mpmath', 'focalclass.radicalcheck'))))", timeout=20)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 

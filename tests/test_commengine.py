@@ -45,6 +45,7 @@ from focalclass.commengine import (
     quasi_isometric,
     validate_chain,
 )
+from focalclass.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, canonical_text, main as cli_main
 
 from helpers import (
     descriptor_pool,
@@ -641,21 +642,22 @@ def constructed_pairs(draw):
     return pairs
 
 
-@given(constructed_pairs())
-@settings(max_examples=80, deadline=None)
-def test_decisions_on_constructed_pairs(pairs):
+def _check_constructed(pairs):
     """Each pair gets its constructed verdict; yes within focal groups is
-    yes for commable, and qi agrees with commable; every decision answers
-    the swapped pair alike, with the obstruction's values swapped; every
-    yes chain validates; and on a mixed pair the catalog lists the fibered
-    ladder iff the within-focal decision says yes."""
+    yes for commable, and so is every totally disconnected pair; qi agrees
+    with commable; every decision answers the swapped pair alike, with the
+    obstruction's values swapped; every yes chain validates; and on a mixed
+    pair the catalog lists the fibered ladder iff the within-focal decision
+    says yes."""
     decisions = (commable_within_focal, commable, quasi_isometric)
     for g1, g2, kind, invariant in pairs:
         there = [decide(g1, g2) for decide in decisions]
         back = [decide(g2, g1) for decide in decisions]
         within, plain, qi = there
+        group_type = classify_type(g1)
+        td = group_type is GroupType.TOTALLY_DISCONNECTED
         assert (within.kind, getattr(within, "invariant", None)) == (kind, invariant)
-        assert plain.kind == "yes" or kind == "no"
+        assert plain.kind == "yes" or (kind == "no" and not td)
         assert qi.kind == plain.kind
         for v, w in zip(there, back):
             assert w.kind == v.kind
@@ -665,9 +667,95 @@ def test_decisions_on_constructed_pairs(pairs):
         for v in there + back:
             if isinstance(v, Yes):
                 assert validate_chain(v.chain) == (True, "ok")
-        if classify_type(g1) is GroupType.MIXED and g1 != g2:
+        if group_type is GroupType.MIXED and g1 != g2:
             citations = {e.citation for e in pattern_catalog(g1, g2)}
             assert ("fibered-ladder" in citations) == (kind == "yes")
+
+
+@given(constructed_pairs())
+@settings(max_examples=80, deadline=None)
+def test_decisions_on_constructed_pairs(pairs):
+    _check_constructed(pairs)
+
+
+def composite_gak_pairs(blocks, j, i, m, p):
+    """GAk(A, 2^j) against Composite(P A^m P^-1, j/e, 2^i), for A with the
+    Jordan blocks (2^-x, n): delta(A) = 2^e with e = sum x n, so both have
+    q = 2 and varpi = j/e and the pair is yes; varpi + 1 gives a no on
+    varpi, and q = 3 a no on q."""
+    a = jordan_matrix([(F(1, 2**x), n) for x, n in blocks])
+    varpi = F(j, sum(x * n for x, n in blocks))
+    b = p @ mat_power(a, m) @ p.inverse()
+    return [(GAk(a, 2**j), Composite(b, varpi, 2**i), "yes", None),
+            (GAk(a, 2**j), Composite(b, varpi + 1, 2**i), "no", "varpi"),
+            (GAk(a, 2**j), Composite(b, varpi, 3**i), "no", "q")]
+
+
+def td_pairs(q, r, a, b, c, index):
+    """FT(q^a), FT(q^b) and GAk(MatQ([]), q^c, index) are pairwise yes within
+    focal groups; against the root r != q each is no on q (and yes for
+    commable, as every totally disconnected pair is)."""
+    group = [FT(q**a), FT(q**b), GAk(MatQ([]), q**c, index=index)]
+    pairs = [(g1, g2, "yes", None) for g1, g2 in combinations(group, 2)]
+    return pairs + [(g, h, "no", "q") for g, h in
+                    zip(group, [FT(r**b), GAk(MatQ([]), r**c, index=index), FT(r**a)])]
+
+
+def two_index_pairs(a, k, i, j):
+    """One GAk at the indices i and j, with a contracting action and with
+    the empty one: yes within focal groups."""
+    return [(GAk(a, k, index=i), GAk(a, k, index=j), "yes", None),
+            (GAk(MatQ([]), max(k, 2), index=i), GAk(MatQ([]), max(k, 2), index=j), "yes", None)]
+
+
+_BLOCKS = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=2).filter(
+    lambda b: sum(n for _, n in b) <= 3)
+_ROOTS = [2, 3, 5, 6, 7, 10]  # none a power of another
+
+
+@given(_BLOCKS, st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_decisions_on_composite_gak_pairs(blocks, j, i, m, seed):
+    p = random_conjugator(Random(seed), sum(n for _, n in blocks))
+    _check_constructed(composite_gak_pairs(blocks, j, i, m, p))
+
+
+@given(st.sampled_from(_ROOTS), st.sampled_from(_ROOTS), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 50))
+@settings(max_examples=80, deadline=None)
+def test_decisions_on_td_pairs(q, r, a, b, c, index):
+    if q != r:
+        _check_constructed(td_pairs(q, r, a, b, c, index))
+
+
+@given(_BLOCKS, st.sampled_from([1] + _TREES), st.integers(1, 50), st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+def test_decisions_on_one_gak_at_two_indices(blocks, k, i, j):
+    a = jordan_matrix([(F(1, 2**x), n) for x, n in blocks])
+    _check_constructed(two_index_pairs(a, k, i, j))
+
+
+def test_cli_exit_code_matches_the_verdict(tmp_path, capsys):
+    """cli.main on descriptor files written by canonical_text exits 0, 1 or
+    3 as commable --within-focal and qi say yes, no or undecided."""
+    a = 10**80
+    near = [GAk(diag(f"1/{a + i}", f"1/{a + i + 1}"), 1) for i in (0, 1)]
+    pairs = (composite_gak_pairs([(1, 1), (2, 1)], 2, 3, 2, MatQ([[1, 1], [0, 1]]))
+             + td_pairs(2, 3, 1, 2, 3, 4) + two_index_pairs(diag("1/2", "1/8"), 4, 1, 50)
+             + [(*near, "undecided", None)])
+    codes = {"yes": EXIT_YES, "no": EXIT_NO, "undecided": EXIT_UNDECIDED}
+    for n, (g1, g2, kind, _) in enumerate(pairs):
+        assert commable_within_focal(g1, g2).kind == kind
+        files = []
+        for side, g in enumerate((g1, g2)):
+            files.append(tmp_path / f"{n}_{side}.json")
+            files[-1].write_text(canonical_text(g), encoding="utf-8")
+        for decide, argv in ((commable_within_focal, ["commable", "--within-focal"]),
+                             (quasi_isometric, ["qi"])):
+            verdict = decide(g1, g2).kind
+            assert cli_main([argv[0], *map(str, files), *argv[1:]]) == codes[verdict], (n, argv)
+            assert json.loads(capsys.readouterr().out)["verdict"] == verdict
+    assert {quasi_isometric(*pair[:2]).kind for pair in pairs} == set(codes)
 
 
 def test_td_catalog_depends_on_ft_and_q_only():

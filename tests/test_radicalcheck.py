@@ -208,6 +208,50 @@ def test_check_center_gamma2_bulk():
         assert check_center_gamma2(p, 20, 4)
 
 
+def _checked_values(monkeypatch, p, samples, degree) -> list:
+    """The z that check_center_gamma2(p, samples, degree) checks, in order."""
+    seen, enumerate_all = [], radicalcheck._laurent_polys
+    monkeypatch.setattr(radicalcheck, "_laurent_polys",
+                        lambda q, d: (seen.append(z) or z for z in enumerate_all(q, d)))
+    assert check_center_gamma2(p, samples, degree)
+    return seen
+
+
+@pytest.mark.parametrize("p, samples, degree", [(2, 32, 2), (3, 60, 2), (5, 40, 4), (31, 12, 4)])
+def test_center_gamma2_checks_distinct_polynomials_monomials_first(monkeypatch, p, samples, degree):
+    zs = _checked_values(monkeypatch, p, samples, degree)
+    assert len(zs) == len(set(zs)) == samples
+    width = 2 * degree + 1
+    assert zs[:width] == [FpRat.monomial(p, k) for k in range(-degree, degree + 1)]
+    indices = []
+    for z in zs:
+        # z t^degree has at most width coefficients iff z has degree <= degree
+        shifted = z * FpRat.monomial(p, degree)
+        assert shifted.den == (1,) and len(shifted.num) <= width
+        indices.append(sum(c * p ** (width - 1 - i) for i, c in enumerate(shifted.num)))
+    # the rest in base-p order of the coefficient vectors (c_-degree, ..., c_degree),
+    # from the zero polynomial on
+    assert indices[width] == 0 and indices[width:] == sorted(indices[width:])
+    if samples == p**width:
+        assert sorted(indices) == list(range(samples))
+
+
+def test_center_gamma2_sample_count_is_bounded_by_the_polynomials():
+    # degree 1 over F_2: t^-1, 1 and t span 8 polynomials, no more
+    assert check_center_gamma2(2, 8, 1)
+    with pytest.raises(ValueError):
+        check_center_gamma2(2, 9, 1)
+
+
+def test_center_gamma2_fails_when_beta_scales_the_centre(monkeypatch):
+    # level 1's beta scales z by w = u1 != 1, so (1, (0, 0, z)) is not central
+    generators = radicalcheck.make_generators
+    monkeypatch.setattr(radicalcheck, "make_generators",
+                        lambda i, p: (generators(2, p)[0], generators(1, p)[1]))
+    assert Gamma(2, 5).beta.w == standard_units(5)[1]
+    assert not check_center_gamma2(5, 9, 4)
+
+
 def test_gamma_group_axioms():
     p = 3
     gamma = Gamma(1, p)

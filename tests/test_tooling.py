@@ -106,3 +106,28 @@ def test_package_imports_only_the_standard_library():
     assert modules
     found = {p.name: _non_stdlib_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def _random_imports(source: str) -> list:
+    """Lines that import the ``random`` module or a name from it, at any
+    depth: every search in the program is exact and deterministic."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for alias in node.names if alias.name == "random"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "random":
+            found.append(node.lineno)
+    return found
+
+
+def test_random_import_detector():
+    source = ("import os, random\nfrom random import Random\nfrom .random import x\n"
+              "def f():\n    import random as r\n    return r, Random, os, x\n")
+    assert _random_imports(source) == [1, 2, 5]
+
+
+def test_package_draws_no_random_numbers():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: _random_imports(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
