@@ -91,6 +91,8 @@ def _pdivmod(p: int, a: tuple, b: tuple) -> tuple:
 
 def _pgcd(p: int, a: tuple, b: tuple) -> tuple:
     while b:
+        if len(a) == 1 or len(b) == 1:  # a nonzero constant divides everything
+            return _ONE
         _, r = _pdivmod(p, a, b)
         a, b = b, r
     if not a:
@@ -100,6 +102,14 @@ def _pgcd(p: int, a: tuple, b: tuple) -> tuple:
 
 
 _ONE = (1,)
+
+
+def _cancel(p: int, a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """a / g and b / g for g = gcd(a, b); no division when g is 1."""
+    g = _pgcd(p, a, b)
+    if g == _ONE:
+        return a, b
+    return _pdivmod(p, a, g)[0], _pdivmod(p, b, g)[0]
 
 
 def _check_prime(p: int) -> None:
@@ -113,7 +123,15 @@ class FpRat:
 
     p is tested for primality once, by the public constructors (make, const,
     monomial, poly); arithmetic on existing elements reuses their p and
-    reduces its results with _reduced, which does not test it again.
+    does not test it again.
+
+    Arithmetic skips the gcds whose answer is known, and every result is
+    still in lowest terms.  A gcd is 1 at once when an operand, or a
+    remainder in Euclid's algorithm, is a nonzero constant.  A sum with
+    zero is the other operand as it stands, which is reduced.  A product
+    of reduced fractions can only cancel num against the other den, so it
+    takes those two cross gcds and skips the division by one that is 1:
+    coprime parts stay coprime.
     """
 
     p: int
@@ -134,10 +152,7 @@ class FpRat:
             raise ZeroDivisionError("zero denominator")
         if not num:
             return cls(p, (), _ONE)
-        g = _pgcd(p, num, den)
-        if g != _ONE:
-            num, _ = _pdivmod(p, num, g)
-            den, _ = _pdivmod(p, den, g)
+        num, den = _cancel(p, num, den)
         inv_lead = pow(den[-1], p - 2, p)
         num = tuple(c * inv_lead % p for c in num)
         den = tuple(c * inv_lead % p for c in den)
@@ -175,6 +190,10 @@ class FpRat:
 
     def __add__(self, other: "FpRat") -> "FpRat":
         self._check(other)
+        if not self.num:  # both operands are reduced, so x + 0 is x as it stands
+            return other
+        if not other.num:
+            return self
         p = self.p
         num = _padd(p, _pmul(p, self.num, other.den), _pmul(p, other.num, self.den))
         return FpRat._reduced(p, num, _pmul(p, self.den, other.den))
@@ -191,12 +210,8 @@ class FpRat:
         if self.is_zero() or other.is_zero():
             return FpRat(p, (), _ONE)
         # both operands reduced: cross gcds are all that can cancel
-        g1 = _pgcd(p, self.num, other.den)
-        g2 = _pgcd(p, other.num, self.den)
-        num1, _ = _pdivmod(p, self.num, g1)
-        den2, _ = _pdivmod(p, other.den, g1)
-        num2, _ = _pdivmod(p, other.num, g2)
-        den1, _ = _pdivmod(p, self.den, g2)
+        num1, den2 = _cancel(p, self.num, other.den)
+        num2, den1 = _cancel(p, other.num, self.den)
         num = _pmul(p, num1, num2)
         den = _pmul(p, den1, den2)
         inv_lead = pow(den[-1], p - 2, p)
@@ -389,6 +404,8 @@ class Gamma:
         return elems
 
     def _act(self, n: int, a: H3Elem, b: H3Elem) -> tuple[H3Elem, H3Elem]:
+        if n == 0:  # alpha^0 and beta^0 are the identity
+            return a, b
         return self.alpha.power(n).apply(a), self.beta.power(n).apply(b)
 
     def mul(self, g: GammaElem, h: GammaElem) -> GammaElem:

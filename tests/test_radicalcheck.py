@@ -118,6 +118,149 @@ def test_constructors_test_p_and_arithmetic_does_not(monkeypatch):
     assert calls == []
 
 
+def test_centre_check_divides_by_no_constant_and_builds_no_zeroth_power(monkeypatch):
+    # a gcd with a nonzero constant is 1 before any division, and
+    # alpha^0 and beta^0 act as the identity without being built
+    divisors, exponents = [], []
+    pdivmod, power = radicalcheck._pdivmod, AutTriple.power
+
+    def counting_pdivmod(p, a, b):
+        divisors.append(b)
+        return pdivmod(p, a, b)
+
+    def counting_power(self, n):
+        exponents.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(radicalcheck, "_pdivmod", counting_pdivmod)
+    monkeypatch.setattr(AutTriple, "power", counting_power)
+    assert check_center_gamma2(31, 9, 4)
+    assert divisors and exponents
+    assert [b for b in divisors if len(b) == 1] == []
+    assert exponents.count(0) == 0
+
+
+def _pmul_ref(p: int, *polys) -> list:
+    """Product of coefficient lists over F_p, trailing zeros dropped."""
+    out = [1]
+    for f in polys:
+        prod = [0] * (len(out) + len(f) - 1) if out and f else []
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        out = prod
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _padd_ref(p: int, f: list, g: list) -> list:
+    out = [((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
+           for i in range(max(len(f), len(g)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _is_coprime_ref(p: int, f: list, g: list) -> bool:
+    """gcd(f, g) is a nonzero constant, by the Euclidean algorithm."""
+    f, g = list(f), list(g)
+    while g:
+        inv = pow(g[-1], p - 2, p)
+        while len(f) >= len(g):
+            c, shift = f[-1] * inv % p, len(f) - len(g)
+            f = _padd_ref(p, f, [0] * shift + [(-c * x) % p for x in g])
+        f, g = g, f
+    return len(f) == 1
+
+
+def _value_at(x: FpRat, t: int):
+    """x(t) in F_p, or None where the denominator vanishes."""
+    p = x.p
+    num = sum(c * pow(t, k, p) for k, c in enumerate(x.num)) % p
+    den = sum(c * pow(t, k, p) for k, c in enumerate(x.den)) % p
+    return None if den == 0 else num * pow(den, p - 2, p) % p
+
+
+def _assert_canonical(r: FpRat) -> None:
+    """Coefficients in [0, p), no trailing zeros, monic denominator, lowest terms."""
+    assert all(0 <= c < r.p for c in r.num + r.den)
+    assert r.den and r.den[-1] == 1 and (not r.num or r.num[-1] != 0)
+    if r.num:
+        assert _is_coprime_ref(r.p, r.num, r.den)
+    else:
+        assert r.den == (1,)
+
+
+@st.composite
+def _field_elements(draw, p):
+    """Mostly the shortcut cases: zero, one, another nonzero constant and a
+    polynomial (denominator 1); otherwise a reduced fraction."""
+    kind = draw(st.sampled_from(("zero", "one", "constant", "polynomial", "fraction")))
+    if kind in ("zero", "one"):
+        return FpRat.const(p, int(kind == "one"))
+    if kind == "constant":
+        return FpRat.const(p, draw(st.integers(1, p - 1)))
+    coeff = st.integers(0, p - 1)
+    num = draw(st.lists(coeff, min_size=1, max_size=5))
+    if kind == "polynomial":
+        return FpRat.poly(p, num)
+    return FpRat.make(p, num, draw(st.lists(coeff, min_size=1, max_size=5).filter(any)))
+
+
+@st.composite
+def _field_pairs(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7, 31)))
+    return draw(_field_elements(p)), draw(_field_elements(p)), draw(st.integers(-3, 3))
+
+
+@given(_field_pairs())
+@settings(max_examples=400, deadline=None)
+def test_field_operations_match_evaluation_and_cross_multiplication(case):
+    x, y, n = case
+    p = x.p
+    results = {"+": x + y, "-": x - y, "*": x * y}
+    if not y.is_zero():
+        results["/"] = x / y
+    if not x.is_zero():
+        results["inv"] = x.inv()
+    if n >= 0 or not x.is_zero():
+        results["**"] = x**n
+    for r in results.values():
+        _assert_canonical(r)
+    # cross-multiplied identities in F_p[t]: r = a/b  <=>  r.num * b == a * r.den
+    for op, yn in (("+", y.num), ("-", [(-c) % p for c in y.num])):
+        r = results[op]
+        cross = _padd_ref(p, _pmul_ref(p, x.num, y.den), _pmul_ref(p, yn, x.den))
+        assert _pmul_ref(p, r.num, x.den, y.den) == _pmul_ref(p, cross, r.den)
+    r = results["*"]
+    assert _pmul_ref(p, r.num, x.den, y.den) == _pmul_ref(p, x.num, y.num, r.den)
+    if "/" in results:
+        r = results["/"]
+        assert _pmul_ref(p, r.num, x.den, y.num) == _pmul_ref(p, x.num, y.den, r.den)
+    if "inv" in results:
+        r = results["inv"]
+        assert _pmul_ref(p, r.num, x.num) == _pmul_ref(p, x.den, r.den)
+    if "**" in results:
+        r = results["**"]
+        top, bottom = (x.num, x.den) if n >= 0 else (x.den, x.num)
+        assert _pmul_ref(p, r.num, *[bottom] * abs(n)) == _pmul_ref(p, *[top] * abs(n), r.den)
+    # evaluation at every point of F_p where the operands are defined: a
+    # reduced result's denominator divides the operands', so it is defined too
+    for t in range(p):
+        a, b = _value_at(x, t), _value_at(y, t)
+        if a is None or b is None:
+            continue
+        got = {op: _value_at(r, t) for op, r in results.items()}
+        assert got["+"] == (a + b) % p and got["-"] == (a - b) % p and got["*"] == a * b % p
+        if b and "/" in got:
+            assert got["/"] == a * pow(b, p - 2, p) % p
+        if a and "inv" in got:
+            assert got["inv"] * a % p == 1
+        if "**" in got and (a or n >= 0):
+            assert got["**"] == pow(a, n, p)
+
+
 # ---------------------------------------------------------------------------
 # Heisenberg group
 # ---------------------------------------------------------------------------
@@ -264,6 +407,33 @@ def test_gamma_group_axioms():
     assert gamma.is_laurent_elem(gamma.zgen())
 
 
+@st.composite
+def _gamma_cases(draw):
+    """(level, g, h) with coordinates from _field_elements and n in -2..2."""
+    p = draw(st.sampled_from((2, 3, 5, 31)))
+
+    def elem():
+        coords = [draw(_field_elements(p)) for _ in range(6)]
+        return GammaElem(H3Elem(*coords[:3]), H3Elem(*coords[3:]), draw(st.integers(-2, 2)))
+
+    return draw(st.sampled_from((1, 2))), elem(), elem()
+
+
+@given(_gamma_cases())
+@settings(max_examples=200, deadline=None)
+def test_gamma_mul_and_inv_match_the_written_out_action(case):
+    level, g, h = case
+    gamma = Gamma(level, g.a.x.p)
+    alpha, beta = gamma.alpha, gamma.beta
+    product = GammaElem(h3_mul(g.a, alpha.power(g.n).apply(h.a)),
+                        h3_mul(g.b, beta.power(g.n).apply(h.b)), g.n + h.n)
+    inverse = GammaElem(alpha.power(-g.n).apply(h3_inv(g.a)),
+                        beta.power(-g.n).apply(h3_inv(g.b)), -g.n)
+    assert gamma.mul(g, h) == product
+    assert gamma.inv(g) == inverse
+    assert gamma.mul(g, gamma.inv(g)) == gamma.identity() == gamma.mul(gamma.inv(g), g)
+
+
 # ---------------------------------------------------------------------------
 # conjugacy growth at level 1
 # ---------------------------------------------------------------------------
@@ -295,20 +465,6 @@ def _walk_orbit_size(alpha: AutTriple, beta: AutTriple, g: GammaElem, bound: int
 
 
 @st.composite
-def _coordinates(draw, p):
-    """Zero, a nonzero constant, or a reduced fraction of small degree."""
-    kind = draw(st.sampled_from(("zero", "constant", "fraction")))
-    if kind == "zero":
-        return FpRat.const(p, 0)
-    if kind == "constant":
-        return FpRat.const(p, draw(st.integers(1, p - 1)))
-    coeff = st.integers(0, p - 1)
-    num = draw(st.lists(coeff, min_size=1, max_size=4))
-    den = draw(st.lists(coeff, min_size=1, max_size=4).filter(any))
-    return FpRat.make(p, num, den)
-
-
-@st.composite
 def _orbit_cases(draw):
     """(level, element, bound): random elements with zero and constant
     coordinates, level-2 central elements (1, (0, 0, z)), any n."""
@@ -316,9 +472,9 @@ def _orbit_cases(draw):
     level = draw(st.sampled_from((1, 2)))
     zero = FpRat.const(p, 0)
     if draw(st.booleans()):
-        coords = [draw(_coordinates(p)) for _ in range(6)]
+        coords = [draw(_field_elements(p)) for _ in range(6)]
     else:
-        coords = [zero] * 5 + [draw(_coordinates(p))]
+        coords = [zero] * 5 + [draw(_field_elements(p))]
     n = draw(st.integers(-3, 3))
     if all(c.is_zero() for c in coords) and n == 0:
         n = 1
