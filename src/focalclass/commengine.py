@@ -16,12 +16,11 @@ and kept on its descriptor, with one ladder (:func:`_ladder`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .exactnum import EQUAL, NOT_EQUAL, Comparison, Undecided, compare_values, maxroot
+from .exactnum import EQUAL, NOT_EQUAL, Comparison, Record, Undecided, compare_values, maxroot
 from .focalmodel import (
     INFINITE,
     FT,
@@ -79,13 +78,11 @@ class UndecidedComparisonError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SDesc:
+class SDesc(Record):
     desc: FocalDescriptor
 
 
-@dataclass(frozen=True)
-class SFreeGroup:
+class SFreeGroup(Record):
     rank: int
 
     def __post_init__(self):
@@ -93,23 +90,20 @@ class SFreeGroup:
             raise ValueError("free group rank must be >= 2")
 
 
-@dataclass(frozen=True)
-class SAutTree:
+class SAutTree(Record):
     """Full automorphism group of the (m+1)-regular tree (not focal)."""
 
     m: int
 
 
-@dataclass(frozen=True)
-class SFTpow:
+class SFTpow(Record):
     """FT_q restricted to the open subgroup scaling the cyclic part by n."""
 
     q: int
     n: int
 
 
-@dataclass(frozen=True)
-class SCompositeProduct:
+class SCompositeProduct(Record):
     """Fibered product H[varpi, m] of the connected class `key`, at index n."""
 
     key: tuple
@@ -118,8 +112,7 @@ class SCompositeProduct:
     n: int
 
 
-@dataclass(frozen=True)
-class SHull:
+class SHull(Record):
     """Focal-universal hull of a connected commability class."""
 
     key: tuple
@@ -165,14 +158,12 @@ CITATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     direction: str  # INTO or FROM
     citation: str
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(Record):
     nodes: tuple
     arrows: tuple
 
@@ -184,22 +175,19 @@ class WitnessChain:
         return "".join("↗" if a.direction == INTO else "↖" for a in self.arrows)
 
 
-@dataclass(frozen=True)
-class Yes:
+class Yes(Record):
     chain: WitnessChain
     kind = "yes"
 
 
-@dataclass(frozen=True)
-class No:
+class No(Record):
     invariant: str  # "type" | "q" | "varpi" | "connected-key"
     values: tuple
     note: str = ""
     kind = "no"
 
 
-@dataclass(frozen=True)
-class UndecidedVerdict:
+class UndecidedVerdict(Record):
     detail: str
     kind = "undecided"
 
@@ -394,8 +382,7 @@ def quasi_isometric(g1: FocalDescriptor, g2: FocalDescriptor) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatternEntry:
+class PatternEntry(Record):
     pattern: str
     status: str  # "exists" | "impossible" | "unknown"
     citation: str

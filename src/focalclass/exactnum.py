@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Optional, Union
 
 __all__ = [
@@ -48,6 +48,54 @@ _log = logging.getLogger(__name__)
 
 class MultiplicativeIndependenceError(ValueError):
     """Raised when an exact log-ratio operation needs dependent bases and got none."""
+
+
+class Record:
+    """Immutable value with annotated fields, the base of the package's records.
+
+    A subclass annotates its fields in order; a class attribute gives a
+    default.  A field whose name starts with "_" is a cache: no argument
+    sets it, its class attribute reads until object.__setattr__ fills it,
+    and ==, hash and repr ignore it.  Instances of one class are equal when
+    their field tuples are, and never equal an instance of another class;
+    hash and repr are those of a frozen dataclass.  The one generated
+    method is __init__, compiled once per class, so that construction,
+    its TypeErrors and its optional __post_init__ check are a dataclass's,
+    at about a tenth of the import time of a dataclass decoration.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = names = tuple(n for n in cls.__annotations__ if not n.startswith("_"))
+        # the field tuple; attrgetter of one name would give the bare value
+        cls._key = staticmethod(attrgetter(*names) if len(names) > 1
+                                else lambda x: (getattr(x, names[0]),) if names else ())
+        if "__init__" not in vars(cls):
+            params = "".join(f", {n}=_d[{n!r}]" if n in vars(cls) else f", {n}" for n in names)
+            body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+            post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+            scope = {"_set": object.__setattr__, "_d": vars(cls)}
+            exec(f"def __init__(self{params}):{body}{post}\n pass", scope)  # Cantor has no field
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _iroot(n: int, k: int) -> int:
@@ -175,8 +223,7 @@ def mult_decompose(x: Fraction) -> tuple[Fraction, int]:
     return Fraction(qn ** (en // g), qd ** (ed // g)), g
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class LogRatio:
+class LogRatio(Record):
     """The exact real number (m/n)·log(p)/log(q), written log(p^m)/log(q^n).
 
     p and q are primitive rationals > 1 (no proper rational power) and m, n
@@ -249,8 +296,7 @@ EQUAL = _Certainty("EQUAL")
 NOT_EQUAL = _Certainty("NOT_EQUAL")
 
 
-@dataclass(frozen=True)
-class Undecided:
+class Undecided(Record):
     """Comparison that no available certificate settles.
 
     Carries the interval midpoints of both values and the worst enclosure

@@ -30,6 +30,7 @@ from .exactnum import (
     NOT_EQUAL,
     Comparison,
     LogRatio,
+    Record,
     canonical_value,
     compare_values,
     logratio_add_one,
@@ -80,22 +81,19 @@ class GroupType(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(Record):
     dim: int
 
     def render(self) -> str:
         return f"sphere({self.dim})"
 
 
-@dataclass(frozen=True)
-class Cantor:
+class Cantor(Record):
     def render(self) -> str:
         return "cantor"
 
 
-@dataclass(frozen=True)
-class Xi:
+class Xi(Record):
     """One-point compactification of R^(d-1) x Cantor x Z."""
 
     d: int
@@ -319,8 +317,7 @@ def _boundary(f: _Reading) -> BoundaryKind:
     return Sphere(f.conn.dim) if f.tree is None else Xi(f.conn.dim + 1)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(Record):
     group_type: GroupType
     s: int
     q: int
@@ -376,8 +373,7 @@ def conn_key_equal(k1: ConnKey, k2: ConnKey) -> Comparison:
     return EQUAL
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Complete commability-within-focal invariant: type, q, connected key
     and varpi.  Totally disconnected forms have key () and varpi INFINITE,
     connected forms q = 1 and varpi 0."""
@@ -407,8 +403,7 @@ class HullNotImplementedError(NotImplementedError):
     """Hull of a non-diagonalizable connected action is not implemented."""
 
 
-@dataclass(frozen=True)
-class HullSpec:
+class HullSpec(Record):
     """Structure of the focal-universal hull R^dim x| (R x K).
 
     ``factors`` lists the sizes of the orthogonal blocks of the maximal

@@ -27,14 +27,13 @@ on each call.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional
 
-from .exactnum import _is_prime, common_power, mult_decompose
+from .exactnum import Record, _is_prime, common_power, mult_decompose
 
 _log = logging.getLogger(__name__)
 
@@ -218,8 +217,7 @@ def charpoly(a: MatQ) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(Record):
     """Distinct eigenvalues with Jordan block multisets, sorted ascending.
 
     entries[i] = (eigenvalue, blocks) with blocks a descending tuple of block
@@ -231,8 +229,8 @@ class SpectralData:
     """
 
     entries: tuple
-    _expansions: Optional[tuple] = field(default=None, compare=False, repr=False)
-    _delta: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _expansions: Optional[tuple] = None
+    _delta: Optional[tuple] = None
 
     def expansion_powers(self) -> tuple:
         """Each expansion factor 1/ev, for eigenvalues in (0, 1), written as

@@ -431,6 +431,18 @@ def test_cli_runs_without_mpmath(tmp_path):
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
+def test_cli_import_decorates_only_the_descriptors():
+    """Each dataclass decoration compiles its methods at import time, so the
+    records a CLI child loads are on exactnum.Record; only the descriptors,
+    which tests copy with dataclasses.replace, stay dataclasses."""
+    proc = run_python("-c", "import dataclasses, sys, focalclass.cli; print(sorted("
+                      "name for m, module in list(sys.modules.items()) if m.startswith('focalclass') "
+                      "for name, obj in vars(module).items() if isinstance(obj, type) "
+                      "and obj.__module__ == m and dataclasses.is_dataclass(obj)))", timeout=20)
+    assert (proc.returncode, proc.stdout) == (
+        0, "['Composite', 'FT', 'GAk', 'Millefeuille', '_Descriptor']\n"), proc.stderr
+
+
 def test_console_entry_point_runs():
     proc = run_child("invariants", corpus_path("ft8"), timeout=60)
     assert proc.returncode == 0

@@ -131,3 +131,39 @@ def test_package_draws_no_random_numbers():
     assert modules
     found = {p.name: _random_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _dataclass_classes(source: str) -> list:
+    """(line, name) of each class decorated by ``dataclass``, called or
+    bare, by name or as ``dataclasses.dataclass``, at any depth."""
+    def is_dataclass(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return (isinstance(node, ast.Name) and node.id == "dataclass"
+                or isinstance(node, ast.Attribute) and node.attr == "dataclass")
+    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))]
+
+
+def test_dataclass_detector():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n@dataclass\nclass A:\n    x: int\n"
+              "@dataclass(frozen=True)\nclass B:\n    pass\n@dataclasses.dataclass(eq=False)\nclass C:\n"
+              "    pass\nclass D(B):\n    pass\n@staticmethod\nclass E:\n    pass\n"
+              "def f():\n    @dataclass\n    class G:\n        pass\n")
+    assert sorted(_dataclass_classes(source)) == [(4, "A"), (7, "B"), (10, "C"), (19, "G")]
+
+
+# each decoration compiles its methods at import time, so the internal
+# records are on exactnum.Record; tests call dataclasses.replace on the
+# descriptors, and radicalcheck is imported only by radical-check
+DATACLASSES = {
+    "focalmodel.py": ["_Descriptor", "FT", "GAk", "Composite", "Millefeuille"],
+    "radicalcheck.py": ["FpRat", "H3Elem", "AutTriple", "GammaElem"],
+}
+
+
+def test_dataclasses_only_on_descriptors_and_radicalcheck_records():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: [name for _, name in _dataclass_classes(p.read_text(encoding="utf-8"))]
+             for p in modules}
+    assert {name: classes for name, classes in found.items() if classes} == DATACLASSES
