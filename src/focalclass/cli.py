@@ -311,7 +311,8 @@ def cmd_radical_check(args) -> tuple[dict, int]:
         raise DescriptorError("--p out of range")
     if not _is_prime(args.p):
         raise DescriptorError(f"--p must be prime, got {args.p}")
-    # the centre is checked on Laurent polynomials of degree <= 4, of which there are p^9
+    # a range check only: there are p^9 Laurent polynomials of degree <= 4, and the
+    # centre certificate covers every z in F_p(t), so the value changes no output
     if args.samples < 1 or args.samples > min(10**4, args.p**9):
         raise DescriptorError("--samples out of range")
     if args.conj_bound < 1 or args.conj_bound > 10**3:

@@ -313,8 +313,8 @@ def test_radical_check_command(capsys):
 
 
 def test_radical_check_accepts_every_documented_sample_count(capsys):
-    # degree 4 over F_2 has 2^9 = 512 Laurent polynomials: 131 of them are
-    # checked, and 513 do not exist
+    # degree 4 over F_2 has 2^9 = 512 Laurent polynomials: 131 is in range,
+    # and 513 is not
     code, out = run_cli(capsys, "radical-check", "--p", "2", "--samples", "131")
     assert (code, out["center_gamma2"]) == (EXIT_YES, "pass")
     assert main(["radical-check", "--p", "2", "--samples", "513"]) == EXIT_PARSE

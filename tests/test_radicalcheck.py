@@ -1,5 +1,6 @@
 """Unit tests for the function-field radical verification."""
 
+from itertools import product
 from random import Random
 
 import pytest
@@ -119,8 +120,9 @@ def test_constructors_test_p_and_arithmetic_does_not(monkeypatch):
 
 
 def test_centre_check_divides_by_no_constant_and_builds_no_zeroth_power(monkeypatch):
-    # a gcd with a nonzero constant is 1 before any division, and
-    # alpha^0 and beta^0 act as the identity without being built
+    # Gamma.mul and Gamma.inv on the level-2 generators: a gcd with a nonzero
+    # constant is 1 before any division, and alpha^0 and beta^0 act as the
+    # identity without being built
     divisors, exponents = [], []
     pdivmod, power = radicalcheck._pdivmod, AutTriple.power
 
@@ -134,7 +136,12 @@ def test_centre_check_divides_by_no_constant_and_builds_no_zeroth_power(monkeypa
 
     monkeypatch.setattr(radicalcheck, "_pdivmod", counting_pdivmod)
     monkeypatch.setattr(AutTriple, "power", counting_power)
-    assert check_center_gamma2(31, 9, 4)
+    gamma = Gamma(2, 31)
+    elems = gamma.coordinate_generators() + [gamma.zgen(), gamma.inv(gamma.zgen())]
+    for g in elems:
+        assert gamma.mul(g, gamma.inv(g)) == gamma.identity()
+        for h in elems:
+            gamma.mul(g, h)
     assert divisors and exponents
     assert [b for b in divisors if len(b) == 1] == []
     assert exponents.count(0) == 0
@@ -351,37 +358,72 @@ def test_check_center_gamma2_bulk():
         assert check_center_gamma2(p, 20, 4)
 
 
-def _checked_values(monkeypatch, p, samples, degree) -> list:
-    """The z that check_center_gamma2(p, samples, degree) checks, in order."""
-    seen, enumerate_all = [], radicalcheck._laurent_polys
-    monkeypatch.setattr(radicalcheck, "_laurent_polys",
-                        lambda q, d: (seen.append(z) or z for z in enumerate_all(q, d)))
-    assert check_center_gamma2(p, samples, degree)
-    return seen
-
-
-@pytest.mark.parametrize("p, samples, degree", [(2, 32, 2), (3, 60, 2), (5, 40, 4), (31, 12, 4)])
-def test_center_gamma2_checks_distinct_polynomials_monomials_first(monkeypatch, p, samples, degree):
-    zs = _checked_values(monkeypatch, p, samples, degree)
-    assert len(zs) == len(set(zs)) == samples
-    width = 2 * degree + 1
-    assert zs[:width] == [FpRat.monomial(p, k) for k in range(-degree, degree + 1)]
-    indices = []
+def _centre_oracle(p: int, zs) -> bool:
+    """Enumerated check of the level-2 centre, independent of the certificate:
+    for each z, beta fixes (0, 0, z), and (1, (0, 0, z)) commutes, through
+    Gamma.mul, with the cyclic generator and the six coordinate generators."""
+    gamma = Gamma(2, p)
+    zero = FpRat.const(p, 0)
+    generators = gamma.coordinate_generators() + [gamma.zgen()]
     for z in zs:
-        # z t^degree has at most width coefficients iff z has degree <= degree
-        shifted = z * FpRat.monomial(p, degree)
-        assert shifted.den == (1,) and len(shifted.num) <= width
-        indices.append(sum(c * p ** (width - 1 - i) for i, c in enumerate(shifted.num)))
-    # the rest in base-p order of the coefficient vectors (c_-degree, ..., c_degree),
-    # from the zero polynomial on
-    assert indices[width] == 0 and indices[width:] == sorted(indices[width:])
-    if samples == p**width:
-        assert sorted(indices) == list(range(samples))
+        zelem = H3Elem(zero, zero, z)
+        if gamma.beta.apply(zelem) != zelem:
+            return False
+        central = GammaElem(h3_identity(p), zelem, 0)
+        if any(gamma.mul(central, g) != gamma.mul(g, central) for g in generators):
+            return False
+    return True
+
+
+def _laurent_polynomials(p: int, degree: int) -> list:
+    """Every Laurent polynomial over F_p with exponents in -degree..degree."""
+    den = (0,) * degree + (1,)
+    return [FpRat.make(p, c, den) for c in product(range(p), repeat=2 * degree + 1)]
+
+
+def _with_level1_beta(monkeypatch) -> None:
+    """Give the level-2 group the beta of level 1, whose w = u1 scales the centre."""
+    generators = radicalcheck.make_generators
+    monkeypatch.setattr(radicalcheck, "make_generators",
+                        lambda i, p: (generators(2, p)[0], generators(1, p)[1]))
+
+
+@st.composite
+def _centre_cases(draw):
+    """(p, level of beta, z): the monomials of degree <= 4 and drawn elements of F_p(t)."""
+    p = draw(st.sampled_from((2, 3, 5, 31)))
+    extra = draw(st.lists(_field_elements(p), min_size=1, max_size=4))
+    monomials = [FpRat.monomial(p, k) for k in range(-4, 5)]
+    return p, draw(st.sampled_from((1, 2))), monomials + extra
+
+
+@given(_centre_cases())
+@settings(max_examples=40, deadline=None)
+def test_center_gamma2_certificate_agrees_with_the_oracle(case):
+    p, level, zs = case
+    with pytest.MonkeyPatch.context() as mp:
+        if level == 1:
+            _with_level1_beta(mp)
+        expected = _centre_oracle(p, zs)
+        assert expected == (level == 2)
+        assert check_center_gamma2(p, 9, 4) == expected
+
+
+@pytest.mark.parametrize("p, degree", [(2, 2), (3, 2), (5, 1)])
+@pytest.mark.parametrize("level", [1, 2])
+def test_center_gamma2_certificate_agrees_with_every_laurent_polynomial(monkeypatch, p, degree, level):
+    if level == 1:
+        _with_level1_beta(monkeypatch)
+    zs = _laurent_polynomials(p, degree)
+    assert len(set(zs)) == p ** (2 * degree + 1)
+    assert check_center_gamma2(p, len(zs), degree) == _centre_oracle(p, zs) == (level == 2)
 
 
 def test_center_gamma2_sample_count_is_bounded_by_the_polynomials():
     # degree 1 over F_2: t^-1, 1 and t span 8 polynomials, no more
-    assert check_center_gamma2(2, 8, 1)
+    zs = _laurent_polynomials(2, 1)
+    assert len(set(zs)) == 8
+    assert check_center_gamma2(2, 8, 1) and _centre_oracle(2, zs)
     with pytest.raises(ValueError):
         check_center_gamma2(2, 9, 1)
 

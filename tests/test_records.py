@@ -32,9 +32,12 @@ from focalclass.focalmodel import (
     Xi,
 )
 from focalclass.matexact import SpectralData
+from focalclass.radicalcheck import AutTriple, FpRat, GammaElem, H3Elem
 
 ARROW = Arrow(INTO, "identity")
 CHAIN = WitnessChain((SFreeGroup(2), SFreeGroup(3)), (ARROW,))
+ONE, T = FpRat(3, (1,), (1,)), FpRat(3, (0, 1), (1,))
+H = H3Elem(ONE, T, FpRat(3, (), (1,)))
 
 # (class, its fields in order with literal values, the expected repr)
 RECORDS = [
@@ -72,6 +75,16 @@ RECORDS = [
     (UndecidedVerdict, {"detail": "close"}, "UndecidedVerdict(detail='close')"),
     (PatternEntry, {"pattern": "↗↖", "status": "exists", "citation": "c"},
      "PatternEntry(pattern='↗↖', status='exists', citation='c')"),
+    (FpRat, {"p": 3, "num": (1, 1), "den": (0, 1)}, "FpRat(p=3, num=(1, 1), den=(0, 1))"),
+    (H3Elem, {"x": ONE, "y": T, "z": FpRat(3, (), (1,))},
+     "H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), y=FpRat(p=3, num=(0, 1), den=(1,)), "
+     "z=FpRat(p=3, num=(), den=(1,)))"),
+    (AutTriple, {"u": T, "v": ONE},
+     "AutTriple(u=FpRat(p=3, num=(0, 1), den=(1,)), v=FpRat(p=3, num=(1,), den=(1,)))"),
+    (GammaElem, {"a": H, "b": H, "n": -1},
+     "GammaElem(a=H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), y=FpRat(p=3, num=(0, 1), den=(1,)), "
+     "z=FpRat(p=3, num=(), den=(1,))), b=H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), "
+     "y=FpRat(p=3, num=(0, 1), den=(1,)), z=FpRat(p=3, num=(), den=(1,))), n=-1)"),
 ]
 
 
@@ -96,8 +109,8 @@ def test_record_semantics(cls, fields, text):
     with pytest.raises(TypeError):
         cls(*values, other=0)
     if values:
-        with pytest.raises(TypeError):  # No's last field has a default
-            cls(*values[:-2 if cls is No else -1])
+        with pytest.raises(TypeError):  # the last field of No and FpRat has a default
+            cls(*values[:-2 if cls in (No, FpRat) else -1])
         with pytest.raises(TypeError):
             cls(*values, **{next(iter(fields)): values[0]})
 
@@ -125,6 +138,19 @@ def test_keyword_construction_and_defaults():
         Sphere()
     with pytest.raises(TypeError):
         Cantor(1)
+
+
+def test_radicalcheck_records():
+    assert FpRat(3, (1, 1)) == FpRat(p=3, num=(1, 1)) == FpRat(3, (1, 1), (1,))
+    assert FpRat(3, (1, 1)).den == (1,) and repr(FpRat(3, ())) == "FpRat(p=3, num=(), den=(1,))"
+    assert FpRat(3, (1,)) != FpRat(5, (1,)) and FpRat(3, (1,)) != (3, (1,), (1,))
+    assert H3Elem(ONE, ONE, ONE) != AutTriple(ONE, ONE) and AutTriple(ONE, T) != AutTriple(T, ONE)
+    assert GammaElem(H, H, 0) != GammaElem(H, H, 1)
+    assert len({H3Elem(ONE, T, ONE), H3Elem(ONE, T, ONE), GammaElem(ONE, T, ONE)}) == 2
+    with pytest.raises(ValueError):  # AutTriple's __post_init__
+        AutTriple(ONE, FpRat(3, ()))
+    with pytest.raises(ValueError):
+        AutTriple(u=FpRat(3, ()), v=ONE)
 
 
 def test_spectral_data_caches_are_unset_and_invisible():

@@ -154,14 +154,13 @@ def test_dataclass_detector():
 
 # each decoration compiles its methods at import time, so the internal
 # records are on exactnum.Record; tests call dataclasses.replace on the
-# descriptors, and radicalcheck is imported only by radical-check
+# descriptors
 DATACLASSES = {
     "focalmodel.py": ["_Descriptor", "FT", "GAk", "Composite", "Millefeuille"],
-    "radicalcheck.py": ["FpRat", "H3Elem", "AutTriple", "GammaElem"],
 }
 
 
-def test_dataclasses_only_on_descriptors_and_radicalcheck_records():
+def test_dataclasses_only_on_descriptors():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = {p.name: [name for _, name in _dataclass_classes(p.read_text(encoding="utf-8"))]
