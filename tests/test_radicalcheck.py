@@ -1,6 +1,6 @@
 """Unit tests for the function-field radical verification."""
 
-from itertools import product
+from itertools import chain, islice, product
 from random import Random
 
 import pytest
@@ -375,10 +375,20 @@ def _centre_oracle(p: int, zs) -> bool:
     return True
 
 
-def _laurent_polynomials(p: int, degree: int) -> list:
-    """Every Laurent polynomial over F_p with exponents in -degree..degree."""
+def _laurent_polynomials(p: int, degree: int):
+    """Every Laurent polynomial over F_p with exponents in -degree..degree,
+    in base-p order of the coefficient vectors, from the zero polynomial on."""
     den = (0,) * degree + (1,)
-    return [FpRat.make(p, c, den) for c in product(range(p), repeat=2 * degree + 1)]
+    return (FpRat.make(p, c, den) for c in product(range(p), repeat=2 * degree + 1))
+
+
+def _oracle_samples(p: int, samples: int, degree: int) -> list:
+    """The first `samples` Laurent polynomials of degree <= degree for the
+    oracle: t^-degree, ..., t^degree first, then the others in the order of
+    _laurent_polynomials, from the zero polynomial on."""
+    monomials = [FpRat.monomial(p, k) for k in range(-degree, degree + 1)]
+    rest = (z for z in _laurent_polynomials(p, degree) if z not in monomials)
+    return list(islice(chain(monomials, rest), samples))
 
 
 def _with_level1_beta(monkeypatch) -> None:
@@ -414,14 +424,36 @@ def test_center_gamma2_certificate_agrees_with_the_oracle(case):
 def test_center_gamma2_certificate_agrees_with_every_laurent_polynomial(monkeypatch, p, degree, level):
     if level == 1:
         _with_level1_beta(monkeypatch)
-    zs = _laurent_polynomials(p, degree)
+    zs = list(_laurent_polynomials(p, degree))
     assert len(set(zs)) == p ** (2 * degree + 1)
     assert check_center_gamma2(p, len(zs), degree) == _centre_oracle(p, zs) == (level == 2)
 
 
+@pytest.mark.parametrize("p, samples, degree", [(2, 32, 2), (3, 60, 2), (5, 40, 4), (31, 12, 4)])
+def test_center_gamma2_checks_distinct_polynomials_monomials_first(p, samples, degree):
+    # the oracle's z: distinct, the monomials first, the rest in base-p order
+    zs = _oracle_samples(p, samples, degree)
+    assert len(zs) == len(set(zs)) == samples
+    width = 2 * degree + 1
+    assert zs[:width] == [FpRat.monomial(p, k) for k in range(-degree, degree + 1)]
+    indices = []
+    for z in zs:
+        # z t^degree has at most width coefficients iff z has degree <= degree
+        shifted = z * FpRat.monomial(p, degree)
+        assert shifted.den == (1,) and len(shifted.num) <= width
+        indices.append(sum(c * p ** (width - 1 - i) for i, c in enumerate(shifted.num)))
+    # the rest in base-p order of the coefficient vectors (c_-degree, ..., c_degree),
+    # from the zero polynomial on
+    assert indices[width] == 0 and indices[width:] == sorted(indices[width:])
+    if samples == p**width:
+        assert sorted(indices) == list(range(samples))
+    # the monomials span every z of degree <= degree, and the certificate agrees
+    assert _centre_oracle(p, zs) and check_center_gamma2(p, samples, degree)
+
+
 def test_center_gamma2_sample_count_is_bounded_by_the_polynomials():
     # degree 1 over F_2: t^-1, 1 and t span 8 polynomials, no more
-    zs = _laurent_polynomials(2, 1)
+    zs = list(_laurent_polynomials(2, 1))
     assert len(set(zs)) == 8
     assert check_center_gamma2(2, 8, 1) and _centre_oracle(2, zs)
     with pytest.raises(ValueError):
