@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import re
 import sys
@@ -405,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_logging() -> None:
     level = os.environ.get("FOCAL_LOG", "").upper()
     if level in ("DEBUG", "INFO", "WARNING", "ERROR"):
+        import logging
+
         logging.basicConfig(level=getattr(logging, level), stream=sys.stderr)
 
 

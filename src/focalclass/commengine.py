@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
 
 from .exactnum import EQUAL, NOT_EQUAL, Comparison, Record, Undecided, compare_values, maxroot
 from .focalmodel import (
@@ -116,10 +115,10 @@ class SHull(Record):
     """Focal-universal hull of a connected commability class."""
 
     key: tuple
-    hull: Optional[HullSpec]
+    hull: HullSpec | None
 
 
-SymbolicGroup = Union[SDesc, SFreeGroup, SAutTree, SFTpow, SCompositeProduct, SHull]
+SymbolicGroup = SDesc | SFreeGroup | SAutTree | SFTpow | SCompositeProduct | SHull
 
 
 INTO = "into-next"
@@ -192,7 +191,7 @@ class UndecidedVerdict(Record):
     kind = "undecided"
 
 
-Verdict = Union[Yes, No, UndecidedVerdict]
+Verdict = Yes | No | UndecidedVerdict
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,7 @@ _OBSTRUCTIONS = {  # invariant: (its value in a form, the note of a No, its quas
 }
 
 
-def _ladder(f1: CanonicalForm, f2: CanonicalForm) -> Optional[tuple[str, Comparison]]:
+def _ladder(f1: CanonicalForm, f2: CanonicalForm) -> tuple[str, Comparison] | None:
     """The first invariant of the two forms not certified EQUAL, with its
     comparison, or None when the forms agree.
 
@@ -234,7 +233,7 @@ def _ladder(f1: CanonicalForm, f2: CanonicalForm) -> Optional[tuple[str, Compari
     return None
 
 
-def _node_form(node: SymbolicGroup) -> Optional[CanonicalForm]:
+def _node_form(node: SymbolicGroup) -> CanonicalForm | None:
     """Canonical form of a focal chain node; None for free groups and full
     tree groups, which are not focal."""
     if isinstance(node, SDesc):

@@ -18,12 +18,11 @@ is computed on Python ints with mpmath's directed-rounding rules.
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Optional, Union
 
 __all__ = [
     "maxroot",
@@ -43,7 +42,13 @@ __all__ = [
 ]
 
 
-_log = logging.getLogger(__name__)
+def _debug(name: str, msg: str, *args) -> None:
+    """Log msg % args at DEBUG on the logger `name` when logging is loaded.
+    A program that configured logging has imported it; in one that has not,
+    no handler would print the line, and the import would cost start-up."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).debug(msg, *args)
 
 
 class MultiplicativeIndependenceError(ValueError):
@@ -188,7 +193,7 @@ def maxroot(n: int) -> tuple[int, int]:
     return (q, e)
 
 
-def common_power(k1: int, k2: int) -> Optional[tuple[int, int]]:
+def common_power(k1: int, k2: int) -> tuple[int, int] | None:
     """Minimal (n1, n2) with k1**n1 == k2**n2, or None.
 
     A common power exists iff k1 and k2 have the same non-power root.
@@ -264,10 +269,10 @@ def _power(base: Fraction, e: int) -> str:
     return str(base) if e == 1 else f"{base}^{e}"
 
 
-Value = Union[Fraction, LogRatio]
+Value = Fraction | LogRatio
 
 
-def canonical_value(x: Union[LogRatio, Fraction, int]) -> Value:
+def canonical_value(x: LogRatio | Fraction | int) -> Value:
     """Canonical form of an exact value: a Fraction when the value is
     rational, otherwise the LogRatio itself, already in normal form.
 
@@ -311,7 +316,7 @@ class Undecided(Record):
         return False
 
 
-Comparison = Union[_Certainty, Undecided]
+Comparison = _Certainty | Undecided
 
 _INTERVAL_PREC = 256  # dyadic refinement depth for the NotEqual certificate
 _GUARD = 64  # fixed-point bits of the log kernel beyond the working precision
@@ -376,7 +381,7 @@ def _logs(prec: int):
     return log
 
 
-def _ratio_interval(x: LogRatio, prec: int, log=None) -> Optional[tuple]:
+def _ratio_interval(x: LogRatio, prec: int, log=None) -> tuple | None:
     """Enclosure (lower, upper) of x as dyadics (man, exp) by mpmath's libmpi
     rules on positive operands at prec bits: outward rounding of each integer,
     log, sub, mul and div, the last three computed exactly first.  None if the
@@ -413,7 +418,7 @@ def _to_float(d: tuple[int, int]) -> float:
     return math.ldexp(man, exp) if exp + man.bit_length() <= 1024 else math.inf
 
 
-def _working_precision(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> int:
+def _working_precision(x: LogRatio, y: LogRatio, prec: int | None = None) -> int:
     """The precision of an interval comparison of x and y: prec (default 256)
     bits plus the largest bit length among the numerators and denominators
     of the four primitive bases; the exponents m and n do not enter it."""
@@ -422,7 +427,7 @@ def _working_precision(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> 
     return (prec if prec is not None else _INTERVAL_PREC) + bits
 
 
-def _interval_compare(x: LogRatio, y: LogRatio, prec: Optional[int] = None) -> Comparison:
+def _interval_compare(x: LogRatio, y: LogRatio, prec: int | None = None) -> Comparison:
     """NotEqual when rigorous enclosures are disjoint, else Undecided.
 
     The enclosures are _ratio_interval's at _working_precision(x, y, prec),
@@ -459,7 +464,7 @@ def compare_values(x: Value, y: Value) -> Comparison:
         verdict = _interval_compare(cx, cy)
         rung = "disjoint enclosures" if verdict is NOT_EQUAL else "undecided"
         rung += f" at {_working_precision(cx, cy)} bits"
-    _log.debug("compare %s with %s: %s by %s", cx, cy, verdict, rung)
+    _debug(__name__, "compare %s with %s: %s by %s", cx, cy, verdict, rung)
     return verdict
 
 
@@ -490,7 +495,7 @@ def logratio_scale(x: LogRatio, r: Fraction) -> LogRatio:
     return LogRatio.of_powers(x.p, x.m * r.numerator, x.q, x.n * r.denominator)
 
 
-def as_float(x: Union[Value, int, float]) -> float:
+def as_float(x: Value | int | float) -> float:
     """64-bit float evaluation, for reporting and cross-checks only."""
     if isinstance(x, LogRatio):
         return x.m * _log_frac(x.p) / (x.n * _log_frac(x.q))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
 
 from .exactnum import (
     EQUAL,
@@ -102,7 +101,7 @@ class Xi(Record):
         return f"xi({self.d})"
 
 
-BoundaryKind = Union[Sphere, Cantor, Xi]
+BoundaryKind = Sphere | Cantor | Xi
 
 
 def _check_connspec(a: MatQ, what: str):
@@ -117,7 +116,7 @@ class _Descriptor:
     """Base of the descriptors: _form keeps the canonical form once built.
     ==, hash and repr ignore it, and dataclasses.replace does not copy it."""
 
-    _form: Optional[CanonicalForm] = field(default=None, init=False, compare=False, repr=False)
+    _form: CanonicalForm | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -190,16 +189,16 @@ class Millefeuille(_Descriptor):
             raise ValueError(f"Millefeuille needs k >= 2, got {self.k}")
 
 
-FocalDescriptor = Union[FT, GAk, Composite, Millefeuille]
+FocalDescriptor = FT | GAk | Composite | Millefeuille
 
 
-class _Reading(NamedTuple):
+class _Reading(Record):
     """A descriptor as the invariants read it; see :func:`_reading`."""
 
-    conn: Optional[MatQ]  # the connected datum A, None in totally disconnected type
-    tree: Optional[int]  # r with s = r**index, None in connected type
+    conn: MatQ | None  # the connected datum A, None in totally disconnected type
+    tree: int | None  # r with s = r**index, None in connected type
     index: int = 1
-    varpi: Optional[Fraction] = None  # a given varpi; when None, the rule
+    varpi: Fraction | None = None  # a given varpi; when None, the rule
     t: Fraction = Fraction(1)  # varpi = log(r) / (t * log(delta(A)))
 
 
@@ -253,7 +252,7 @@ def invariant_q(g: FocalDescriptor) -> int:
     return root_level(g)[0]
 
 
-def conn_matrix(g: FocalDescriptor) -> Optional[MatQ]:
+def conn_matrix(g: FocalDescriptor) -> MatQ | None:
     """The connected-side datum, when the type has one."""
     return _reading(g).conn
 
@@ -351,7 +350,7 @@ def conn_key(g: FocalDescriptor) -> ConnKey:
     return canonical_form(g).key
 
 
-def _key(a: Optional[MatQ]) -> ConnKey:
+def _key(a: MatQ | None) -> ConnKey:
     if a is None:
         return ()
     data = spectral_data(a)

@@ -26,16 +26,12 @@ on each call.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Optional
 
-from .exactnum import Record, _is_prime, common_power, mult_decompose
-
-_log = logging.getLogger(__name__)
+from .exactnum import Record, _debug, _is_prime, common_power, mult_decompose
 
 __all__ = [
     "MatQ",
@@ -229,8 +225,8 @@ class SpectralData(Record):
     """
 
     entries: tuple
-    _expansions: Optional[tuple] = None
-    _delta: Optional[tuple] = None
+    _expansions: tuple | None = None
+    _delta: tuple | None = None
 
     def expansion_powers(self) -> tuple:
         """Each expansion factor 1/ev, for eigenvalues in (0, 1), written as
@@ -365,7 +361,7 @@ def _rational_roots(p: tuple) -> dict:
     return roots
 
 
-def _triangular_diagonal(a: MatQ) -> Optional[list]:
+def _triangular_diagonal(a: MatQ) -> list | None:
     """Diagonal of a when it is upper or lower triangular, else None."""
     n = a.dim
     upper = all(a.rows[i][j] == 0 for i in range(n) for j in range(i))
@@ -405,7 +401,7 @@ def spectral_data(a: MatQ) -> SpectralData:
             roots[ev] = roots.get(ev, 0) + 1
     else:
         path, roots = "charpoly roots", _rational_roots(charpoly(a))
-    _log.debug("spectral data of a %d x %d matrix from its %s", n, n, path)
+    _debug(__name__, "spectral data of a %d x %d matrix from its %s", n, n, path)
     if sum(roots.values()) < n:
         raise NonRationalSpectrumError("characteristic polynomial does not split over Q")
     if any(ev <= 0 for ev in roots):
@@ -484,7 +480,7 @@ def _similarity(a: MatQ, b: MatQ, data: SpectralData) -> MatQ:
     return p
 
 
-def conjugate(a: MatQ, b: MatQ) -> Optional[MatQ]:
+def conjugate(a: MatQ, b: MatQ) -> MatQ | None:
     """Similarity witness P with P @ a @ P^-1 == b, or None.
 
     Present iff a and b have equal spectral data; a matrix outside the split
@@ -502,7 +498,7 @@ def conjugate(a: MatQ, b: MatQ) -> Optional[MatQ]:
 
 def power_conjugacy(
     a1: MatQ, a2: MatQ, k1: int, k2: int
-) -> Optional[tuple[int, int, MatQ]]:
+) -> tuple[int, int, MatQ] | None:
     """Minimal (n1, n2, P) with k1**n1 == k2**n2 and P @ a1**n1 @ P^-1 == a2**n2.
 
     Testing only the minimal exponent pair is complete: the eigenvalues are

@@ -443,6 +443,40 @@ def test_cli_import_decorates_only_the_descriptors():
         0, "['Composite', 'FT', 'GAk', 'Millefeuille', '_Descriptor']\n"), proc.stderr
 
 
+def test_cli_child_loads_no_logging():
+    """Importing focalclass.cli loads no logging, and under -S, where site
+    does not preload it, no typing either; a commable run with FOCAL_LOG
+    unset, which compares values and computes spectra, still has not
+    loaded logging."""
+    probe = "import sys, focalclass.cli; print([m for m in {!r} if m in sys.modules])"
+    for flags, names in (((), ("logging",)), (("-S",), ("logging", "typing"))):
+        proc = run_python(*flags, "-c", probe.format(names), timeout=20)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), (flags, proc.stderr)
+    run = ("import sys; from focalclass.cli import main; code = main(sys.argv[1:]); "
+           "print('logging' in sys.modules, file=sys.stderr); sys.exit(code)")
+    argv = ("commable", corpus_path("gak_pair_a"), corpus_path("gak_pair_b"), "--within-focal")
+    proc = run_python("-c", run, *argv, timeout=20, env={"FOCAL_LOG": ""})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"verdict": "yes"}\n', "False\n")
+
+
+def test_library_caller_gets_debug_lines_once_logging_is_configured():
+    """Without the CLI or FOCAL_LOG, a program that configured logging gets
+    the certificate line of compare_values and the spectral-path line of
+    spectral_data on stderr."""
+    code = ("import logging; logging.basicConfig(level=logging.DEBUG)\n"
+            "from focalclass.exactnum import LogRatio, compare_values\n"
+            "from focalclass.matexact import MatQ, spectral_data\n"
+            "compare_values(LogRatio(3, 2), LogRatio(5, 2))\n"
+            "spectral_data(MatQ([['1/2', '1'], ['0', '1/3']]))\n")
+    proc = run_python("-c", code, timeout=20, env={"FOCAL_LOG": ""})
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    assert proc.stderr.splitlines() == [
+        "DEBUG:focalclass.exactnum:compare log(3)/log(2) with log(5)/log(2): "
+        "NOT_EQUAL by disjoint enclosures at 259 bits",
+        "DEBUG:focalclass.matexact:spectral data of a 2 x 2 matrix from its triangular diagonal",
+    ]
+
+
 def test_console_entry_point_runs():
     proc = run_child("invariants", corpus_path("ft8"), timeout=60)
     assert proc.returncode == 0

@@ -84,18 +84,43 @@ HALF_QUARTER = diag("1/2", "1/4")
 
 
 def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        FT(1)
-    with pytest.raises(ValueError):
-        GAk(MatQ([]), 1)  # would be Z, not focal
-    with pytest.raises(ValueError):
-        GAk(diag(2), 2)  # not contracting
-    with pytest.raises(ValueError):
-        Composite(HALF_QUARTER, F(-1), 3)
-    with pytest.raises(ValueError):
-        Millefeuille(HALF_QUARTER, F(1), 1)
-    with pytest.raises(ValueError):
-        Composite(MatQ([]), F(1), 3)
+    """Each check of a descriptor's constructor, with its message; GAk and
+    Composite default to index 1, varpi and t become Fractions, and the
+    stored canonical form is no constructor argument."""
+    contracting = "needs a contracting action (all eigenvalues in (0,1))"
+    for make, message in [
+        (lambda: FT(1), "FT needs m >= 2, got 1"),
+        (lambda: GAk(HALF_QUARTER, 0), "GAk needs k >= 1, got 0"),
+        (lambda: GAk(HALF_QUARTER, 2, 0), "GAk needs index >= 1, got 0"),
+        (lambda: GAk(MatQ([]), 1), "GAk with empty action and k = 1 is not focal"),  # Z
+        (lambda: GAk(diag(2), 2), f"GAk {contracting}"),
+        (lambda: Composite(MatQ([]), F(1), 3), "Composite needs a connected datum of dimension >= 1"),
+        (lambda: Composite(diag(2), F(1), 3), f"Composite {contracting}"),
+        (lambda: Composite(HALF_QUARTER, F(-1), 3), "Composite needs varpi > 0"),
+        (lambda: Composite(HALF_QUARTER, F(1), 1), "Composite needs q >= 2, got 1"),
+        (lambda: Composite(HALF_QUARTER, F(1), 3, 0), "Composite needs index >= 1, got 0"),
+        (lambda: Millefeuille(MatQ([]), F(1), 2),
+         "Millefeuille needs a connected datum of dimension >= 1"),
+        (lambda: Millefeuille(diag(2), F(1), 2), f"Millefeuille {contracting}"),
+        (lambda: Millefeuille(HALF_QUARTER, F(0), 2), "Millefeuille needs t > 0"),
+        (lambda: Millefeuille(HALF_QUARTER, F(1), 1), "Millefeuille needs k >= 2, got 1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+    assert GAk(HALF_QUARTER, 2).index == 1 == Composite(HALF_QUARTER, 2, 3).index
+    assert GAk(HALF_QUARTER, 2) == GAk(k=2, matrix=HALF_QUARTER, index=1)
+    for value, coerced in ((Composite(HALF_QUARTER, 2, 3).varpi, F(2)),
+                           (Composite(HALF_QUARTER, "3/2", 3).varpi, F(3, 2)),
+                           (Millefeuille(HALF_QUARTER, 1, 2).t, F(1)),
+                           (Millefeuille(HALF_QUARTER, 0.5, 2).t, F(1, 2))):
+        assert type(value) is F and value == coerced
+    for cls, values in ((FT, (3,)), (GAk, (HALF_QUARTER, 2)), (Composite, (HALF_QUARTER, F(1), 2)),
+                        (Millefeuille, (HALF_QUARTER, F(1), 2))):
+        g = cls(*values)
+        assert g._form is None and "_form" not in repr(g)
+        with pytest.raises(TypeError):
+            cls(*values, _form=None)
 
 
 # ---------------------------------------------------------------------------

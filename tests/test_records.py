@@ -30,8 +30,9 @@ from focalclass.focalmodel import (
     Invariants,
     Sphere,
     Xi,
+    _Reading,
 )
-from focalclass.matexact import SpectralData
+from focalclass.matexact import MatQ, SpectralData
 from focalclass.radicalcheck import AutTriple, FpRat, GammaElem, H3Elem
 
 ARROW = Arrow(INTO, "identity")
@@ -85,7 +86,11 @@ RECORDS = [
      "GammaElem(a=H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), y=FpRat(p=3, num=(0, 1), den=(1,)), "
      "z=FpRat(p=3, num=(), den=(1,))), b=H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), "
      "y=FpRat(p=3, num=(0, 1), den=(1,)), z=FpRat(p=3, num=(), den=(1,))), n=-1)"),
+    (_Reading, {"conn": MatQ([[F(1, 2)]]), "tree": 6, "index": 2, "varpi": F(1, 2), "t": F(2)},
+     "_Reading(conn=MatQ([['1/2']]), tree=6, index=2, varpi=Fraction(1, 2), t=Fraction(2, 1))"),
 ]
+# how many of the last fields of a class have a default
+DEFAULTS = {No: 1, FpRat: 1, _Reading: 3}
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
@@ -109,8 +114,8 @@ def test_record_semantics(cls, fields, text):
     with pytest.raises(TypeError):
         cls(*values, other=0)
     if values:
-        with pytest.raises(TypeError):  # the last field of No and FpRat has a default
-            cls(*values[:-2 if cls in (No, FpRat) else -1])
+        with pytest.raises(TypeError):
+            cls(*values[:-1 - DEFAULTS.get(cls, 0)])
         with pytest.raises(TypeError):
             cls(*values, **{next(iter(fields)): values[0]})
 
@@ -127,6 +132,7 @@ def test_equality_needs_the_same_class():
 def test_keyword_construction_and_defaults():
     assert No("q", (2, 3)) == No(invariant="q", values=(2, 3)) == No("q", (2, 3), note="")
     assert No("q", (2, 3)).note == "" and No("q", (2, 3), "x").note == "x"
+    assert _Reading(None, 3) == _Reading(None, 3, 1, None, F(1)) == _Reading(tree=3, conn=None)
     assert (No("q", ()).kind, Yes(CHAIN).kind, UndecidedVerdict("").kind) == ("no", "yes", "undecided")
     assert repr(No(values=(), invariant="type")) == "No(invariant='type', values=(), note='')"
     assert Undecided(estimate_y=2.0, width=0.5, estimate_x=1.0) == Undecided(1.0, 2.0, 0.5)

@@ -108,29 +108,53 @@ def test_package_imports_only_the_standard_library():
     assert {name: imports for name, imports in found.items() if imports} == {}
 
 
-def _random_imports(source: str) -> list:
-    """Lines that import the ``random`` module or a name from it, at any
-    depth: every search in the program is exact and deterministic."""
+def _imports_of(source: str, modules: set) -> list:
+    """(line, module) for each import of one of `modules`, of a submodule or
+    of a name from one, at any depth; relative imports are the package's own."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [node.lineno for alias in node.names if alias.name == "random"]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "random":
-            found.append(node.lineno)
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.split(".")[0] in modules]
     return found
 
 
 def test_random_import_detector():
     source = ("import os, random\nfrom random import Random\nfrom .random import x\n"
-              "def f():\n    import random as r\n    return r, Random, os, x\n")
-    assert _random_imports(source) == [1, 2, 5]
+              "def f():\n    import random as r\n    import logging.handlers, typing\n"
+              "    from dataclasses import field\n    return r, Random, os, x\n")
+    assert _imports_of(source, {"random"}) == [(1, "random"), (2, "random"), (5, "random")]
+    assert _imports_of(source, {"logging", "dataclasses", "typing"}) == [
+        (6, "logging.handlers"), (6, "typing"), (7, "dataclasses")]
 
 
 def test_package_draws_no_random_numbers():
+    """Every search in the program is exact and deterministic."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    found = {p.name: _random_imports(p.read_text(encoding="utf-8")) for p in modules}
+    found = {p.name: _imports_of(p.read_text(encoding="utf-8"), {"random"}) for p in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_package_imports_no_typing_and_logging_lazily():
+    """A CLI child imports no module it does not use: annotations are
+    strings and the type aliases are unions of classes, and logging is
+    imported only by cli._configure_logging, when FOCAL_LOG names a level."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: _imports_of(p.read_text(encoding="utf-8"), {"typing", "logging"})
+             for p in modules}
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    configure = next(node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.FunctionDef) and node.name == "_configure_logging")
+    inside = _imports_of(ast.get_source_segment(source, configure), {"logging"})
+    assert len(inside) == 1
+    assert {name: lines for name, lines in found.items() if lines} == {
+        "cli.py": [(configure.lineno - 1 + line, name) for line, name in inside]}
 
 
 def _dataclass_classes(source: str) -> list:
