@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -257,8 +258,13 @@ def cmd_invariants(args) -> tuple[dict, int]:
         except HullNotImplementedError:
             pass
     if args.tolerance is not None:
-        obj["varpi_float"] = as_float(inv.varpi)
-        obj["p0_float"] = as_float(inv.p0)
+        # JSON has no Infinity: a value with no finite float reads null
+        for key, value in (("varpi_float", inv.varpi), ("p0_float", inv.p0)):
+            try:
+                x = as_float(value)
+            except OverflowError:  # an exact value beyond the float range
+                x = math.inf
+            obj[key] = x if math.isfinite(x) else None
     return obj, EXIT_YES
 
 

@@ -284,11 +284,10 @@ def canonical_value(x: LogRatio | Fraction | int) -> Value:
     return Fraction(x)
 
 
-class _Certainty:
+class _Certainty(Record):
     """Singleton comparison outcomes; identity comparison is intended."""
 
-    def __init__(self, name: str):
-        self.name = name
+    name: str
 
     def __repr__(self):
         return self.name

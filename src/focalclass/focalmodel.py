@@ -21,7 +21,7 @@ values in canonical form, never as floats.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
@@ -111,12 +111,12 @@ def _check_connspec(a: MatQ, what: str):
         raise ValueError(f"{what} needs a contracting action (all eigenvalues in (0,1))")
 
 
-@dataclass(frozen=True)
 class _Descriptor:
-    """Base of the descriptors: _form keeps the canonical form once built.
-    ==, hash and repr ignore it, and dataclasses.replace does not copy it."""
+    """Base of the descriptors: _form is a cache, as on a Record, that keeps
+    the canonical form once built.  It is not a dataclass field, so ==, hash,
+    repr and dataclasses.replace ignore it."""
 
-    _form: CanonicalForm | None = field(default=None, init=False, compare=False, repr=False)
+    _form: CanonicalForm | None = None
 
 
 @dataclass(frozen=True)

@@ -65,14 +65,16 @@ def _int_product(a: list, b: list) -> list:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-class MatQ:
+class MatQ(Record):
     """Immutable square matrix over Q.  dim 0 is allowed (empty matrix).
 
-    Equality, hashing and repr use only the rows; the _spectral slot holds
-    the spectral data once spectral_data has computed it.
+    Equality, hashing and repr use only the rows; dim is their number, and
+    the _spectral cache holds the spectral data once spectral_data has
+    computed it.
     """
 
-    __slots__ = ("rows", "dim", "_spectral")
+    rows: tuple
+    _spectral: SpectralData | None = None
 
     def __init__(self, rows):
         rows = tuple(tuple(_frac(x) for x in row) for row in rows)
@@ -81,10 +83,6 @@ class MatQ:
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "_spectral", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatQ is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "MatQ":
@@ -95,12 +93,6 @@ class MatQ:
         values = [_frac(v) for v in values]
         n = len(values)
         return cls([[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return isinstance(other, MatQ) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"MatQ({[[str(x) for x in row] for row in self.rows]})"

@@ -182,10 +182,6 @@ class FpRat(Record):
         """True iff the reduced fraction is a nonzero scalar."""
         return len(self.num) == 1 and self.den == _ONE
 
-    def is_laurent(self) -> bool:
-        """True iff the reduced denominator is a power of t."""
-        return all(c == 0 for c in self.den[:-1])
-
     def __add__(self, other: "FpRat") -> "FpRat":
         self._check(other)
         if not self.num:  # both operands are reduced, so x + 0 is x as it stands
@@ -371,8 +367,9 @@ class GammaElem(Record):
 
 
 class Gamma:
-    """H3(F_p[t, 1/t])^2 x| Z with the level-i action; elements live in the
-    function-field Heisenberg group, Laurent membership is a predicate."""
+    """H3(F_p[t, 1/t])^2 x| Z with the level-i action; elements are computed
+    in the function-field Heisenberg group H3(F_p(t))^2 x| Z, which
+    contains it."""
 
     def __init__(self, i: int, p: int):
         _check_prime(p)
@@ -410,10 +407,6 @@ class Gamma:
     def inv(self, g: GammaElem) -> GammaElem:
         a, b = self._act(-g.n, h3_inv(g.a), h3_inv(g.b))
         return GammaElem(a, b, -g.n)
-
-    def is_laurent_elem(self, g: GammaElem) -> bool:
-        coords = (g.a.x, g.a.y, g.a.z, g.b.x, g.b.y, g.b.z)
-        return all(c.is_laurent() for c in coords)
 
 
 def check_center_gamma2(p: int, samples: int, degree: int) -> bool:

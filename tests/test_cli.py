@@ -433,14 +433,16 @@ def test_cli_runs_without_mpmath(tmp_path):
 
 def test_cli_import_decorates_only_the_descriptors():
     """Each dataclass decoration compiles its methods at import time, so the
-    records a CLI child loads are on exactnum.Record; only the descriptors,
-    which tests copy with dataclasses.replace, stay dataclasses."""
+    records a CLI child loads are on exactnum.Record.  Only the four
+    descriptor families stay dataclasses: moved, they raise the benchmark's
+    radical_walk peak memory until its rounds stop compiling dataclasses
+    from source (ROADMAP item 3)."""
     proc = run_python("-c", "import dataclasses, sys, focalclass.cli; print(sorted("
                       "name for m, module in list(sys.modules.items()) if m.startswith('focalclass') "
                       "for name, obj in vars(module).items() if isinstance(obj, type) "
                       "and obj.__module__ == m and dataclasses.is_dataclass(obj)))", timeout=20)
     assert (proc.returncode, proc.stdout) == (
-        0, "['Composite', 'FT', 'GAk', 'Millefeuille', '_Descriptor']\n"), proc.stderr
+        0, "['Composite', 'FT', 'GAk', 'Millefeuille']\n"), proc.stderr
 
 
 def test_cli_child_loads_no_logging():
@@ -568,6 +570,39 @@ def test_human_output_is_not_json(capsys):
     assert code == EXIT_YES
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_one_file_subcommands_write_strict_json_on_corpus(capsys, tmp_path):
+    """json.dumps writes Infinity and NaN, which no JSON parser need accept:
+    on every corpus file, stdout of each one-file subcommand parses under a
+    parser that rejects them, and --tolerance writes null for a value with
+    no finite float: both values of a totally disconnected group, and both
+    of a group whose varpi, and so p0 = (1 + varpi) p0(A), is past the float
+    range."""
+    files = sorted(CORPUS.glob("*.json"))
+    assert len(files) == 20
+    huge = tmp_path / "huge_varpi.json"
+    huge.write_text('{"kind":"Composite","A":[["1/2"]],"varpi":"' + "9" * 400 + '","q":2}',
+                    encoding="utf-8")
+    nulls = []
+    for path in [*files, huge]:
+        for argv in (("invariants", "--tolerance", "0"), ("invariants",), ("boundary",), ("hull",)):
+            code = main([argv[0], str(path), *argv[1:]])
+            out = capsys.readouterr().out
+            if code == EXIT_PARSE:  # hull of a group not of connected type
+                assert out == ""
+                continue
+            obj = json.loads(out, parse_constant=_reject_constant)
+            if argv[1:]:
+                floats = (obj["varpi_float"], obj["p0_float"])
+                assert all(x is None or isinstance(x, float) for x in floats)
+                nulls += [(path.stem, name) for x, name in zip(floats, ("varpi", "p0")) if x is None]
+    assert nulls == [(name, x) for name in ("ft2", "ft3", "ft4", "ft8", "ft9", "gak_dim0")
+                     for x in ("varpi", "p0")] + [("huge_varpi", "varpi"), ("huge_varpi", "p0")]
 
 
 # ---------------------------------------------------------------------------

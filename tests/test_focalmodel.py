@@ -394,6 +394,10 @@ def test_hull_examples():
         == "ℝ^3 ⋊ (ℝ × {±1}^3)"
     )
     assert focal_universal_hull(GAk(diag("1/2", "1/2", "1/4"), 1)).factors == (2, 1)
+    assert (
+        focal_universal_hull(GAk(diag("1/2", "1/2", "1/3"), 1)).render()
+        == "ℝ^3 ⋊ (ℝ × O(2) × {±1})"
+    )
     with pytest.raises(HullNotImplementedError):
         focal_universal_hull(GAk(MatQ([["1/2", 1], [0, "1/2"]]), 1))
     with pytest.raises(ValueError):

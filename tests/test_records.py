@@ -20,7 +20,7 @@ from focalclass.commengine import (
     WitnessChain,
     Yes,
 )
-from focalclass.exactnum import LogRatio, Record, Undecided
+from focalclass.exactnum import EQUAL, NOT_EQUAL, LogRatio, Record, Undecided, _Certainty
 from focalclass.focalmodel import (
     FT,
     CanonicalForm,
@@ -42,6 +42,8 @@ H = H3Elem(ONE, T, FpRat(3, (), (1,)))
 
 # (class, its fields in order with literal values, the expected repr)
 RECORDS = [
+    (_Certainty, {"name": "EQUAL"}, "EQUAL"),
+    (MatQ, {"rows": ((F(1, 2), F(0)), (F(-3), F(1)))}, "MatQ([['1/2', '0'], ['-3', '1']])"),
     (Undecided, {"estimate_x": 0.5, "estimate_y": 0.25, "width": 0.125},
      "Undecided(estimate_x=0.5, estimate_y=0.25, width=0.125)"),
     (SpectralData, {"entries": ((F(1, 3), (1,)), (F(1, 2), (2, 1)))},
@@ -109,6 +111,12 @@ def test_record_semantics(cls, fields, text):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert tuple(getattr(x, name) for name in fields) == values
+    for cache in (name for name in cls.__annotations__ if name.startswith("_")):
+        assert getattr(x, cache) is None
+        with pytest.raises(TypeError):
+            cls(*values, **{cache: None})
+        object.__setattr__(x, cache, "filled")  # ==, hash and repr ignore it
+    assert x == cls(*values) and hash(x) == hash(values) and repr(x) == text
     with pytest.raises(TypeError):
         cls(*values, 0)
     with pytest.raises(TypeError):
@@ -126,6 +134,7 @@ def test_equality_needs_the_same_class():
     assert No("q", ("a",), "") != UndecidedVerdict("q")
     assert No("close", (), "") != UndecidedVerdict("close")
     assert SAutTree(3) != SFreeGroup(3)
+    assert EQUAL != NOT_EQUAL and EQUAL and not NOT_EQUAL and MatQ([[1]]) != ((F(1),),)
     assert len({Sphere(2), Xi(2), Sphere(2), Cantor(), Cantor()}) == 3
 
 

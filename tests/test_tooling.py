@@ -33,8 +33,8 @@ _MEMOISERS = {"cache", "lru_cache", "cached_property"}
 
 def _memoiser_uses(source: str) -> list:
     """Lines that import or name a functools memoiser: a cache of that kind
-    outlives the values it keys on, where a slot on an immutable value (as
-    MatQ._spectral and the SpectralData slots are) is freed with it."""
+    outlives the values it keys on, where a cache field on an immutable value
+    (as MatQ._spectral and the SpectralData caches are) is freed with it."""
     tree = ast.parse(source)
     modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names if alias.name == "functools"}
@@ -176,11 +176,39 @@ def test_dataclass_detector():
     assert sorted(_dataclass_classes(source)) == [(4, "A"), (7, "B"), (10, "C"), (19, "G")]
 
 
-# each decoration compiles its methods at import time, so the internal
-# records are on exactnum.Record; tests call dataclasses.replace on the
-# descriptors
+_VALUE_METHODS = {"__slots__", "__setattr__", "__delattr__", "__eq__", "__hash__"}
+
+
+def _value_method_classes(source: str) -> list:
+    """(line, name) of each class, at any depth, whose own body defines or
+    assigns one of _VALUE_METHODS."""
+    def names(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return {stmt.name}
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(names(s) & _VALUE_METHODS for s in node.body)]
+
+
+def test_only_record_defines_value_methods():
+    """exactnum.Record is the one base that builds an immutable value: no
+    other class writes its own slots, attribute guards, equality or hash."""
+    source = ("class A:\n    __slots__ = ()\nclass B:\n    __hash__: object = None\n"
+              "class C:\n    def __eq__(self, other):\n        pass\n"
+              "class D:\n    def f(self):\n        def __hash__():\n            pass\n"
+              "def g():\n    class E:\n        def __setattr__(self, n, v):\n            pass\n")
+    assert _value_method_classes(source) == [(1, "A"), (3, "B"), (5, "C"), (13, "E")]
+    found = {p.name: [name for _, name in _value_method_classes(p.read_text(encoding="utf-8"))]
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == {"exactnum.py": ["Record"]}
+
+
+# each decoration compiles its methods at import time, so every other value
+# is on exactnum.Record; the four descriptor families wait for the benchmark's
+# radical_walk rounds to stop compiling dataclasses from source (ROADMAP item 3)
 DATACLASSES = {
-    "focalmodel.py": ["_Descriptor", "FT", "GAk", "Composite", "Millefeuille"],
+    "focalmodel.py": ["FT", "GAk", "Composite", "Millefeuille"],
 }
 
 
