@@ -12,13 +12,13 @@ lowest terms.  Exit codes: 0 yes/success, 1 no, 2 parse or usage error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactnum import _is_prime, as_float
 from .matexact import MatQ, NonRationalSpectrumError
@@ -160,7 +160,7 @@ def load_descriptor(path: str) -> FocalDescriptor:
             obj = json.load(fh)
     except OSError as exc:
         raise DescriptorError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits or too deep
         raise DescriptorError(f"invalid JSON in {path}: {exc}") from None
     return parse_descriptor(obj)
 
@@ -349,62 +349,78 @@ def cmd_ft_oracle(args) -> tuple[dict, int]:
     return obj, EXIT_YES if index == args.m else EXIT_NO
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="focalclass",
-        description="exact commability and quasi-isometry decisions on focal group descriptors",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# subcommand: handler, positional fields (FILE, A, B in usage), and options "--name METAVAR"
+# with (converter or None for a flag, default or _REQUIRED); all take --human and -h/--help
+_REQUIRED = object()
+_FLAG = (None, False)
+_SHARED = {"-h": _FLAG, "--help": _FLAG, "--human": _FLAG}
+_COMMANDS = {
+    "invariants": (cmd_invariants, ("file",), {"--tolerance X": (float, None)}),
+    "commable": (cmd_commable, ("fileA", "fileB"), {"--within-focal": _FLAG, "--witness": _FLAG}),
+    "qi": (cmd_commable, ("fileA", "fileB"), {"--witness": _FLAG}),
+    "boundary": (cmd_boundary, ("file",), {}),
+    "hull": (cmd_hull, ("file",), {}),
+    "pattern": (cmd_pattern, ("fileA", "fileB"), {}),
+    "radical-check": (cmd_radical_check, (), {"--p P": (int, _REQUIRED), "--samples N": (int, 20),
+                                             "--conj-bound B": (int, 100)}),
+    "ft-oracle": (cmd_ft_oracle, (), {"--m M": (int, _REQUIRED), "--depth D": (int, _REQUIRED)}),
+}
 
-    p_inv = sub.add_parser("invariants", help="classification invariants of one descriptor")
-    p_inv.add_argument("file")
-    p_inv.add_argument("--tolerance", type=float, default=None,
-                       help="a flag: also emit float renditions of varpi and p0 "
-                            "(its value is required but never read)")
-    p_inv.set_defaults(func=cmd_invariants)
 
-    p_com = sub.add_parser("commable", help="decide commability of two descriptors")
-    p_com.add_argument("fileA")
-    p_com.add_argument("fileB")
-    p_com.add_argument("--within-focal", action="store_true", dest="within_focal")
-    p_com.add_argument("--witness", action="store_true")
-    p_com.set_defaults(func=cmd_commable)
+def _usage(command=None) -> str:
+    """The usage line of `command`, or of every subcommand."""
+    lines = [" ".join(["focalclass", name, *(field[4:] or "FILE" for field in fields),
+                       *(o if d is _REQUIRED else f"[{o}]" for o, (_, d) in options.items())])
+             for name, (_, fields, options) in _COMMANDS.items() if command in (None, name)]
+    return "usage: " + "\n       ".join(lines)
 
-    p_qi = sub.add_parser("qi", help="decide quasi-isometry of two descriptors")
-    p_qi.add_argument("fileA")
-    p_qi.add_argument("fileB")
-    p_qi.add_argument("--witness", action="store_true")
-    p_qi.set_defaults(func=cmd_commable, qi=True)
 
-    p_bd = sub.add_parser("boundary", help="boundary topology of one descriptor")
-    p_bd.add_argument("file")
-    p_bd.set_defaults(func=cmd_boundary)
+def _exit_usage(command, error=None):
+    """Usage lines on stdout and exit 0, or with `error` on stderr and exit 2."""
+    print(_usage(command), f"focalclass: error: {error}" if error else "every subcommand takes "
+          "--human: pretty text, never parsed back", sep="\n", file=sys.stderr if error else None)
+    raise SystemExit(EXIT_PARSE if error else 0)
 
-    p_hull = sub.add_parser("hull", help="focal-universal hull of a connected descriptor")
-    p_hull.add_argument("file")
-    p_hull.set_defaults(func=cmd_hull)
 
-    p_pat = sub.add_parser("pattern", help="certified commation patterns for a pair")
-    p_pat.add_argument("fileA")
-    p_pat.add_argument("fileB")
-    p_pat.set_defaults(func=cmd_pattern)
-
-    p_rad = sub.add_parser("radical-check", help="verify the polyfinite-radical example")
-    p_rad.add_argument("--p", type=int, required=True,
-                       help="a prime p <= 2^20 (larger p exits 2: --p out of range)")
-    p_rad.add_argument("--samples", type=int, default=20)
-    p_rad.add_argument("--conj-bound", type=int, default=100, dest="conj_bound")
-    p_rad.set_defaults(func=cmd_radical_check)
-
-    p_ft = sub.add_parser("ft-oracle", help="orbit oracle on the truncated regular tree")
-    p_ft.add_argument("--m", type=int, required=True)
-    p_ft.add_argument("--depth", type=int, required=True)
-    p_ft.set_defaults(func=cmd_ft_oracle)
-
-    for p in (p_inv, p_com, p_qi, p_bd, p_hull, p_pat, p_rad, p_ft):
-        p.add_argument("--human", action="store_true", help="pretty text output, never parsed back")
-
-    return parser
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read argv (sys.argv[1:] by default) against _COMMANDS into the handler `func`, `qi`,
+    `human` and the subcommand's fields, by the grammar of the README's CLI section."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--h", "--he", "--hel", "--help"):
+        _exit_usage(None)
+    if command not in _COMMANDS:
+        _exit_usage(None, f"invalid choice: {command!r}" if argv else "a subcommand is required")
+    func, fields, table = _COMMANDS[command]
+    opts = {**_SHARED, **{option.split()[0]: spec for option, spec in table.items()}}
+    values = {opt: default for opt, (_, default) in opts.items() if opt not in ("-h", "--help")}
+    positionals, extras, tokens = [], [], iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        found = [name] if name in opts else [opt for opt in opts if opt.startswith(name)]
+        if token == "--" or not token.startswith(("--", "-h")):  # all after -- are positionals
+            positionals += tokens if token == "--" else [token]
+        elif not found:
+            extras.append(token)
+        elif len(found) > 1:
+            _exit_usage(command, f"ambiguous option: {name} could match {', '.join(found)}")
+        else:
+            opt, convert = found[0], opts[found[0]][0]
+            if convert is None and eq or opt in ("-h", "--help"):  # help, or a flag given a value
+                _exit_usage(command, eq and f"argument {opt}: takes no value, got {value!r}")
+            value = value if eq or convert is None else next(tokens, None)
+            try:
+                values[opt] = True if convert is None else convert(value)
+            except (TypeError, ValueError):  # no token left, or not a number
+                _exit_usage(command, f"argument {opt}: expected {convert.__name__}, got {value!r}")
+    missing = [field[4:] or "FILE" for field in fields[len(positionals):]]
+    missing += [opt for opt, value in values.items() if value is _REQUIRED]
+    if missing:
+        _exit_usage(command, "the following arguments are required: " + ", ".join(missing))
+    if extras or positionals[len(fields):]:
+        _exit_usage(command, "unrecognized arguments: " + " ".join(extras + positionals[len(fields):]))
+    return SimpleNamespace(func=func, qi=command == "qi", **dict(zip(fields, positionals)),
+                           **{opt[2:].replace("-", "_"): value for opt, value in values.items()})
 
 
 def _configure_logging() -> None:
@@ -417,8 +433,7 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         obj, code = args.func(args)
     except DescriptorError as exc:

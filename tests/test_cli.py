@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -8,9 +9,12 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import focalclass
 from focalclass.cli import (
@@ -19,7 +23,15 @@ from focalclass.cli import (
     EXIT_UNDECIDED,
     EXIT_YES,
     canonical_text,
+    cmd_boundary,
+    cmd_commable,
+    cmd_ft_oracle,
+    cmd_hull,
+    cmd_invariants,
+    cmd_pattern,
+    cmd_radical_check,
     main,
+    parse_args,
     parse_descriptor,
 )
 
@@ -74,11 +86,14 @@ def test_parse_rejects_malformed_input(tmp_path):
         '{"kind":"Millefeuille","A":[["1/2"]],"t":"1","k":null}',
         # an integer past Python's 4300-digit string conversion limit
         '{"kind":"FT","m":' + "9" * 5000 + "}",
+        # arrays nested past the recursion limit of json.load
+        "[" * 1000 + "]" * 1000,
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(text, encoding="utf-8")
-        assert main(["invariants", str(path)]) == EXIT_PARSE
+        for argv in (["invariants", str(path)], ["commable", corpus_path("ft2"), str(path)]):
+            assert main(argv) == EXIT_PARSE, (text[:40], argv[0])
 
 
 def test_matrix_outside_family_is_a_parse_error(tmp_path):
@@ -192,12 +207,30 @@ def test_qi_witness_chain(capsys):
 
 def test_qi_is_a_subcommand_only(capsys):
     """`qi` is the one route to quasi-isometry: `commable --qi` is a usage
-    error, and `qi --witness` prints these bytes."""
-    with pytest.raises(SystemExit) as exc:
-        main(["commable", corpus_path("ft2"), corpus_path("ft3"), "--qi"])
-    assert exc.value.code == EXIT_PARSE
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--qi" in captured.err
+    error, as is each argv below, and `qi --witness` prints these bytes.  A
+    usage error raises SystemExit(2), writes nothing to stdout, and writes
+    usage lines to stderr and, on its last line, the token at fault."""
+    ft2, ft3 = corpus_path("ft2"), corpus_path("ft3")
+    usage_errors = [
+        ([], "subcommand"),
+        (["nope", ft2], "nope"),
+        (["commable", ft2, ft3, "--qi"], "--qi"),
+        (["qi", ft2, ft3, "--within-focal"], "--within-focal"),
+        (["commable", ft2], "required: B"),
+        (["boundary", ft2, ft3], ft3),
+        (["radical-check"], "required: --p"),
+        (["radical-check", "--p", "x"], "'x'"),
+        (["radical-check", "--p"], "--p"),
+        (["commable", ft2, ft3, "--w"], "--w"),
+        (["boundary", ft2, "--human=yes"], "--human"),
+    ]
+    for argv, token in usage_errors:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: focalclass "), argv
+        assert token in captured.err.splitlines()[-1], (argv, captured.err)
     assert main(["qi", corpus_path("ft2"), corpus_path("ft3"), "--witness"]) == EXIT_YES
     assert capsys.readouterr().out == (
         '{"verdict": "yes", "chain": {"nodes": [{"kind": "FT", "m": 2}, '
@@ -214,6 +247,185 @@ def test_qi_is_a_subcommand_only(capsys):
         '{"verdict": "no", "obstruction": {"invariant": "q", "values": [2, 3], '
         '"note": "the non-power root is a quasi-isometry invariant on mixed type"}}\n'
     )
+
+
+def _readme_usage_lines() -> list:
+    """The command lines of the README's "Subcommands" block, comments cut."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Subcommands:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#")[0].rstrip() for line in block.splitlines() if line.startswith("focalclass")]
+
+
+def test_help_prints_the_readme_usage_lines(capsys):
+    """-h and --help, alone or after a subcommand, exit 0 and print usage
+    lines equal to the README's command lines, and nothing on stderr."""
+    readme = _readme_usage_lines()
+    assert len(readme) == 8
+    cases = [(["-h"], readme), (["--help"], readme), (["--he"], readme)]
+    cases += [([line.split()[1], flag], [line]) for line in readme for flag in ("-h", "--help")]
+    for argv, lines in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+        captured = capsys.readouterr()
+        *usage, note = captured.out.removeprefix("usage: ").splitlines()
+        assert [line.strip() for line in usage] == lines, argv
+        assert "--human" in note and captured.err == "", argv
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that focalclass.cli.parse_args replaced: the
+    reference of test_parse_args_agrees_with_argparse."""
+    parser = argparse.ArgumentParser(
+        prog="focalclass",
+        description="exact commability and quasi-isometry decisions on focal group descriptors",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_inv = sub.add_parser("invariants", help="classification invariants of one descriptor")
+    p_inv.add_argument("file")
+    p_inv.add_argument("--tolerance", type=float, default=None,
+                       help="a flag: also emit float renditions of varpi and p0 "
+                            "(its value is required but never read)")
+    p_inv.set_defaults(func=cmd_invariants)
+
+    p_com = sub.add_parser("commable", help="decide commability of two descriptors")
+    p_com.add_argument("fileA")
+    p_com.add_argument("fileB")
+    p_com.add_argument("--within-focal", action="store_true", dest="within_focal")
+    p_com.add_argument("--witness", action="store_true")
+    p_com.set_defaults(func=cmd_commable)
+
+    p_qi = sub.add_parser("qi", help="decide quasi-isometry of two descriptors")
+    p_qi.add_argument("fileA")
+    p_qi.add_argument("fileB")
+    p_qi.add_argument("--witness", action="store_true")
+    p_qi.set_defaults(func=cmd_commable, qi=True)
+
+    p_bd = sub.add_parser("boundary", help="boundary topology of one descriptor")
+    p_bd.add_argument("file")
+    p_bd.set_defaults(func=cmd_boundary)
+
+    p_hull = sub.add_parser("hull", help="focal-universal hull of a connected descriptor")
+    p_hull.add_argument("file")
+    p_hull.set_defaults(func=cmd_hull)
+
+    p_pat = sub.add_parser("pattern", help="certified commation patterns for a pair")
+    p_pat.add_argument("fileA")
+    p_pat.add_argument("fileB")
+    p_pat.set_defaults(func=cmd_pattern)
+
+    p_rad = sub.add_parser("radical-check", help="verify the polyfinite-radical example")
+    p_rad.add_argument("--p", type=int, required=True,
+                       help="a prime p <= 2^20 (larger p exits 2: --p out of range)")
+    p_rad.add_argument("--samples", type=int, default=20)
+    p_rad.add_argument("--conj-bound", type=int, default=100, dest="conj_bound")
+    p_rad.set_defaults(func=cmd_radical_check)
+
+    p_ft = sub.add_parser("ft-oracle", help="orbit oracle on the truncated regular tree")
+    p_ft.add_argument("--m", type=int, required=True)
+    p_ft.add_argument("--depth", type=int, required=True)
+    p_ft.set_defaults(func=cmd_ft_oracle)
+
+    for p in (p_inv, p_com, p_qi, p_bd, p_hull, p_pat, p_rad, p_ft):
+        p.add_argument("--human", action="store_true", help="pretty text output, never parsed back")
+
+    return parser
+
+
+# every field a handler reads; cmd_commable reads qi and within_focal with
+# getattr and a default of False
+_FIELDS = ("file", "fileA", "fileB", "tolerance", "within_focal", "witness", "qi", "human",
+           "p", "samples", "conj_bound", "m", "depth")
+# each subcommand's count of positionals and its options; every one also
+# takes --human and --help
+_GRAMMAR = {
+    "invariants": (1, ("--tolerance",)), "commable": (2, ("--within-focal", "--witness")),
+    "qi": (2, ("--witness",)), "boundary": (1, ()), "hull": (1, ()), "pattern": (2, ()),
+    "radical-check": (0, ("--p", "--samples", "--conj-bound")), "ft-oracle": (0, ("--m", "--depth")),
+}
+_FLAGS = ("--within-focal", "--witness", "--human", "--help", "-h")
+_REQUIRED = ("--p", "--m", "--depth")
+_NUMBERS = ("3", "0", "7", "-3", "-.5", "1e-9", "nan")
+_VALUES = (*_NUMBERS, "-1e-9", "-inf", "x", "", "-", "-x", "-h", "--")
+_POSITIONALS = (corpus_path("ft2"), corpus_path("ft3")) * 3 + ("-3", "-x", "x", "-", "")
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 5)) == 0
+
+
+@st.composite
+def _option(draw, option):
+    """One option in full or by a prefix past "--" (unique or not), with its
+    value as the next token or after "=", mostly a number; now and then a
+    flag with a value."""
+    name = draw(st.sampled_from([option[:i] for i in range(3, len(option) + 1)] or [option]))
+    value = draw(st.sampled_from(_NUMBERS) if draw(st.booleans()) else st.sampled_from(_VALUES))
+    if option in _FLAGS and not _rarely(draw):
+        return (name,)
+    return (f"{name}={value}",) if draw(st.booleans()) else (name, value)
+
+
+# any option of any subcommand, --qi, which none takes, or a lone value
+_NOISE = st.sampled_from((*chain.from_iterable(opts for _, opts in _GRAMMAR.values()),
+                          "--human", "--help", "--qi", "-h")).flatmap(_option)
+_NOISE |= st.tuples(st.sampled_from(_VALUES))
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, about its count of positionals and a few of its own
+    options (its required ones more often than not), in any order; now and
+    then a token of another subcommand, a "--" put anywhere, or a few tokens
+    without a subcommand."""
+    if _rarely(draw):
+        parts = draw(st.lists(st.tuples(st.sampled_from(sorted(_GRAMMAR))) | _NOISE, max_size=3))
+        return list(chain.from_iterable(parts))
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    count, options = _GRAMMAR[command]
+    count += draw(st.sampled_from((-1, 1))) if count and _rarely(draw) else 0
+    units = [(draw(st.sampled_from(_POSITIONALS)),) for _ in range(count)]
+    units += [draw(_option(o)) for o in options if o in _REQUIRED and not _rarely(draw)]
+    units += draw(st.lists(st.sampled_from((*options, "--human")).flatmap(_option), max_size=3))
+    units += [draw(_NOISE)] if _rarely(draw) else []
+    tokens = list(chain.from_iterable(draw(st.permutations(units))))
+    if _rarely(draw):
+        tokens.insert(draw(st.integers(0, len(tokens))), "--")
+    return [command, *tokens]
+
+
+def _parsed(parse, argv):
+    """The handler and the value of each field a handler reads, or None when
+    parse exits (help or a usage error)."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit:
+            return None
+    return args.func, [getattr(args, field, False) for field in _FIELDS]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["commable", "--with", corpus_path("ft2"), "--witness", corpus_path("ft3")])
+@example(["radical-check", "--conj=5", "--p", "-3", "--samples", "0", "--p=7"])
+@example(["invariants", "--tol=-inf", "--", "-h"])
+@example(["qi", "-", "--", "--witness"])
+def test_parse_args_agrees_with_argparse(argv):
+    """Wherever the argparse reference accepts argv, parse_args picks the
+    same handler and gives every field a handler reads the same value
+    (compared by repr, so that nan equals nan).  argparse 3.11 drops "--"
+    from the tokens it hands an option or a positional: --opt=-- and a
+    positional after a second "--" read as lists, which no handler reads,
+    and such an argv counts as rejected, even where a later --opt value
+    replaces the list."""
+    expected = _parsed(lambda argv: build_parser().parse_args(argv), argv)
+    if (expected is None or any(token.endswith("=--") for token in argv)
+            or any(isinstance(value, list) for value in expected[1])):
+        return
+    got = _parsed(parse_args, argv)
+    assert repr(got) == repr(expected), argv
 
 
 def test_invariants_composite_and_millefeuille(capsys):
@@ -447,18 +659,29 @@ def test_cli_import_decorates_only_the_descriptors():
 
 def test_cli_child_loads_no_logging():
     """Importing focalclass.cli loads no logging, and under -S, where site
-    does not preload it, no typing either; a commable run with FOCAL_LOG
-    unset, which compares values and computes spectra, still has not
-    loaded logging."""
+    does not preload it, no typing either.  With FOCAL_LOG unset, a run of
+    commable, which compares values and computes spectra, and runs of
+    boundary and of commable --within-focal --witness have still loaded
+    neither logging nor argparse, nor gettext and locale, which argparse's
+    messages load."""
     probe = "import sys, focalclass.cli; print([m for m in {!r} if m in sys.modules])"
     for flags, names in (((), ("logging",)), (("-S",), ("logging", "typing"))):
         proc = run_python(*flags, "-c", probe.format(names), timeout=20)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), (flags, proc.stderr)
-    run = ("import sys; from focalclass.cli import main; code = main(sys.argv[1:]); "
-           "print('logging' in sys.modules, file=sys.stderr); sys.exit(code)")
-    argv = ("commable", corpus_path("gak_pair_a"), corpus_path("gak_pair_b"), "--within-focal")
-    proc = run_python("-c", run, *argv, timeout=20, env={"FOCAL_LOG": ""})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"verdict": "yes"}\n', "False\n")
+    run = ("import sys; from focalclass.cli import main; code = main(sys.argv[1:]); print([m for m in "
+           "('logging', 'argparse', 'gettext', 'locale') if m in sys.modules], file=sys.stderr); "
+           "sys.exit(code)")
+    runs = [
+        (("commable", corpus_path("gak_pair_a"), corpus_path("gak_pair_b"), "--within-focal"),
+         0, '{"verdict": "yes"}\n'),
+        (("boundary", corpus_path("ft2")), 0, '{"boundary": "cantor"}\n'),
+        (("commable", corpus_path("ft2"), corpus_path("ft3"), "--within-focal", "--witness"),
+         1, '{"verdict": "no", "obstruction": {"invariant": "q", "values": [2, 3], '
+            '"note": "q is an invariant of commability within focal groups"}}\n'),
+    ]
+    for argv, code, out in runs:
+        proc = run_python("-c", run, *argv, timeout=20, env={"FOCAL_LOG": ""})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "[]\n"), argv
 
 
 def test_library_caller_gets_debug_lines_once_logging_is_configured():

@@ -157,6 +157,16 @@ def test_package_imports_no_typing_and_logging_lazily():
         "cli.py": [(configure.lineno - 1 + line, name) for line, name in inside]}
 
 
+def test_package_imports_no_argparse():
+    """argv is read from cli._COMMANDS: argparse's gettext lookups would
+    import locale on every CLI run."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: _imports_of(p.read_text(encoding="utf-8"), {"argparse", "gettext", "locale"})
+             for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _dataclass_classes(source: str) -> list:
     """(line, name) of each class decorated by ``dataclass``, called or
     bare, by name or as ``dataclasses.dataclass``, at any depth."""
