@@ -6,8 +6,18 @@ Wire format (normative):
     {"kind":"Composite","A":[[ratstr,...],...],"varpi":ratstr,"q":int,"index":int?}
     {"kind":"Millefeuille","A":[[ratstr,...],...],"t":ratstr,"k":int}
 with ratstr matching -?[0-9]+(/[0-9]+)?, matrices row-major, rationals in
-lowest terms.  Exit codes: 0 yes/success, 1 no, 2 parse or usage error,
-3 undecided.  Stdout is a single JSON document except under --human.
+lowest terms.  Witness chains (--witness) are
+    {"nodes":[node,...],"arrows":[{"direction":str,"citation":str},...],"pattern":str}
+where a node is a descriptor, printed exactly as above, or one of
+    {"kind":"FreeGroup","rank":int}
+    {"kind":"AutTree","m":int}
+    {"kind":"FTpow","q":int,"n":int}
+    {"kind":"CompositeProduct","key":connkey,"varpi":value,"m":int,"index":int?}
+    {"kind":"Hull","key":connkey,"hull":str?}
+with connkey a list of [value,[int,...]] pairs, value a rendered value, index
+left out at 1 and hull left out when there is none.  Exit codes: 0
+yes/success, 1 no, 2 parse or usage error, 3 undecided.  Stdout is a single
+JSON document except under --human.
 """
 
 from __future__ import annotations
@@ -97,57 +107,67 @@ def _int_field(obj: dict, field: str, default=None) -> int:
     return value
 
 
+# the JSON objects of the wire format: each class's kind and its keys in wire
+# order, each key naming the field it holds
+_WIRE = {
+    FT: ("FT", {"m": "m"}),
+    GAk: ("GAk", {"A": "matrix", "k": "k", "index": "index"}),
+    Composite: ("Composite", {"A": "conn", "varpi": "varpi", "q": "q", "index": "index"}),
+    Millefeuille: ("Millefeuille", {"A": "conn", "t": "t", "k": "k"}),
+    SFreeGroup: ("FreeGroup", {"rank": "rank"}),
+    SAutTree: ("AutTree", {"m": "m"}),
+    SFTpow: ("FTpow", {"q": "q", "n": "n"}),
+    SCompositeProduct: ("CompositeProduct", {"key": "key", "varpi": "varpi", "m": "m",
+                                             "index": "n"}),
+    SHull: ("Hull", {"key": "key", "hull": "hull"}),
+}
+_KINDS = {kind: cls for cls, (kind, _) in _WIRE.items() if issubclass(cls, FocalDescriptor)}
+# how a key's value is read and written; any other key holds a JSON integer
+_READ = {"A": _parse_matrix, "varpi": parse_rat, "t": parse_rat}
+_WRITE = {
+    "A": lambda a: [[str(x) for x in row] for row in a.rows],
+    "varpi": render_value,
+    "t": render_value,
+    "key": lambda key: [[render_value(ratio), list(blocks)] for ratio, blocks in key],
+    "hull": lambda hull: hull.render(),
+}
+# keys left out at this value, and read as it when absent
+_OMITTED = {"index": 1, "hull": None}
+
+
 def parse_descriptor(obj) -> FocalDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DescriptorError("descriptor must be an object with a 'kind' field")
     kind = obj["kind"]
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None  # a list or dict is unhashable
+    if cls is None:
+        raise DescriptorError(f"unknown descriptor kind: {kind!r}")
+    fields = {}
     try:
-        if kind == "FT":
-            return FT(m=_int_field(obj, "m"))
-        if kind == "GAk":
-            return GAk(
-                matrix=_parse_matrix(obj["A"]),
-                k=_int_field(obj, "k"),
-                index=_int_field(obj, "index", 1),
-            )
-        if kind == "Composite":
-            return Composite(
-                conn=_parse_matrix(obj["A"]),
-                varpi=parse_rat(obj["varpi"]),
-                q=_int_field(obj, "q"),
-                index=_int_field(obj, "index", 1),
-            )
-        if kind == "Millefeuille":
-            return Millefeuille(
-                conn=_parse_matrix(obj["A"]), t=parse_rat(obj["t"]), k=_int_field(obj, "k")
-            )
+        for key, field in _WIRE[cls][1].items():  # the first bad key in wire order is reported
+            read = _READ.get(key)
+            fields[field] = read(obj[key]) if read else _int_field(obj, key, _OMITTED.get(key))
+        return cls(**fields)
     except DescriptorError:
         raise
     except (KeyError, TypeError) as exc:
         raise DescriptorError(f"malformed {kind} descriptor: {exc}") from None
     except (ValueError, NonRationalSpectrumError) as exc:
         raise DescriptorError(str(exc)) from None
-    raise DescriptorError(f"unknown descriptor kind: {kind!r}")
 
 
 def descriptor_obj(g: FocalDescriptor) -> dict:
-    """Canonical JSON object of a descriptor (fixed key order, index elided at 1)."""
-    if isinstance(g, FT):
-        return {"kind": "FT", "m": g.m}
-    if isinstance(g, Millefeuille):
-        return {"kind": "Millefeuille", "A": _matrix_obj(g.conn), "t": str(g.t), "k": g.k}
-    if isinstance(g, GAk):
-        obj = {"kind": "GAk", "A": _matrix_obj(g.matrix), "k": g.k}
-    else:
-        obj = {"kind": "Composite", "A": _matrix_obj(g.conn), "varpi": str(g.varpi),
-               "q": g.q}
-    if g.index != 1:
-        obj["index"] = g.index
+    """Canonical JSON object of a descriptor or a chain node, by _WIRE."""
+    if isinstance(g, SDesc):
+        g = g.desc
+    kind, keys = _WIRE[type(g)]
+    obj = {"kind": kind}
+    for key, field in keys.items():
+        value = getattr(g, field)
+        if key not in _OMITTED or value != _OMITTED[key]:
+            write = _WRITE.get(key)
+            obj[key] = write(value) if write else value
     return obj
-
-
-def _matrix_obj(a: MatQ) -> list:
-    return [[str(x) for x in row] for row in a.rows]
 
 
 def canonical_text(g: FocalDescriptor) -> str:
@@ -170,40 +190,9 @@ def load_descriptor(path: str) -> FocalDescriptor:
 # ---------------------------------------------------------------------------
 
 
-def _key_obj(key) -> list:
-    return [[render_value(ratio), list(blocks)] for ratio, blocks in key]
-
-
-def _node_obj(node) -> dict:
-    if isinstance(node, SDesc):
-        return descriptor_obj(node.desc)
-    if isinstance(node, SFreeGroup):
-        return {"kind": "FreeGroup", "rank": node.rank}
-    if isinstance(node, SAutTree):
-        return {"kind": "AutTree", "m": node.m}
-    if isinstance(node, SFTpow):
-        return {"kind": "FTpow", "q": node.q, "n": node.n}
-    if isinstance(node, SCompositeProduct):
-        obj = {
-            "kind": "CompositeProduct",
-            "key": _key_obj(node.key),
-            "varpi": render_value(node.varpi),
-            "m": node.m,
-        }
-        if node.n != 1:
-            obj["index"] = node.n
-        return obj
-    if isinstance(node, SHull):
-        obj = {"kind": "Hull", "key": _key_obj(node.key)}
-        if node.hull is not None:
-            obj["hull"] = node.hull.render()
-        return obj
-    raise TypeError(f"unknown chain node {node!r}")
-
-
 def chain_obj(chain: WitnessChain) -> dict:
     return {
-        "nodes": [_node_obj(n) for n in chain.nodes],
+        "nodes": [descriptor_obj(n) for n in chain.nodes],
         "arrows": [{"direction": a.direction, "citation": a.citation} for a in chain.arrows],
         "pattern": chain.pattern(),
     }

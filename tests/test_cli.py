@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import focalclass
 from focalclass.cli import (
+    _WIRE,
     EXIT_NO,
     EXIT_PARSE,
     EXIT_UNDECIDED,
@@ -34,6 +36,10 @@ from focalclass.cli import (
     parse_args,
     parse_descriptor,
 )
+
+from focalclass.commengine import SDesc, SymbolicGroup
+from focalclass.focalmodel import FT, Composite, FocalDescriptor, GAk, Millefeuille
+from focalclass.matexact import MatQ
 
 from helpers import dense_split_conjugates
 
@@ -64,6 +70,52 @@ def test_round_trip_is_byte_identical_on_corpus():
         assert canonical_text(desc) == raw
 
 
+def _rational(draw, lo=None, hi=None):
+    """A rational in lowest terms, inside (lo, hi) when they are given."""
+    value = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 60)))
+    if lo is not None and not lo < value < hi:
+        value = lo + (hi - lo) * Fraction(draw(st.integers(1, 59)), 60)
+    return value
+
+
+@st.composite
+def _descriptors(draw):
+    """A valid descriptor of any of the four kinds: a triangular matrix of
+    dimension 1 to 3, its diagonal in (0, 1) and any rationals above it,
+    an index above 1 now and then, and a positive varpi or t."""
+    dim = draw(st.integers(1, 3))
+    matrix = MatQ([[_rational(draw, Fraction(0), Fraction(1)) if i == j
+                    else _rational(draw) if i < j else Fraction(0) for j in range(dim)]
+                   for i in range(dim)])
+    index = draw(st.sampled_from((1, 1, 2, 3, 7)))
+    positive = _rational(draw, Fraction(0), Fraction(7))
+    return draw(st.sampled_from((
+        FT(m=draw(st.integers(2, 30))),
+        GAk(matrix=matrix, k=draw(st.integers(1, 9)), index=index),
+        Composite(conn=matrix, varpi=positive, q=draw(st.integers(2, 9)), index=index),
+        Millefeuille(conn=matrix, t=positive, k=draw(st.integers(2, 9))),
+    )))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descriptors())
+def test_round_trip_on_drawn_descriptors(g):
+    """Reading back the printed text of a descriptor gives the descriptor,
+    and printing that again the same text, with negative and off-diagonal
+    entries that the corpus never has."""
+    text = canonical_text(g)
+    back = parse_descriptor(json.loads(text))
+    assert back == g
+    assert canonical_text(back) == text
+
+
+def test_wire_table_covers_every_descriptor_and_chain_node():
+    """Every descriptor class and every chain node but SDesc, which prints
+    its descriptor, has a kind and keys in cli._WIRE."""
+    classes = (set(FocalDescriptor.__args__) | set(SymbolicGroup.__args__)) - {SDesc}
+    assert classes == set(_WIRE)
+
+
 def test_parse_rejects_malformed_input(tmp_path):
     cases = [
         '{"kind":"FT"}',
@@ -88,6 +140,12 @@ def test_parse_rejects_malformed_input(tmp_path):
         '{"kind":"FT","m":' + "9" * 5000 + "}",
         # arrays nested past the recursion limit of json.load
         "[" * 1000 + "]" * 1000,
+        # a kind that is not a string, hashable or not
+        '{"kind":["FT"]}',
+        '{"kind":{"a":1}}',
+        '{"kind":1}',
+        '{"kind":null}',
+        '{"kind":true}',
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -483,6 +541,26 @@ def test_hull_undecided_for_jordan_block(capsys, tmp_path):
     )
     code, out = run_cli(capsys, "hull", str(path))
     assert code == EXIT_UNDECIDED and out["verdict"] == "undecided"
+
+
+def test_hull_node_without_a_hull_is_printed_without_one(capsys, tmp_path):
+    """Two Jordan blocks meet in a Hull node that has no hull to print, so
+    the node carries its connected key alone; no corpus pair prints one."""
+    paths = []
+    for i, text in enumerate(('{"kind":"GAk","A":[["1/2","1"],["0","1/2"]],"k":1}',
+                              '{"kind":"GAk","A":[["1/4","3"],["0","1/4"]],"k":1}')):
+        paths.append(tmp_path / f"jordan{i}.json")
+        paths[-1].write_text(text, encoding="utf-8")
+    code = main(["commable", *map(str, paths), "--within-focal", "--witness"])
+    assert code == EXIT_YES
+    assert capsys.readouterr().out == (
+        '{"verdict": "yes", "chain": {"nodes": ['
+        '{"kind": "GAk", "A": [["1/2", "1"], ["0", "1/2"]], "k": 1}, '
+        '{"kind": "Hull", "key": [["1", [2]]]}, '
+        '{"kind": "GAk", "A": [["1/4", "3"], ["0", "1/4"]], "k": 1}], '
+        '"arrows": [{"direction": "into-next", "citation": "focal-universal-hull"}, '
+        '{"direction": "from-next", "citation": "focal-universal-hull"}], '
+        '"pattern": "\\u2197\\u2196"}}\n')
 
 
 def test_pattern_command(capsys):
