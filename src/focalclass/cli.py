@@ -16,8 +16,9 @@ where a node is a descriptor, printed exactly as above, or one of
     {"kind":"Hull","key":connkey,"hull":str?}
 with connkey a list of [value,[int,...]] pairs, value a rendered value, index
 left out at 1 and hull left out when there is none.  Exit codes: 0
-yes/success, 1 no, 2 parse or usage error, 3 undecided.  Stdout is a single
-JSON document except under --human.
+yes/success, 1 no, 2 parse or usage error, 3 undecided, an internal error
+included (its detail starts "internal error:").  Stdout is a single JSON
+document except under --human.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ EXIT_PARSE = 2
 EXIT_UNDECIDED = 3
 
 
-_RATSTR = re.compile(r"-?[0-9]+(/[0-9]+)?$")
+_RATSTR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?$")
 
 # radical-check tests --p by trial division here and again in each public
 # F_p(t) constructor call (never in the arithmetic); the bound keeps each
@@ -82,10 +83,12 @@ class DescriptorError(ValueError):
 
 
 def parse_rat(s) -> Fraction:
-    if not isinstance(s, str) or not _RATSTR.match(s):
+    match = _RATSTR.match(s) if isinstance(s, str) else None
+    if not match:
         raise DescriptorError(f"not a rational string: {s!r}")
-    try:
-        return Fraction(s)
+    num, den = match.groups()
+    try:  # the integers the pattern checked, each read once
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise DescriptorError(f"zero denominator in {s!r}") from None
 
@@ -213,11 +216,16 @@ def verdict_obj(verdict, with_chain: bool) -> tuple[dict, int]:
 
 
 def _emit(obj: dict, human: bool) -> None:
-    if human:
-        for key, value in obj.items():
-            print(f"{key}: {value}")
-    else:
-        print(json.dumps(obj))
+    """Write obj, built whole first so that a failure writes nothing."""
+    text = "\n".join(f"{key}: {value}" for key, value in obj.items()) if human else json.dumps(obj)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the exit code still carries the answer; stdout on the null device
+        # keeps the flush at exit from raising again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +433,17 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         obj, code = args.func(args)
+        _emit(obj, args.human)
     except DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        _emit(obj, args.human)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the exit code still carries the answer; stdout on the null device
-        # keeps the flush at exit from raising again
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except Exception as exc:  # a crash is no verdict: it claims no answer, as undecided does
+        import traceback
+
+        traceback.print_exc()
+        _emit({"verdict": "undecided", "detail": f"internal error: {type(exc).__name__}: {exc}"},
+              args.human)
+        return EXIT_UNDECIDED
     return code
 
 

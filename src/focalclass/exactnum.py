@@ -4,16 +4,20 @@ Perfect-power structure of integers and rationals is detected with integer
 k-th roots, never by factoring, so the multiplicative machinery keeps
 working on inputs far beyond the trial-division range.  Cheap filters come
 first: the gcd of the valuations at the primes below 100 bounds the
-exponent, and only primes dividing it are tried.  Roots are integer Newton
-iterations seeded from a float estimate, and every root found is confirmed
-exactly (r**p == n); no float decides anything alone.
+exponent, and only primes dividing it are tried.  A root below 2**40 is
+the rounded float root; a larger one is an integer Newton iteration seeded
+from a float estimate.  Every root found is confirmed exactly (r**p == n);
+no float decides anything alone.
 
 The central object is :class:`LogRatio`, the exact value log(a)/log(b)
 for rationals a, b > 1, kept as exponents over primitive bases.  Equality
 of two such values is decided only when a rigorous certificate exists;
 otherwise the comparison is reported as undecided instead of being
 guessed from floats.  The last certificate, disjoint interval enclosures,
-is computed on Python ints with mpmath's directed-rounding rules.
+is computed on Python ints with mpmath's directed-rounding rules.  A
+LogRatio keeps the enclosure of its last such comparison, at that
+comparison's precision, so comparing it again at that precision computes
+no log; nothing else here is kept between calls.
 """
 
 from __future__ import annotations
@@ -140,6 +144,7 @@ def _is_prime(n: int) -> bool:
 
 _SMALL_PRIMES = tuple(p for p in range(100) if _is_prime(p))
 _MAX_VALUATION = 8  # a small prime dividing n more often is left out of the filter
+_MOD = 1 << 64  # r**p mod _MOD screens a candidate root before r**p is built
 
 
 def _prime_iter(limit: int):
@@ -164,9 +169,13 @@ def maxroot(n: int) -> tuple[int, int]:
     prime dividing n more often is left out).  e divides their gcd g, so
     g == 1 settles n at once and otherwise only the primes dividing g are
     tried; with no small factor counted, every prime up to the bit length
-    is.  Each candidate p gets a float-seeded integer Newton root r that is
-    kept only if r**p == q exactly.  After a root the scan resumes at p: a
-    smaller prime that failed on q fails on its root too.
+    is.  A candidate p whose root would be below 2**40 (q below 2**(40p))
+    gets r = round(2**(log2 q / p)): math.log2 of an int is good to about
+    2**-52 relative, so the float is within 2**40·(40·2**-51·ln 2 + 2**-52),
+    about 2**-6, of an exact root, and rounding finds it.  A larger root is
+    a float-seeded integer Newton root.  r is kept only if r**p == q
+    exactly, after a screen by r**p mod 2**64.  After a root the scan
+    resumes at p: a smaller prime that failed on q fails on its root too.
     """
     if n < 1:
         raise ValueError(f"maxroot expects n >= 1, got {n}")
@@ -186,8 +195,8 @@ def maxroot(n: int) -> tuple[int, int]:
         if p > q.bit_length():
             break
         while (g // e) % p == 0:
-            r = _iroot(q, p)
-            if r**p != q:
+            r = round(2.0 ** (math.log2(q) / p)) if q.bit_length() <= 40 * p else _iroot(q, p)
+            if pow(r, p, _MOD) != q % _MOD or r**p != q:
                 break
             q, e = r, e * p
     return (q, e)
@@ -235,12 +244,15 @@ class LogRatio(Record):
     coprime positive integers, so the value is rational exactly when p == q.
     LogRatio(a, b) is log(a)/log(b) for rationals a, b > 1: each argument is
     decomposed once, here, and the operations below only touch exponents.
+    The _enclosure slot keeps (P, enclosure at P bits) from the last interval
+    comparison; equality, hashing and repr ignore it.
     """
 
     p: Fraction
     m: int
     q: Fraction
     n: int
+    _enclosure: tuple | None = None
 
     def __init__(self, a, b):
         a, b = Fraction(a), Fraction(b)
@@ -281,7 +293,7 @@ def canonical_value(x: LogRatio | Fraction | int) -> Value:
     """
     if isinstance(x, LogRatio):
         return Fraction(x.m, x.n) if x.p == x.q else x
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class _Certainty(Record):
@@ -431,11 +443,15 @@ def _interval_compare(x: LogRatio, y: LogRatio, prec: int | None = None) -> Comp
 
     The enclosures are _ratio_interval's at _working_precision(x, y, prec),
     on Python ints, with the logs of one call computed once; a missing one
-    counts as (-inf, inf).
+    counts as (-inf, inf).  Each value keeps its enclosure in _enclosure, so
+    a later call at the same precision reuses it and computes no log.
     """
-    bits = _working_precision(x, y, prec)
-    log = _logs(bits)
-    ex, ey = _ratio_interval(x, bits, log), _ratio_interval(y, bits, log)
+    bits, log = _working_precision(x, y, prec), None
+    for v in (x, y):
+        if v._enclosure is None or v._enclosure[0] != bits:
+            log = log or _logs(bits)
+            object.__setattr__(v, "_enclosure", (bits, _ratio_interval(v, bits, log)))
+    ex, ey = x._enclosure[1], y._enclosure[1]
     if ex and ey and (_diff(ey[0], ex[1])[0] > 0 or _diff(ex[0], ey[1])[0] > 0):
         return NOT_EQUAL
     (xa, xb), (ya, yb) = (map(_to_float, e) if e else (-math.inf, math.inf) for e in (ex, ey))

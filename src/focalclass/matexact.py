@@ -9,8 +9,9 @@ is restricted to characteristic polynomials that split over Q with positive
 roots.  Their roots are found exactly and completely over Z: a square-free
 part by primitive pseudo-remainders, its roots by p-adic lifting, and the
 multiplicities by synthetic division; outside that family a typed error is
-raised, never a float guess.  Jordan block sizes come from the ranks of the
-integer powers of a scaled a - ev I and Jordan chains from their kernels.
+raised, never a float guess.  A simple eigenvalue has the one block (1,);
+the block sizes of a repeated one come from the ranks of the integer powers
+of a scaled a - ev I, and Jordan chains from their kernels.
 Similarity is decided by eigenvalue and Jordan block data; its witness maps
 one Jordan basis onto the other, built without search, and is verified by
 exact multiplication before it is returned.
@@ -401,6 +402,9 @@ def spectral_data(a: MatQ) -> SpectralData:
     entries = []
     b, den = _integer_rows(a.rows)
     for ev, mult in sorted(roots.items()):
+        if mult == 1:  # a simple eigenvalue has one block of size 1
+            entries.append((ev, (1,)))
+            continue
         _, powers = _shifted_powers(b, den, ev)
         ranks = [n, *takewhile(lambda r: r > n - mult, map(rank, powers)), n - mult]
         # d[j] = number of blocks of size > j; sizes from successive differences

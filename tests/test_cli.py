@@ -865,6 +865,53 @@ def test_large_index_commable_without_the_power(tmp_path):
     assert json.loads(proc.stdout) == {"verdict": "yes"}
 
 
+# each ended in a traceback, empty stdout and exit 1, the code for no: a
+# 4300-digit limit of int-to-str met in the output, or in rendering p0
+_CRASHES = {
+    "s_past_the_digit_limit": (["invariants", "a"], "_emit"),
+    "p0_past_the_digit_limit": (["invariants", "b"], "render_value"),
+    "chain_past_the_digit_limit": (["commable", "a", "c", "--within-focal", "--witness"], "_emit"),
+}
+_CRASH_FILES = {
+    "a": '{"kind":"GAk","A":[["1/2"]],"k":10,"index":5000}',
+    "b": '{"kind":"Millefeuille","A":[["1/2"]],"t":"1/1000000","k":3}',
+    "c": '{"kind":"GAk","A":[["1/2"]],"k":10}',
+}
+
+
+@pytest.mark.parametrize("name", _CRASHES)
+def test_a_crash_exits_undecided_with_an_internal_error(tmp_path, name):
+    argv, where = _CRASHES[name]
+    for key, text in _CRASH_FILES.items():
+        (tmp_path / f"{key}.json").write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / f"{a}.json") if a in _CRASH_FILES else a for a in argv]
+    proc = run_child(*argv, timeout=20)
+    assert proc.returncode == EXIT_UNDECIDED
+    assert json.loads(proc.stdout) == {  # one document, and nothing else
+        "verdict": "undecided",
+        "detail": "internal error: ValueError: Exceeds the limit (4300 digits) for integer"
+                  " string conversion; use sys.set_int_max_str_digits() to increase the limit"}
+    assert proc.stderr.startswith("Traceback") and f", in {where}\n" in proc.stderr
+
+
+def test_internal_errors_map_to_exit_3_and_interrupts_pass(monkeypatch, capsys):
+    def fail(exc):
+        def boundary(g):
+            raise exc
+        monkeypatch.setattr(focalclass.cli, "boundary", boundary)
+
+    fail(RuntimeError("boom"))
+    assert main(["boundary", corpus_path("ft2"), "--human"]) == EXIT_UNDECIDED
+    out, err = capsys.readouterr()
+    assert out == "verdict: undecided\ndetail: internal error: RuntimeError: boom\n"
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
+    for exc in (KeyboardInterrupt(), SystemExit(4)):
+        fail(exc)
+        with pytest.raises(type(exc)):
+            main(["boundary", corpus_path("ft2")])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_human_output_is_not_json(capsys):
     code = main(["invariants", corpus_path("ft8"), "--human"])
     out = capsys.readouterr().out

@@ -155,10 +155,30 @@ def power_times_cofactor(draw):
     return r**e * c
 
 
-@given(power_times_cofactor())
+@st.composite
+def float_root_powers(draw):
+    """n = r**e or r**e ± 1 with r in [2**39, 2**41], astride maxroot's cut-off
+    between the rounded float root and Newton at roots of 2**40.  One draw in
+    sixteen, as the oracle's full scan of r**251 ± 1 takes about a second."""
+    e = draw(st.sampled_from([41, 61, 127, 251]))
+    r = draw(st.integers(min_value=2**39, max_value=2**41))
+    return r**e + draw(st.sampled_from([0, 1, -1]))
+
+
+@given(st.integers(0, 15).flatmap(lambda i: float_root_powers() if i == 0 else power_times_cofactor()))
 @settings(max_examples=200, deadline=None)
 def test_maxroot_matches_parent(n):
     assert maxroot(n) == parent_maxroot(n)
+
+
+def test_maxroot_takes_the_float_root_below_2_to_the_40(monkeypatch):
+    # (2**40 - 1)**61 has 40·61 bits, the most a float-path 61st power has;
+    # both roots are non-powers with every small valuation above the filter's
+    calls = _record_iroot(monkeypatch)
+    assert maxroot((2**40 - 1) ** 61) == (2**40 - 1, 61)
+    assert 61 not in calls
+    assert maxroot((2**40 + 1) ** 61) == (2**40 + 1, 61)
+    assert 61 in calls
 
 
 @given(st.integers(min_value=1, max_value=2**4000), st.data())
@@ -471,15 +491,55 @@ def test_ln_fixed_keeps_its_error_bound(w, y):
     assert abs(approx - exact) <= bound < 2**40
 
 
-def test_log_enclosures_are_computed_once_per_comparison(monkeypatch):
+def _record_ln_fixed(monkeypatch):
     calls = []
     real = exactnum._ln_fixed
     monkeypatch.setattr(exactnum, "_ln_fixed", lambda r, w: calls.append(w) or real(r, w))
+    return calls
+
+
+def test_log_enclosures_are_computed_once_per_comparison(monkeypatch):
+    calls = _record_ln_fixed(monkeypatch)
     # each of 9, 8, 7, 81 and 80 is needed rounded down and up, in both values
     x, y = LogRatio(F(9, 8), F(7)), LogRatio(F(81, 80), F(7))
     _interval_compare(x, y)
     # ln 2 once, then each integer once, all at one fixed-point precision
     assert len(calls) == 6 and len(set(calls)) == 1
+
+
+def fresh(x: LogRatio) -> LogRatio:
+    return LogRatio.of_powers(x.p, x.m, x.q, x.n)
+
+
+def test_enclosures_are_kept_between_comparisons(monkeypatch):
+    calls = _record_ln_fixed(monkeypatch)
+    x, y = LogRatio(F(9, 8), F(7)), LogRatio(F(81, 80), F(7))
+    verdict = _interval_compare(x, y)
+    assert verdict is NOT_EQUAL and len(calls) == 6
+    # the same values again, also through compare_values and in either order
+    assert _interval_compare(x, y) is compare_values(y, x) is NOT_EQUAL and len(calls) == 6
+    # another precision recomputes the enclosures, and the last one is kept
+    assert _interval_compare(x, y, 300) is NOT_EQUAL and len(calls) == 12
+    assert x._enclosure[0] == y._enclosure[0] == _working_precision(x, y, 300)
+    assert _interval_compare(x, y, 300) is NOT_EQUAL and len(calls) == 12
+    # the kept enclosure is invisible to ==, hash and repr
+    assert x == fresh(x) and hash(x) == hash(fresh(x)) and repr(x) == repr(fresh(x))
+    assert fresh(x)._enclosure is None
+
+
+@given(ratio_pairs(), st.none() | st.integers(0, 600), above_one, st.integers(0, 600))
+@settings(max_examples=60, deadline=None)
+def test_kept_enclosures_give_the_verdicts_of_fresh_values(pair, prec, third, other):
+    x, y = pair
+    z = LogRatio(third, 2)
+    expected = repr(_interval_compare(fresh(x), fresh(y), prec))
+    assert repr(_interval_compare(x, y, prec)) == expected
+    assert repr(_interval_compare(x, y, prec)) == expected
+    # each value compared with a third one at another precision in between
+    for v in (x, y):
+        _interval_compare(v, z, other)
+        assert repr(_interval_compare(x, y, prec)) == expected
+    assert repr(_interval_compare(y, x, prec)) == repr(_interval_compare(fresh(y), fresh(x), prec))
 
 
 def test_undecided_estimates_past_the_float_range_are_inf():

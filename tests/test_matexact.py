@@ -5,6 +5,7 @@ import logging
 import math
 from collections import Counter
 from fractions import Fraction as F
+from itertools import takewhile
 from random import Random
 
 import pytest
@@ -23,10 +24,13 @@ from focalclass.focalmodel import GAk, compute_invariants
 from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
+    SpectralData,
     _integer_roots,
+    _integer_rows,
     _jordan_basis,
     _nullspace,
     _rational_roots,
+    _shifted_powers,
     charpoly,
     conjugate,
     is_contracting,
@@ -580,6 +584,56 @@ def test_non_split_spectra_are_rejected():
 def test_spectral_data_of_dense_split_conjugates():
     for name, a, evs in dense_split_conjugates():
         assert spectral_data(a).entries == tuple((ev, (1,)) for ev in sorted(evs)), name
+
+
+# spectral_data before simple eigenvalues got their block (1,) directly, kept
+# as its oracle: the charpoly roots, and the rank loop for every eigenvalue
+def parent_spectral_data(a: MatQ) -> SpectralData:
+    n = a.dim
+    roots = _rational_roots(charpoly(a))
+    entries = []
+    b, den = _integer_rows(a.rows)
+    for ev, mult in sorted(roots.items()):
+        _, powers = _shifted_powers(b, den, ev)
+        ranks = [n, *takewhile(lambda r: r > n - mult, map(rank, powers)), n - mult]
+        d = [ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1)] + [0]
+        blocks = tuple(j for j in range(len(d) - 1, 0, -1) for _ in range(d[j - 1] - d[j]))
+        entries.append((ev, blocks))
+    return SpectralData(tuple(entries))
+
+
+def dense_conjugate(blocks, seed: int) -> MatQ:
+    """P J P^-1 for the Jordan matrix J of blocks and P = L U, L and U^T unit
+    lower triangular with entries in [-2, 2] drawn from seed."""
+    jordan = jordan_matrix(blocks)
+    n, rng = jordan.dim, Random(seed)
+    l, ut = (unit_lower(n, [rng.randint(-2, 2) for _ in range(n * (n - 1) // 2)]) for _ in "lu")
+    p = l @ MatQ(zip(*ut.rows))
+    return p @ jordan @ p.inverse()
+
+
+@given(jordan_blocks(), st.integers(0, 2**32))
+@example([(F(1, 2), 1), (F(1, 3), 1), (F(9, 10), 1), (F(1, 7), 1)], 1)  # all simple
+@example([(F(1, 2), 1), (F(1, 2), 1), (F(1, 3), 1)], 2)  # a repeated ev, two blocks (1,)
+@example([(F(1, 2), 2), (F(1, 2), 1), (F(1, 5), 3)], 3)  # Jordan blocks
+@settings(max_examples=60, deadline=None)
+def test_spectral_data_matches_the_rank_loop_oracle(blocks, seed):
+    a = dense_conjugate(blocks, seed)
+    assert spectral_data(a) == parent_spectral_data(MatQ(a.rows))
+
+
+def test_simple_eigenvalues_need_no_rank(monkeypatch):
+    calls = []
+    monkeypatch.setattr(matexact, "rank", lambda a: calls.append(a) or rank(a))
+    for name, a, evs in dense_split_conjugates():
+        assert spectral_data(MatQ(a.rows)).entries == tuple((ev, (1,)) for ev in sorted(evs)), name
+    a = dense_conjugate([(F(1, 2), 1), (F(1, 3), 1), (F(9, 10), 1), (F(1, 7), 1)], 1)
+    assert spectral_data(a).entries == tuple((ev, (1,)) for ev in (F(1, 7), F(1, 3), F(1, 2), F(9, 10)))
+    assert calls == []
+    # a repeated eigenvalue still takes the rank loop
+    assert spectral_data(dense_conjugate([(F(1, 2), 2), (F(1, 3), 1)], 1)).entries == (
+        (F(1, 3), (1,)), (F(1, 2), (2,)))
+    assert calls
 
 
 @given(jordan_blocks(), st.integers(0, 2**32))
