@@ -173,7 +173,8 @@ def test_maxroot_matches_parent(n):
 
 def test_maxroot_takes_the_float_root_below_2_to_the_40(monkeypatch):
     # (2**40 - 1)**61 has 40·61 bits, the most a float-path 61st power has;
-    # both roots are non-powers with every small valuation above the filter's
+    # both roots are non-powers whose small-prime valuations (61 and 122) are
+    # above the filter's cap, so every prime up to the bit length is tried
     calls = _record_iroot(monkeypatch)
     assert maxroot((2**40 - 1) ** 61) == (2**40 - 1, 61)
     assert 61 not in calls
@@ -535,9 +536,12 @@ def test_kept_enclosures_give_the_verdicts_of_fresh_values(pair, prec, third, ot
     expected = repr(_interval_compare(fresh(x), fresh(y), prec))
     assert repr(_interval_compare(x, y, prec)) == expected
     assert repr(_interval_compare(x, y, prec)) == expected
-    # each value compared with a third one at another precision in between
+    # each value compared with a third one at another precision in between,
+    # which keeps the enclosure at that precision
     for v in (x, y):
-        _interval_compare(v, z, other)
+        bits = _working_precision(v, z, other)
+        assert repr(_interval_compare(v, z, other)) == repr(_interval_compare(fresh(v), z, other))
+        assert v._enclosure == (bits, _ratio_interval(v, bits))
         assert repr(_interval_compare(x, y, prec)) == expected
     assert repr(_interval_compare(y, x, prec)) == repr(_interval_compare(fresh(y), fresh(x), prec))
 
