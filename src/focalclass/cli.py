@@ -70,7 +70,7 @@ EXIT_PARSE = 2
 EXIT_UNDECIDED = 3
 
 
-_RATSTR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?$")
+_RATSTR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # radical-check tests --p by trial division here and again in each public
 # F_p(t) constructor call (never in the arithmetic); the bound keeps each
@@ -83,7 +83,7 @@ class DescriptorError(ValueError):
 
 
 def parse_rat(s) -> Fraction:
-    match = _RATSTR.match(s) if isinstance(s, str) else None
+    match = _RATSTR.fullmatch(s) if isinstance(s, str) else None
     if not match:
         raise DescriptorError(f"not a rational string: {s!r}")
     num, den = match.groups()

@@ -4,10 +4,11 @@ Perfect-power structure of integers and rationals is detected with integer
 k-th roots, never by factoring, so the multiplicative machinery keeps
 working on inputs far beyond the trial-division range.  Cheap filters come
 first: the gcd of the valuations at the primes below 100 bounds the
-exponent, and only primes dividing it are tried.  A root below 2**40 is
-the rounded float root; a larger one is an integer Newton iteration seeded
-from a float estimate.  Every root found is confirmed exactly (r**p == n);
-no float decides anything alone.
+exponent, and only primes dividing it are tried; with none dividing n, a
+root is at least 101, so no exponent above a sixth of the bit length is.
+A root below 2**40 is the rounded float root; a larger one is an integer
+Newton iteration seeded from a float estimate.  Every root found is
+confirmed exactly (r**p == n); no float decides anything alone.
 
 The central object is :class:`LogRatio`, the exact value log(a)/log(b)
 for rationals a, b > 1, kept as exponents over primitive bases.  Equality
@@ -168,30 +169,34 @@ def maxroot(n: int) -> tuple[int, int]:
     trailing-zero count for 2, at most a few divisions for the others; a
     prime dividing n more often is left out).  e divides their gcd g, so
     g == 1 settles n at once and otherwise only the primes dividing g are
-    tried; with no small factor counted, every prime up to the bit length
-    is.  A candidate p whose root would be below 2**40 (q below 2**(40p))
-    gets r = round(2**(log2 q / p)): math.log2 of an int is good to about
-    2**-52 relative, so the float is within 2**40·(40·2**-51·ln 2 + 2**-52),
-    about 2**-6, of an exact root, and rounding finds it.  A larger root is
-    a float-seeded integer Newton root.  r is kept only if r**p == q
-    exactly, after a screen by r**p mod 2**64.  After a root the scan
-    resumes at p: a smaller prime that failed on q fails on its root too.
+    tried; counting stops once they make up n.  With no small factor
+    counted, every prime up to the bit length is tried, or up to a sixth of
+    it when no prime below 100 divides n: a root is then at least 101, and
+    log2(101) > 6.65 (Bernstein 1998).  A candidate p whose root would be
+    below 2**40 (q below 2**(40p)) gets r = round(2**(log2 q / p)):
+    math.log2 of an int is good to about 2**-52 relative, so the float is
+    within 2**40·(40·2**-51·ln 2 + 2**-52), about 2**-6, of an exact root,
+    and rounding finds it.  A larger root is a float-seeded integer Newton
+    root.  r is kept only if r**p == q exactly, after a screen by r**p mod
+    2**64.  After a root the scan resumes at p: a smaller prime that failed
+    on q fails on its root too.
     """
     if n < 1:
         raise ValueError(f"maxroot expects n >= 1, got {n}")
     if n == 1:
         return (1, 1)
     g = (n & -n).bit_length() - 1  # the valuation at 2
+    c = n >> g  # n over the small prime powers divided out so far
     for ell in _SMALL_PRIMES[1:]:
-        if g == 1:
+        if g == 1 or c == 1:
             break
-        m, v = n, 0
-        while v <= _MAX_VALUATION and m % ell == 0:
-            m, v = m // ell, v + 1
+        v = 0
+        while v <= _MAX_VALUATION and c % ell == 0:
+            c, v = c // ell, v + 1
         if 0 < v <= _MAX_VALUATION:  # ell divides n and the count is exact
             g = gcd(g, v)
     q, e = n, 1
-    for p in _prime_iter(g or n.bit_length()):
+    for p in _prime_iter(g or n.bit_length() // (6 if c == n else 1)):
         if p > q.bit_length():
             break
         while (g // e) % p == 0:

@@ -1,20 +1,23 @@
 """Exact linear algebra over the rationals for contracting actions.
 
 Matrices are immutable arrays of Fractions, but the arithmetic runs over Z:
-one fraction-free integer kernel (Bareiss) serves the determinant, rank,
-inverse and nullspace, the characteristic polynomial is Berkowitz's
-division-free one, and a product clears each operand's denominators,
-multiplies integers and builds one Fraction per entry.  Spectral analysis
-is restricted to characteristic polynomials that split over Q with positive
-roots.  Their roots are found exactly and completely over Z: a square-free
-part by primitive pseudo-remainders, its roots by p-adic lifting, and the
-multiplicities by synthetic division; outside that family a typed error is
-raised, never a float guess.  A simple eigenvalue has the one block (1,);
-the block sizes of a repeated one come from the ranks of the integer powers
-of a scaled a - ev I, and Jordan chains from their kernels.
-Similarity is decided by eigenvalue and Jordan block data; its witness maps
-one Jordan basis onto the other, built without search, and is verified by
-exact multiplication before it is returned.
+each matrix keeps its integer form (d times its rows, d the lcm of the
+denominators) once a kernel has read it, one fraction-free integer kernel
+(Bareiss) serves the determinant, rank, inverse and nullspace, the
+characteristic polynomial is Berkowitz's division-free one, and a product
+multiplies integer forms and builds one Fraction per entry.  Spectral
+analysis is restricted to characteristic polynomials that split over Q with
+positive roots.  Their roots are found exactly and completely over Z: a
+square-free part by primitive pseudo-remainders, its roots by p-adic
+lifting, and the multiplicities by synthetic division, which a square-free
+polynomial skips; outside that family a typed error is raised, never a
+float guess.  A simple eigenvalue has the one block (1,); the block sizes
+of a repeated one come from the ranks of the integer powers of a scaled
+a - ev I, and Jordan chains from their kernels.  Similarity is decided by
+eigenvalue and Jordan block data; its witness maps one Jordan basis onto
+the other, each built without search as integer columns over one
+denominator, and is verified by exact integer multiplication before its
+entries become Fractions.
 
 A matrix's spectral data is computed at most once and kept on the matrix
 itself, and the logs the invariants derive from it (expansion powers and
@@ -55,10 +58,10 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _integer_rows(rows) -> tuple[list, int]:
-    """(d * rows as lists of integers, d), d the lcm of all denominators."""
+def _integer_rows(rows) -> tuple[tuple, int]:
+    """(d * rows as tuples of integers, d), d the lcm of all denominators."""
     d = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+    return tuple(tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows), d
 
 
 def _int_product(a: list, b: list) -> list:
@@ -66,16 +69,34 @@ def _int_product(a: list, b: list) -> list:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
+def _integer_form(a: MatQ) -> tuple[tuple, int]:
+    """_integer_rows(a.rows), computed once and kept on a."""
+    if a._integer is None:
+        object.__setattr__(a, "_integer", _integer_rows(a.rows))
+    return a._integer
+
+
+def _inverse_rows(m: list) -> tuple[list, int]:
+    """(M, last) with M / last the inverse of the integer rows m (Gauss-Jordan)."""
+    n = len(m)
+    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    m, pivots, _, last, _ = _eliminate(augmented, n, reduced=True)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in m], last
+
+
 class MatQ(Record):
     """Immutable square matrix over Q.  dim 0 is allowed (empty matrix).
 
-    Equality, hashing and repr use only the rows; dim is their number, and
-    the _spectral cache holds the spectral data once spectral_data has
-    computed it.
+    Equality, hashing and repr use only the rows; dim is their number.  The
+    caches _spectral and _integer hold the spectral data and the integer
+    form _integer_rows(rows) once a kernel has computed them.
     """
 
     rows: tuple
     _spectral: SpectralData | None = None
+    _integer: tuple | None = None
 
     def __init__(self, rows):
         rows = tuple(tuple(_frac(x) for x in row) for row in rows)
@@ -101,24 +122,20 @@ class MatQ(Record):
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        (a, da), (b, db) = _integer_rows(self.rows), _integer_rows(other.rows)
+        (a, da), (b, db) = _integer_form(self), _integer_form(other)
         d = da * db
         return MatQ([[Fraction(x, d) for x in row] for row in _int_product(a, b)])
 
     def det(self) -> Fraction:
         """Determinant by fraction-free elimination; empty matrix gives 1."""
-        _, pivots, sign, last, scale = _eliminate(self.rows, self.dim)
-        if len(pivots) < self.dim:
-            return Fraction(0)
-        return Fraction(sign * last, scale)
+        b, d = _integer_form(self)
+        _, pivots, sign, last, _ = _eliminate(b, self.dim)
+        return Fraction(sign * last, d**self.dim) if len(pivots) == self.dim else Fraction(0)
 
     def inverse(self) -> "MatQ":
-        n = self.dim
-        augmented = [row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(self.rows)]
-        m, pivots, _, last, _ = _eliminate(augmented, n, reduced=True)
-        if len(pivots) < n:
-            raise ZeroDivisionError("matrix is singular")
-        return MatQ([[Fraction(x, last) for x in row[n:]] for row in m])
+        b, d = _integer_form(self)
+        m, last = _inverse_rows(b)
+        return MatQ([[Fraction(x * d, last) for x in row] for row in m])
 
 
 def _eliminate(rows, ncols: int, reduced: bool = False) -> tuple:
@@ -168,7 +185,7 @@ def mat_power(a: MatQ, n: int) -> MatQ:
 
 def rank(a) -> int:
     """Rank of a MatQ, or of a square matrix given as rows of integers."""
-    rows = a.rows if isinstance(a, MatQ) else a
+    rows = _integer_form(a)[0] if isinstance(a, MatQ) else a
     return len(_eliminate(rows, len(rows))[1])
 
 
@@ -186,18 +203,17 @@ def charpoly(a: MatQ) -> tuple:
     (1, -b_rr, -R c, -R M c, ..., -R M**(r-1) c), c above b_rr and R left of it.
     """
     n = a.dim
-    b, d = _integer_rows(a.rows)
+    b, d = _integer_form(a)
     coeffs = [1]  # descending, of the leading r x r block
     for r in range(n):
         block = [b[i][:r] for i in range(r)]
         row, vec = b[r][:r], [b[i][r] for i in range(r)]
         toeplitz = [1, -b[r][r]]
         for _ in range(r):
-            toeplitz.append(-sum(x * y for x, y in zip(row, vec)))
-            vec = [sum(x * y for x, y in zip(brow, vec)) for brow in block]
-        coeffs = [
-            sum(toeplitz[i - j] * coeffs[j] for j in range(min(i, r) + 1)) for i in range(r + 2)
-        ]
+            toeplitz.append(-sum(map(mul, row, vec)))
+            vec = [sum(map(mul, brow, vec)) for brow in block]
+        # coefficient i sums toeplitz[i - j] * coeffs[j] over j <= min(i, r)
+        coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(r + 2)]
     return tuple(Fraction(coeffs[n - i], d ** (n - i)) for i in range(n + 1))
 
 
@@ -342,7 +358,10 @@ def _rational_roots(p: tuple) -> dict:
     n = len(p) - 1
     d = lcm(*(c.denominator for c in p))
     f = [c.numerator * (d ** (n - i) // c.denominator) for i, c in enumerate(p)]
-    square_free = _zdivmod(f, _zgcd(f, [i * c for i, c in enumerate(f)][1:]))[0]
+    common = _zgcd(f, [i * c for i, c in enumerate(f)][1:])
+    if len(common) == 1:  # f is square-free: every root is simple
+        return {Fraction(y, d): 1 for y in _integer_roots(f)}
+    square_free = _zdivmod(f, common)[0]
     roots: dict[Fraction, int] = {}
     for y in _integer_roots(square_free):
         mult = 0
@@ -400,7 +419,7 @@ def spectral_data(a: MatQ) -> SpectralData:
     if any(ev <= 0 for ev in roots):
         raise NonRationalSpectrumError("spectrum contains a non-positive rational eigenvalue")
     entries = []
-    b, den = _integer_rows(a.rows)
+    b, den = _integer_form(a)
     for ev, mult in sorted(roots.items()):
         if mult == 1:  # a simple eigenvalue has one block of size 1
             entries.append((ev, (1,)))
@@ -442,38 +461,43 @@ def _nullspace(rows: list, ncols: int) -> list:
     return basis
 
 
-def _jordan_basis(x: MatQ, data: SpectralData) -> MatQ:
-    """B with B^-1 @ x @ B the Jordan matrix of data, x's spectral data: for
-    each eigenvalue ev and each block, largest first, the chain N**(k-1) v,
-    ..., N v, v with N = x - ev I, k the block size.  One elimination per
-    size k, largest first, on at most dim columns, picks as tops the v in
-    ker N**k whose N**(k-1) v are independent of the longer chains' bottoms."""
-    columns, (b, den) = [], _integer_rows(x.rows)
+def _jordan_basis(x: MatQ, data: SpectralData) -> tuple[list, int]:
+    """(C, D), C integer rows, with B = C / D and B^-1 @ x @ B the Jordan
+    matrix of data, x's spectral data: for each eigenvalue ev and each block,
+    largest first, the chain N**(k-1) v, ..., N v, v with N = x - ev I, k
+    the block size.  One elimination per size k, largest first, on at most
+    dim columns, picks as tops the v in ker N**k whose N**(k-1) v are
+    independent of the longer chains' bottoms.  N**j v = (L * N)**j v / L**j."""
+    columns, (b, den) = [], _integer_form(x)  # (integer column, its denominator)
     for ev, blocks in data.entries:
         scale, powers = _shifted_powers(b, den, ev)
         powers = list(islice(powers, blocks[0]))
-        chains: list = []  # each bottom first
+        bottoms: list = []  # (L * N)**(k-1) v for the top v of each chain
         for k in sorted(set(blocks), reverse=True):
             kernel = _integer_rows(_nullspace(powers[k - 1], x.dim))[0]
             images = kernel if k == 1 else [
                 [sum(map(mul, row, v)) for row in powers[k - 2]] for v in kernel]
-            known = len(chains)
-            cols = [chain[0] for chain in chains] + images
-            for col in _eliminate(list(zip(*cols)), len(cols))[1][known:]:
+            known = len(bottoms)
+            for col in _eliminate(list(zip(*bottoms, *images)), known + len(images))[1][known:]:
                 top = kernel[col - known]
-                # N**j top = (L * N)**j top / L**j
-                chains.append([[Fraction(sum(map(mul, row, top)), scale**j)
-                                for row in powers[j - 1]] for j in range(k - 1, 0, -1)] + [top])
-        columns += [v for chain in chains for v in chain]
-    return MatQ(zip(*columns))
+                bottoms.append(images[col - known])
+                columns += [([sum(map(mul, row, top)) for row in powers[j - 1]], scale**j)
+                            for j in range(k - 1, 0, -1)] + [(top, 1)]
+    d = lcm(*(s for _, s in columns))
+    return list(zip(*([u * (d // s) for u in v] for v, s in columns))), d
 
 
 def _similarity(a: MatQ, b: MatQ, data: SpectralData) -> MatQ:
-    """B_b @ B_a^-1 for a and b of spectral data data, exactly verified."""
-    p = _jordan_basis(b, data) @ _jordan_basis(a, data).inverse()
-    if p @ a != b @ p:
+    """B_b @ B_a^-1 = Q * D_a / (D_b * last) for a and b of spectral data
+    data, B = C / D, Q = C_b @ M, M / last = C_a^-1; verified on integers."""
+    (ca, da), (cb, db) = _jordan_basis(a, data), _jordan_basis(b, data)
+    m, last = _inverse_rows(ca)
+    q = _int_product(cb, m)
+    (x, dx), (y, dy) = _integer_form(a), _integer_form(b)
+    left, right = _int_product(q, x), _int_product(y, q)  # P @ a == b @ P iff dy * left == dx * right
+    if any(dy * u != dx * v for lrow, rrow in zip(left, right) for u, v in zip(lrow, rrow)):
         raise RuntimeError("similarity witness verification failed")
-    return p
+    return MatQ([[Fraction(u * da, db * last) for u in row] for row in q])
 
 
 def conjugate(a: MatQ, b: MatQ) -> MatQ | None:

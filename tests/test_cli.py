@@ -126,6 +126,8 @@ def test_parse_rejects_malformed_input(tmp_path):
         '{"kind":"Millefeuille","A":[["1/2"]],"t":"0","k":2}',
         '{"kind":"Nope","m":3}',
         '{"kind":"GAk","A":[["1/x"]],"k":2}',
+        # a trailing newline is not part of a rational string
+        '{"kind":"GAk","A":[["1/2\\n"]],"k":2}',
         "not json at all",
         # integer fields take JSON integers only
         '{"kind":"FT","m":2.9}',

@@ -106,7 +106,9 @@ def test_maxroot_handles_huge_powers():
 
 # The earlier maxroot and _iroot, kept verbatim (renamed) as the oracle of the
 # filtered, float-seeded versions: Newton from 2^ceil(bits/k), and a scan of
-# every prime up to the bit length that restarts from 2 after each root.
+# every prime up to the bit length that restarts from 2 after each root.  The
+# one change: parent_maxroot takes its root step as an argument, so that its
+# full scan of very large powers can run on the float-seeded _iroot.
 def parent_iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1 (integer Newton iteration)."""
     if n < 1 or k < 1:
@@ -121,7 +123,7 @@ def parent_iroot(n: int, k: int) -> int:
         x = y
 
 
-def parent_maxroot(n: int) -> tuple[int, int]:
+def parent_maxroot(n: int, iroot=parent_iroot) -> tuple[int, int]:
     """Write n >= 1 as q**e with q a non-power integer and e maximal.
 
     Returns (q, e); q == 1 exactly when n == 1.  Detection is by integer
@@ -136,7 +138,7 @@ def parent_maxroot(n: int) -> tuple[int, int]:
     while changed:
         changed = False
         for p in _prime_iter(q.bit_length()):
-            r = parent_iroot(q, p)
+            r = iroot(q, p)
             if r**p == q:
                 q, e = r, e * p
                 changed = True
@@ -159,16 +161,52 @@ def power_times_cofactor(draw):
 def float_root_powers(draw):
     """n = r**e or r**e ± 1 with r in [2**39, 2**41], astride maxroot's cut-off
     between the rounded float root and Newton at roots of 2**40.  One draw in
-    sixteen, as the oracle's full scan of r**251 ± 1 takes about a second."""
+    sixteen; the oracle scans every prime up to about 10**4 bits on them."""
     e = draw(st.sampled_from([41, 61, 127, 251]))
     r = draw(st.integers(min_value=2**39, max_value=2**41))
     return r**e + draw(st.sampled_from([0, 1, -1]))
 
 
-@given(st.integers(0, 15).flatmap(lambda i: float_root_powers() if i == 0 else power_times_cofactor()))
+@st.composite
+def maxroot_cases(draw):
+    """(n, root step of the oracle): a float_root_powers draw one time in
+    sixteen, else a power_times_cofactor draw.  parent_iroot's Newton start
+    2^ceil(bits/k) makes the oracle's scan of r**251 ± 1 take about a second,
+    so the float_root_powers draws get the float-seeded _iroot as root step."""
+    if draw(st.integers(0, 15)) == 0:
+        return draw(float_root_powers()), exactnum._iroot
+    return draw(power_times_cofactor()), parent_iroot
+
+
+@given(maxroot_cases())
 @settings(max_examples=200, deadline=None)
-def test_maxroot_matches_parent(n):
-    assert maxroot(n) == parent_maxroot(n)
+def test_maxroot_matches_parent(case):
+    n, iroot = case
+    assert maxroot(n) == parent_maxroot(n, iroot)
+
+
+# every prime factor of these roots is at least 101, so no prime below 100
+# divides r**e and maxroot tries exponents only up to its bit length // 6;
+# for r = 101 that bound is about 11 % above e (log2(101) = 6.658)
+@pytest.mark.parametrize("r", [101, 101 * 103, 10007])
+def test_maxroot_at_the_exponent_bound(r):
+    for e in [*sieve(31), 61, 127, 251]:
+        n = r**e
+        assert e <= n.bit_length() // 6
+        for m in (n, n - 1, n + 1, n * 103, n * r):
+            assert maxroot(m) == parent_maxroot(m), (r, e)
+
+
+def test_maxroot_tries_no_exponent_above_a_sixth_of_the_bit_length(monkeypatch):
+    rng, primorial = Random(1600), math.prod(sieve(100))
+    n = 0
+    while n.bit_length() != 1600 or math.gcd(n, primorial) != 1:
+        n = rng.getrandbits(1600)
+    tried, real = [], exactnum._prime_iter
+    monkeypatch.setattr(exactnum, "_prime_iter",
+                        lambda limit: (tried.append(p) or p for p in real(limit)))
+    assert maxroot(n) == (n, 1)
+    assert tried == sieve(1600 // 6)
 
 
 def test_maxroot_takes_the_float_root_below_2_to_the_40(monkeypatch):

@@ -5,7 +5,8 @@ import logging
 import math
 from collections import Counter
 from fractions import Fraction as F
-from itertools import takewhile
+from itertools import islice, takewhile
+from operator import mul
 from random import Random
 
 import pytest
@@ -25,6 +26,7 @@ from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
     SpectralData,
+    _eliminate,
     _integer_roots,
     _integer_rows,
     _jordan_basis,
@@ -698,6 +700,15 @@ def test_one_charpoly_per_dense_matrix(monkeypatch):
         return counted(a)
 
     monkeypatch.setattr(matexact, "charpoly", counting_charpoly)
+    conversions = Counter()
+    converted = matexact._integer_rows
+
+    def counting_integer_rows(rows):
+        if isinstance(rows, tuple):  # a matrix's rows; kernel vectors come as lists
+            conversions[rows] += 1
+        return converted(rows)
+
+    monkeypatch.setattr(matexact, "_integer_rows", counting_integer_rows)
 
     def parsed(p, blocks, k):
         a = p @ jordan_matrix(blocks) @ p.inverse()
@@ -716,6 +727,8 @@ def test_one_charpoly_per_dense_matrix(monkeypatch):
         assert validate_chain(v.chain)[0]
     assert power_conjugacy(g1.matrix, g2.matrix, g1.k, g2.k)[:2] == (1, 2)
     assert calls == Counter({g1.matrix.rows: 1, g2.matrix.rows: 1})
+    assert conversions[g1.matrix.rows] == conversions[g2.matrix.rows] == 1
+    assert set(conversions.values()) == {1}, conversions
 
 
 def test_is_contracting_examples():
@@ -849,7 +862,8 @@ def test_similarity_witnesses_from_jordan_bases(blocks, seed):
     p, q = random_conjugator(rng, jordan.dim), random_conjugator(rng, jordan.dim)
     a, b = p @ jordan @ p.inverse(), q @ jordan @ q.inverse()
     data = spectral_data(a)
-    basis = _jordan_basis(a, data)
+    columns, den = _jordan_basis(a, data)
+    basis = MatQ([[F(x, den) for x in row] for row in columns])
     assert basis.inverse() @ a @ basis == jordan_of(data)
     witness = conjugate(a, b)
     assert witness.det() != 0 and witness @ a == b @ witness
@@ -861,6 +875,84 @@ def test_similarity_witnesses_from_jordan_bases(blocks, seed):
     assert (n1, n2) == (2, 1)
     assert witness.det() != 0 and witness @ mat_power(a, 2) == c @ witness
     assert power_conjugacy(MatQ(a.rows), MatQ(c.rows), 4, 16) == got
+
+
+# _jordan_basis and _similarity as they were before the bases became integer
+# columns over one denominator, kept verbatim (renamed) as the oracle of the
+# integer witnesses: Fraction bases, MatQ inverse and MatQ verification.  They
+# read _integer_rows as it was then, when it gave lists.
+def parent_integer_rows(rows) -> tuple[list, int]:
+    """(d * rows as lists of integers, d), d the lcm of all denominators."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def parent_jordan_basis(x: MatQ, data: SpectralData) -> MatQ:
+    """B with B^-1 @ x @ B the Jordan matrix of data, x's spectral data: for
+    each eigenvalue ev and each block, largest first, the chain N**(k-1) v,
+    ..., N v, v with N = x - ev I, k the block size.  One elimination per
+    size k, largest first, on at most dim columns, picks as tops the v in
+    ker N**k whose N**(k-1) v are independent of the longer chains' bottoms."""
+    columns, (b, den) = [], parent_integer_rows(x.rows)
+    for ev, blocks in data.entries:
+        scale, powers = _shifted_powers(b, den, ev)
+        powers = list(islice(powers, blocks[0]))
+        chains: list = []  # each bottom first
+        for k in sorted(set(blocks), reverse=True):
+            kernel = parent_integer_rows(_nullspace(powers[k - 1], x.dim))[0]
+            images = kernel if k == 1 else [
+                [sum(map(mul, row, v)) for row in powers[k - 2]] for v in kernel]
+            known = len(chains)
+            cols = [chain[0] for chain in chains] + images
+            for col in _eliminate(list(zip(*cols)), len(cols))[1][known:]:
+                top = kernel[col - known]
+                # N**j top = (L * N)**j top / L**j
+                chains.append([[F(sum(map(mul, row, top)), scale**j)
+                                for row in powers[j - 1]] for j in range(k - 1, 0, -1)] + [top])
+        columns += [v for chain in chains for v in chain]
+    return MatQ(zip(*columns))
+
+
+def parent_similarity(a: MatQ, b: MatQ, data: SpectralData) -> MatQ:
+    """B_b @ B_a^-1 for a and b of spectral data data, exactly verified."""
+    p = parent_jordan_basis(b, data) @ parent_jordan_basis(a, data).inverse()
+    if p @ a != b @ p:
+        raise RuntimeError("similarity witness verification failed")
+    return p
+
+
+@st.composite
+def split_spectra(draw, max_dim=5):
+    """(eigenvalue, size) blocks of total size 1 to max_dim: half of the draws
+    distinct simple eigenvalues (a square-free characteristic polynomial),
+    half a repeated eigenvalue, in one block or several."""
+    ev = st.builds(lambda num, gap: F(num, num + gap), st.integers(1, 10**6), st.integers(1, 10**6))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_dim))
+        return [(x, 1) for x in draw(st.lists(ev, min_size=n, max_size=n, unique=True))]
+    return draw(jordan_spectra(max_dim).filter(
+        lambda blocks: len(blocks) > len({x for x, _ in blocks}) or any(k > 1 for _, k in blocks)))
+
+
+@given(split_spectra(), st.integers(0, 2**32))
+@example([(F(1, 2), 1), (F(1, 3), 1), (F(9, 10), 1), (F(1, 7), 1), (F(2, 7), 1)], 0)
+@example([(F(1, 2), 2), (F(1, 2), 1), (F(1, 5), 2)], 1)
+@example([(F(1, 3), 1), (F(1, 3), 1), (F(1, 3), 1)], 2)
+@settings(max_examples=60, deadline=None)
+def test_integer_witnesses_match_the_fraction_oracle(blocks, seed):
+    a, b = dense_conjugate(blocks, seed), dense_conjugate(blocks, seed + 1)
+    poly = charpoly(a)
+    roots = parent_rational_roots(poly)
+    assert _rational_roots(poly) == roots
+    data = spectral_data(a)
+    assert {ev: sum(sizes) for ev, sizes in data.entries} == roots
+    columns, den = _jordan_basis(a, data)
+    assert MatQ([[F(x, den) for x in row] for row in columns]) == parent_jordan_basis(a, data)
+    assert conjugate(a, b) == parent_similarity(MatQ(a.rows), MatQ(b.rows), data)
+    # a**2 against a dense conjugate of the squared spectrum, at the pair (2, 1) of (4, 16)
+    c = dense_conjugate([(ev**2, size) for ev, size in blocks], seed + 2)
+    squared = SpectralData(tuple((ev**2, sizes) for ev, sizes in data.entries))
+    assert power_conjugacy(a, c, 4, 16) == (2, 1, parent_similarity(mat_power(a, 2), c, squared))
 
 
 def test_witnesses_eliminate_at_most_dim_columns(monkeypatch):
