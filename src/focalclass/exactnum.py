@@ -11,14 +11,15 @@ Newton iteration seeded from a float estimate.  Every root found is
 confirmed exactly (r**p == n); no float decides anything alone.
 
 The central object is :class:`LogRatio`, the exact value log(a)/log(b)
-for rationals a, b > 1, kept as exponents over primitive bases.  Equality
-of two such values is decided only when a rigorous certificate exists;
-otherwise the comparison is reported as undecided instead of being
-guessed from floats.  The last certificate, disjoint interval enclosures,
-is computed on Python ints with mpmath's directed-rounding rules.  A
-LogRatio keeps the enclosure of its last such comparison, at that
-comparison's precision, so comparing it again at that precision computes
-no log; nothing else here is kept between calls.
+for rationals a, b > 1, kept as exponents over primitive bases found and
+compared on integers.  Equality of two such values is decided only when a
+rigorous certificate exists, a value against itself at once; otherwise the
+comparison is reported as undecided instead of being guessed from floats.
+The last certificate, disjoint interval enclosures, is computed on Python
+ints with mpmath's directed-rounding rules.  A LogRatio keeps the enclosure
+of its last such comparison, at that comparison's precision, so comparing
+it again at that precision computes no log; nothing else here is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -228,18 +229,18 @@ def mult_decompose(x: Fraction) -> tuple[Fraction, int]:
     prime exponent vector is 1 (detected without factoring).  exp < 0 when
     x < 1, so the decomposition is unique.
     """
-    if x <= 0 or x == 1:
-        raise ValueError(f"mult_decompose needs x > 0, x != 1, got {x}")
-    if x < 1:
-        base, e = mult_decompose(1 / x)
-        return base, -e
-    num, den = x.numerator, x.denominator
-    qn, en = maxroot(num)
-    if den == 1:
-        return Fraction(qn), en
-    qd, ed = maxroot(den)
-    g = gcd(en, ed)
-    return Fraction(qn ** (en // g), qd ** (ed // g)), g
+    return _decompose(x.numerator, x.denominator)
+
+
+def _decompose(num: int, den: int) -> tuple[Fraction, int]:
+    """mult_decompose of num / den on the integers, with no Fraction compared."""
+    if num <= 0 or den <= 0 or num == den:
+        raise ValueError(f"mult_decompose needs x > 0, x != 1, got {Fraction(num, den)}")
+    g = gcd(num, den)
+    (qn, en), (qd, ed) = (maxroot(k // g) if k > g else (1, 0) for k in (num, den))
+    e = gcd(en, ed)
+    top, bottom = qn ** (en // e), qd ** (ed // e)
+    return (Fraction(top, bottom), e) if num > den else (Fraction(bottom, top), -e)
 
 
 class LogRatio(Record):
@@ -294,10 +295,11 @@ def canonical_value(x: LogRatio | Fraction | int) -> Value:
     rational, otherwise the LogRatio itself, already in normal form.
 
     Two log-ratios built from multiplicatively dependent pairs have the same
-    normal form, so structural equality decides those comparisons.
+    normal form, so structural equality decides those comparisons; P == Q
+    is tested on integers.
     """
     if isinstance(x, LogRatio):
-        return Fraction(x.m, x.n) if x.p == x.q else x
+        return Fraction(x.m, x.n) if x.p.as_integer_ratio() == x.q.as_integer_ratio() else x
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -469,11 +471,13 @@ def compare_values(x: Value, y: Value) -> Comparison:
     EQUAL and NOT_EQUAL are only ever returned with a rigorous certificate:
     matching canonical forms, a rational-vs-irrational mismatch (irrational
     is certified by multiplicative independence of primitive bases), or
-    disjoint interval enclosures.  Everything else is Undecided.  At DEBUG
-    the focalclass.exactnum logger gets one line naming the deciding rung.
+    disjoint interval enclosures, x against itself at once.  Everything else
+    is Undecided.  At DEBUG the focalclass.exactnum logger gets one line
+    naming the deciding rung.
     """
-    cx, cy = canonical_value(x), canonical_value(y)
-    if cx == cy:
+    cx = canonical_value(x)
+    cy = cx if y is x else canonical_value(y)
+    if cy is cx or cx == cy:
         verdict, rung = EQUAL, "canonical match"
     elif isinstance(cx, Fraction) and isinstance(cy, Fraction):
         verdict, rung = NOT_EQUAL, "canonical mismatch of two rationals"

@@ -274,10 +274,9 @@ def _varpi(f: _Reading):
         return Fraction(0)
     if f.varpi is not None:
         return f.varpi
-    # log r / log delta from r's root and delta's stored power: nothing is decomposed again
-    root, e = maxroot(f.tree)
-    varpi = LogRatio.of_powers(Fraction(root), e, *spectral_data(f.conn).delta_power())
-    return canonical_value(logratio_scale(varpi, 1 / f.t))
+    # log r / (t log delta) from r's root and delta's stored power: nothing is decomposed again
+    (q, e), (base, n), t = maxroot(f.tree), spectral_data(f.conn).delta_power(), f.t
+    return canonical_value(LogRatio.of_powers(Fraction(q), e * t.denominator, base, n * t.numerator))
 
 
 def invariant_p0(g: FocalDescriptor):

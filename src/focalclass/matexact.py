@@ -3,39 +3,40 @@
 Matrices are immutable arrays of Fractions, but the arithmetic runs over Z:
 each matrix keeps its integer form (d times its rows, d the lcm of the
 denominators) once a kernel has read it, one fraction-free integer kernel
-(Bareiss) serves the determinant, rank, inverse and nullspace, the
-characteristic polynomial is Berkowitz's division-free one, and a product
-multiplies integer forms and builds one Fraction per entry.  Spectral
-analysis is restricted to characteristic polynomials that split over Q with
-positive roots.  Their roots are found exactly and completely over Z: a
-square-free part by primitive pseudo-remainders, its roots by p-adic
-lifting, and the multiplicities by synthetic division, which a square-free
-polynomial skips; outside that family a typed error is raised, never a
-float guess.  A simple eigenvalue has the one block (1,); the block sizes
-of a repeated one come from the ranks of the integer powers of a scaled
-a - ev I, and Jordan chains from their kernels.  Similarity is decided by
-eigenvalue and Jordan block data; its witness maps one Jordan basis onto
-the other, each built without search as integer columns over one
-denominator, and is verified by exact integer multiplication before its
-entries become Fractions.
+(Bareiss) serves the determinant, rank, inverse and integer nullspace, and
+a product multiplies integer forms and builds one Fraction per entry.
+Spectral analysis is restricted to characteristic polynomials that split
+over Q with positive roots.  Berkowitz's division-free det(yI - d a) goes
+straight to the root finder, each integer root y giving the eigenvalue
+y / d: a square-free part by primitive pseudo-remainders, its roots by
+p-adic lifting, and the multiplicities by synthetic division, which a
+square-free polynomial skips; outside that family a typed error is raised,
+never a float guess.  A simple eigenvalue has the one block (1,); the block
+sizes of a repeated one come from the ranks of the integer powers of a
+scaled a - ev I, and Jordan chains from their kernels.  Similarity is
+decided by eigenvalue and Jordan block data; its witness maps one Jordan
+basis onto the other, each built without search as integer columns over
+one denominator, and is verified by exact integer multiplication before
+its entries become Fractions.
 
 A matrix's spectral data is computed at most once and kept on the matrix
 itself, and the logs the invariants derive from it (expansion powers and
-the volume expansion delta) once each on the spectral data, so every caller
-that asks again reads the stored value.  The connected key is built from
-the expansion powers by focalmodel and kept there, in the descriptor's
-canonical form.  A matrix outside the family keeps nothing and raises again
-on each call.
+the volume expansion delta, from integers) once each on the spectral data,
+so every caller that asks again reads the stored value.  The connected key
+is built from the expansion powers by focalmodel and kept there, in the
+descriptor's canonical form.  A matrix outside the family keeps nothing
+and raises again on each call.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice, repeat, takewhile
 from math import gcd, lcm, prod
 from operator import mul
 
-from .exactnum import Record, _debug, _is_prime, common_power, mult_decompose
+from .exactnum import Record, _debug, _decompose, _is_prime, common_power
 
 __all__ = [
     "MatQ",
@@ -80,7 +81,7 @@ def _inverse_rows(m: list) -> tuple[list, int]:
     """(M, last) with M / last the inverse of the integer rows m (Gauss-Jordan)."""
     n = len(m)
     augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
-    m, pivots, _, last, _ = _eliminate(augmented, n, reduced=True)
+    m, pivots, _, last = _eliminate(augmented, n, reduced=True)
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in m], last
@@ -129,7 +130,7 @@ class MatQ(Record):
     def det(self) -> Fraction:
         """Determinant by fraction-free elimination; empty matrix gives 1."""
         b, d = _integer_form(self)
-        _, pivots, sign, last, _ = _eliminate(b, self.dim)
+        _, pivots, sign, last = _eliminate(b, self.dim)
         return Fraction(sign * last, d**self.dim) if len(pivots) == self.dim else Fraction(0)
 
     def inverse(self) -> "MatQ":
@@ -139,17 +140,15 @@ class MatQ(Record):
 
 
 def _eliminate(rows, ncols: int, reduced: bool = False) -> tuple:
-    """Fraction-free elimination (Bareiss 1968) of the rows, each scaled to
-    integers, on the first ncols columns; later columns follow along.
+    """Fraction-free elimination (Bareiss 1968) of integer rows on the first
+    ncols columns; later columns follow along.
 
-    Returns the integer rows, the pivot columns, the permutation sign, the
-    last pivot (1 if none) and the product of the row scales.  Each update
-    divides exactly by the previous pivot, as every entry is a minor, and a
-    square full-rank input has determinant sign * last / scale.  With reduced
-    the rows above each pivot are cleared too (Gauss-Jordan): every pivot row
-    is then last times its row of the reduced echelon form."""
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, scales)]
+    Returns the rows, the pivot columns, the permutation sign and the last
+    pivot (1 if none).  Each update divides exactly by the previous pivot, as
+    every entry is a minor, and a square full-rank input has determinant
+    sign * last.  With reduced the rows above each pivot are cleared too
+    (Gauss-Jordan): every pivot row is then last times its reduced row."""
+    m = list(rows)
     pivots: list = []
     sign = prev = 1
     for col in range(ncols):
@@ -167,7 +166,7 @@ def _eliminate(rows, ncols: int, reduced: bool = False) -> tuple:
                 m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], row)]
         pivots.append(col)
         prev = piv
-    return m, pivots, sign, prev, prod(scales)
+    return m, pivots, sign, prev
 
 
 def mat_power(a: MatQ, n: int) -> MatQ:
@@ -190,20 +189,16 @@ def rank(a) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the characteristic polynomial: a tuple of Fractions, ascending
+# the characteristic polynomial
 # ---------------------------------------------------------------------------
 
 
-def charpoly(a: MatQ) -> tuple:
-    """Monic characteristic polynomial det(xI - a), ascending: Berkowitz's
-    division-free algorithm (1984) over Z on b = d * a, d the lcm of the
-    denominators, then coefficient k of x**(n-k) divided by d**k.  Adding row
-    and column r to the leading block M multiplies the coefficients by the
-    lower-triangular Toeplitz matrix with first column
-    (1, -b_rr, -R c, -R M c, ..., -R M**(r-1) c), c above b_rr and R left of it.
-    """
-    n = a.dim
-    b, d = _integer_form(a)
+def _zcharpoly(b) -> list:
+    """det(yI - b) for integer rows b, ascending, by Berkowitz's division-free
+    algorithm (1984): adding row and column r to the leading block M multiplies
+    the coefficients by the lower-triangular Toeplitz matrix with first column
+    (1, -b_rr, -R c, -R M c, ..., -R M**(r-1) c), c above b_rr and R left of it."""
+    n = len(b)
     coeffs = [1]  # descending, of the leading r x r block
     for r in range(n):
         block = [b[i][:r] for i in range(r)]
@@ -214,7 +209,13 @@ def charpoly(a: MatQ) -> tuple:
             vec = [sum(map(mul, brow, vec)) for brow in block]
         # coefficient i sums toeplitz[i - j] * coeffs[j] over j <= min(i, r)
         coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(r + 2)]
-    return tuple(Fraction(coeffs[n - i], d ** (n - i)) for i in range(n + 1))
+    return coeffs[::-1]
+
+
+def charpoly(a: MatQ) -> tuple:
+    """det(xI - a), ascending Fractions: det(yI - b) / d**n at y = d x, b = d a."""
+    b, d = _integer_form(a)
+    return tuple(Fraction(c, d ** (a.dim - i)) for i, c in enumerate(_zcharpoly(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +240,9 @@ class SpectralData(Record):
 
     def expansion_powers(self) -> tuple:
         """Each expansion factor 1/ev, for eigenvalues in (0, 1), written as
-        (primitive base, exponent) by mult_decompose; computed once."""
+        (primitive base, exponent) by _decompose; computed once."""
         if self._expansions is None:
-            powers = tuple(mult_decompose(1 / ev) for ev in self.eigenvalues)
+            powers = tuple(_decompose(ev.denominator, ev.numerator) for ev in self.eigenvalues)
             object.__setattr__(self, "_expansions", powers)
         return self._expansions
 
@@ -249,8 +250,9 @@ class SpectralData(Record):
         """The volume expansion delta, the product of 1/ev over the spectrum
         with algebraic multiplicity, as (primitive base, exponent); computed once."""
         if self._delta is None:
-            delta = prod((1 / ev) ** sum(blocks) for ev, blocks in self.entries)
-            object.__setattr__(self, "_delta", mult_decompose(delta))
+            num = prod(ev.denominator ** sum(blocks) for ev, blocks in self.entries)
+            den = prod(ev.numerator ** sum(blocks) for ev, blocks in self.entries)
+            object.__setattr__(self, "_delta", _decompose(num, den))
         return self._delta
 
     @property
@@ -347,17 +349,10 @@ def _integer_roots(f: list) -> list:
     return [y for y in residues if _horner(f, y) == 0]
 
 
-def _rational_roots(p: tuple) -> dict:
-    """Rational roots of the monic polynomial p with their multiplicities.
-
-    y = d * x, d the lcm of the denominators, turns p into a monic integer
-    polynomial f whose rational roots are integers.  f / gcd(f, f') is its
-    square-free part, monic as f is; synthetic division of f by y - root
-    counts each root of that part.
-    """
-    n = len(p) - 1
-    d = lcm(*(c.denominator for c in p))
-    f = [c.numerator * (d ** (n - i) // c.denominator) for i, c in enumerate(p)]
+def _rational_roots(f: list, d: int) -> dict:
+    """The roots y / d of the monic integer polynomial f, with multiplicities.
+    They are integers y; f / gcd(f, f') is f's square-free part, monic as f
+    is, and synthetic division of f by y - root counts each root of that part."""
     common = _zgcd(f, [i * c for i, c in enumerate(f)][1:])
     if len(common) == 1:  # f is square-free: every root is simple
         return {Fraction(y, d): 1 for y in _integer_roots(f)}
@@ -406,26 +401,23 @@ def spectral_data(a: MatQ) -> SpectralData:
         return a._spectral
     n = a.dim
     # kept on measurement: 0.1 ms against 0.7 ms by charpoly roots on classify_dense's 2 x 2 inputs
-    diagonal = _triangular_diagonal(a)
+    diagonal, (b, den) = _triangular_diagonal(a), _integer_form(a)
     if diagonal is not None:
-        path, roots = "triangular diagonal", {}
-        for ev in diagonal:
-            roots[ev] = roots.get(ev, 0) + 1
-    else:
-        path, roots = "charpoly roots", _rational_roots(charpoly(a))
+        path, roots = "triangular diagonal", Counter(diagonal)
+    else:  # the eigenvalues of a are the roots of det(yI - b) over den
+        path, roots = "charpoly roots", _rational_roots(_zcharpoly(b), den)
     _debug(__name__, "spectral data of a %d x %d matrix from its %s", n, n, path)
     if sum(roots.values()) < n:
         raise NonRationalSpectrumError("characteristic polynomial does not split over Q")
-    if any(ev <= 0 for ev in roots):
+    if any(ev.numerator <= 0 for ev in roots):
         raise NonRationalSpectrumError("spectrum contains a non-positive rational eigenvalue")
     entries = []
-    b, den = _integer_form(a)
     for ev, mult in sorted(roots.items()):
         if mult == 1:  # a simple eigenvalue has one block of size 1
             entries.append((ev, (1,)))
             continue
-        _, powers = _shifted_powers(b, den, ev)
-        ranks = [n, *takewhile(lambda r: r > n - mult, map(rank, powers)), n - mult]
+        _, powers = _shifted_powers(b, den, ev)  # rank n - mult by the power mult
+        ranks = [n, *takewhile(lambda r: r > n - mult, map(rank, islice(powers, mult))), n - mult]
         # d[j] = number of blocks of size > j; sizes from successive differences
         d = [ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1)] + [0]
         blocks = tuple(j for j in range(len(d) - 1, 0, -1) for _ in range(d[j - 1] - d[j]))
@@ -438,9 +430,7 @@ def spectral_data(a: MatQ) -> SpectralData:
 
 def is_contracting(a: MatQ) -> bool:
     """True iff every eigenvalue lies in (0, 1); vacuously true for dim 0."""
-    if a.dim == 0:
-        return True
-    return all(ev < 1 for ev in spectral_data(a).eigenvalues)
+    return all(ev.numerator < ev.denominator for ev in spectral_data(a).eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +439,18 @@ def is_contracting(a: MatQ) -> bool:
 
 
 def _nullspace(rows: list, ncols: int) -> list:
-    """Nullspace basis, one vector per free column of the reduced echelon form."""
-    m, pivots, _, last, _ = _eliminate(rows, ncols, reduced=True)
+    """Nullspace basis of integer rows, one vector per free column fc of the
+    reduced echelon form m / last: last e_fc minus column fc of m, all over
+    g = ±gcd(last, free columns of m) with the sign of last."""
+    m, pivots, _, last = _eliminate(rows, ncols, reduced=True)
+    free = [c for c in range(ncols) if c not in pivots]
+    g = gcd(last, *(row[fc] for row in m[: len(pivots)] for fc in free)) * (1 if last > 0 else -1)
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = last // g
         for prow, pcol in enumerate(pivots):
-            vec[pcol] = Fraction(-m[prow][fc], last)
+            vec[pcol] = -m[prow][fc] // g
         basis.append(vec)
     return basis
 
@@ -474,7 +468,7 @@ def _jordan_basis(x: MatQ, data: SpectralData) -> tuple[list, int]:
         powers = list(islice(powers, blocks[0]))
         bottoms: list = []  # (L * N)**(k-1) v for the top v of each chain
         for k in sorted(set(blocks), reverse=True):
-            kernel = _integer_rows(_nullspace(powers[k - 1], x.dim))[0]
+            kernel = _nullspace(powers[k - 1], x.dim)
             images = kernel if k == 1 else [
                 [sum(map(mul, row, v)) for row in powers[k - 2]] for v in kernel]
             known = len(bottoms)

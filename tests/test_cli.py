@@ -974,15 +974,12 @@ _SWEEP_DIGESTS = {  # re-pinned only for a deliberate change of wire output
 }
 
 
-def test_corpus_sweep_is_pinned(monkeypatch):
-    """Each one-file subcommand on each corpus file and each pair subcommand
-    on each ordered pair of files, 1660 in-process calls: the histogram of
-    exit codes and one sha256 per subcommand over the file names, exit code,
-    stdout and stderr of its calls (paths reduced to basenames) are pinned,
-    so any change to wire output or exit codes shows here."""
-    monkeypatch.delenv("FOCAL_LOG", raising=False)
-    files = sorted(CORPUS.glob("*.json"))
-    assert len(files) == 20
+def _sweep(directory: Path) -> tuple[dict, dict]:
+    """Each one-file subcommand on each file of directory and each pair
+    subcommand on each ordered pair of its files, in process: the histogram
+    of exit codes and one sha256 per subcommand over the file names, exit
+    code, stdout and stderr of its calls (paths reduced to basenames)."""
+    files = sorted(directory.glob("*.json"))
     runs = [(cmd, (f,)) for cmd in _SWEEP_ONE for f in files]
     runs += [(cmd, (a, b)) for cmd in _SWEEP_PAIR for a in files for b in files]
     codes, digests = Counter(), {}
@@ -992,7 +989,41 @@ def test_corpus_sweep_is_pinned(monkeypatch):
             code = main([cmd[0], *map(str, paths), *cmd[1:]])
         codes[code] += 1
         record = "\t".join([*(p.name for p in paths), str(code), out.getvalue(), err.getvalue()])
-        record = record.replace(f"{CORPUS}{os.sep}", "")
+        record = record.replace(f"{directory}{os.sep}", "")
         digests.setdefault(" ".join(cmd), hashlib.sha256()).update(record.encode() + b"\n")
-    assert dict(codes) == {0: 368, 1: 1032, 2: 260}
-    assert {cmd: h.hexdigest() for cmd, h in digests.items()} == _SWEEP_DIGESTS
+    return dict(codes), {cmd: h.hexdigest() for cmd, h in digests.items()}
+
+
+def test_corpus_sweep_is_pinned(monkeypatch):
+    """The sweep over the 20 corpus files, 1660 in-process calls, is pinned,
+    so any change to wire output or exit codes shows here."""
+    monkeypatch.delenv("FOCAL_LOG", raising=False)
+    assert len(list(CORPUS.glob("*.json"))) == 20
+    codes, digests = _sweep(CORPUS)
+    assert codes == {0: 368, 1: 1032, 2: 260}
+    assert digests == _SWEEP_DIGESTS
+
+
+EXTRAS = Path(__file__).parent / "sweep_extras"
+_EXTRAS_DIGESTS = {  # re-pinned only for a deliberate change of wire output
+    "invariants": "74ecfdd1ad6d867efd4a5e5dbe541ba97ac9f3b2fdbd7dd37d27495c20bafff8",
+    "boundary": "bbc856ed81e9e34988d97edd9ba992dd37207c73d272541e69075748fe224152",
+    "hull": "82f35740eb7f08c54794fbb8e4901f276d1eee4c044f32224bf7f4682a6ea1d6",
+    "commable": "985693d86e892829542478de840e73942046e20c236de9803277dc3905621c64",
+    "commable --within-focal --witness":
+        "951f950fee66deeb98ac1ec3cb2c066eaf654907e7088b9e31234a1fa21fa99a",
+    "qi --witness": "f490f5d8804ca09eea80dfeffbf35c0954fef9d49f7718d1151f292ceb01ae8a",
+    "pattern": "d5ace7272aac2568bae4b6ae4c76047ef0974d5398028da9bdf0299547697b58",
+}
+
+
+def test_extras_sweep_is_pinned(monkeypatch):
+    """The same sweep over the 13 extra files, 715 calls.  Their matrices are
+    dense, Jordan blocks, near or non-split, so the pin reaches what the
+    diagonal corpus does not: the charpoly path, the interval enclosures and
+    undecided verdicts."""
+    monkeypatch.delenv("FOCAL_LOG", raising=False)
+    assert len(list(EXTRAS.glob("*.json"))) == 13
+    codes, digests = _sweep(EXTRAS)
+    assert codes == {0: 126, 1: 366, 2: 217, 3: 6}
+    assert digests == _EXTRAS_DIGESTS

@@ -300,6 +300,45 @@ def test_mult_decompose_basics():
     assert base == F(10, 7) and e == 1
 
 
+# mult_decompose as it was before it worked on numerator and denominator as
+# integers, kept verbatim (renamed) as its oracle
+def parent_mult_decompose(x: F) -> tuple[F, int]:
+    if x <= 0 or x == 1:
+        raise ValueError(f"mult_decompose needs x > 0, x != 1, got {x}")
+    if x < 1:
+        base, e = parent_mult_decompose(1 / x)
+        return base, -e
+    num, den = x.numerator, x.denominator
+    qn, en = maxroot(num)
+    if den == 1:
+        return F(qn), en
+    qd, ed = maxroot(den)
+    g = math.gcd(en, ed)
+    return F(qn ** (en // g), qd ** (ed // g)), g
+
+
+# rationals either side of 1, many of them proper powers
+powered_rationals = st.builds(lambda n, d, e: F(n, d) ** e, st.integers(1, 10**12),
+                              st.integers(1, 10**12), st.integers(1, 6)).filter(lambda x: x != 1)
+
+
+@given(powered_rationals)
+@settings(max_examples=200, deadline=None)
+def test_mult_decompose_matches_the_parent(x):
+    got = mult_decompose(x)
+    assert got == parent_mult_decompose(x)
+    assert type(got[0]) is F and type(got[1]) is int
+
+
+@pytest.mark.parametrize("x", [F(0), F(-3), F(-2, 3), F(1), F(7, 7)])
+def test_mult_decompose_rejects_what_the_parent_rejects(x):
+    with pytest.raises(ValueError) as parent:
+        parent_mult_decompose(x)
+    with pytest.raises(ValueError) as got:
+        mult_decompose(x)
+    assert str(got.value) == str(parent.value)
+
+
 # ---------------------------------------------------------------------------
 # log-ratios
 # ---------------------------------------------------------------------------
@@ -735,6 +774,72 @@ def test_operations_on_built_values_make_no_maxroot_calls(monkeypatch):
         compare_values(v, F(3, 2))
     assert compare_values(w, F(3, 2)) is EQUAL
     assert calls == []
+
+
+@st.composite
+def logratio_values(draw):
+    """A log-ratio of ratio_pairs, or one with equal bases (p == q), whose
+    canonical value is the rational m/n."""
+    x = draw(ratio_pairs())[draw(st.integers(0, 1))]
+    if draw(st.booleans()):
+        return x
+    base = draw(st.sampled_from([x.p, x.q]))
+    return LogRatio.of_powers(base, draw(st.integers(1, 50)), F(base.numerator, base.denominator),
+                              draw(st.integers(1, 50)))
+
+
+@given(logratio_values())
+@settings(max_examples=150, deadline=None)
+def test_canonical_value_matches_the_fraction_test(x):
+    """The base test on integers agrees with Fraction equality of the bases."""
+    expected = F(x.m, x.n) if x.p == x.q else x
+    got = canonical_value(x)
+    assert type(got) is type(expected) and got == expected
+    if x.p != x.q:
+        assert got is x
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append((record.name, record.levelno, record.getMessage()))
+
+
+@given(logratio_values() | st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+@settings(max_examples=100, deadline=None)
+def test_a_value_compared_with_itself_is_equal_at_once(x):
+    """compare_values(x, x) is EQUAL with no certificate work, and logs the
+    line a distinct equal copy of x logs."""
+    copy = (LogRatio.of_powers(x.p, x.m, x.q, x.n) if isinstance(x, LogRatio)
+            else F(x.numerator, x.denominator))
+    assert copy is not x
+    logger, handler = logging.getLogger("focalclass.exactnum"), _Lines()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        assert compare_values(x, x) is EQUAL
+        assert compare_values(x, copy) is EQUAL
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    itself, other = handler.lines
+    assert itself == other
+    assert itself[2].endswith(": EQUAL by canonical match")
+
+
+def test_self_comparison_builds_no_canonical_value_twice(monkeypatch):
+    calls = []
+    counted = exactnum.canonical_value
+    monkeypatch.setattr(exactnum, "canonical_value", lambda v: calls.append(v) or counted(v))
+    monkeypatch.setattr(exactnum, "_interval_compare", None)  # any use would raise
+    x = LogRatio(F(3), F(2))
+    assert compare_values(x, x) is EQUAL and calls == [x]
+    calls.clear()
+    assert compare_values(x, LogRatio(F(9), F(4))) is EQUAL and len(calls) == 2
 
 
 def test_compare_values_logs_its_certificate(caplog):

@@ -354,17 +354,17 @@ def test_conn_key_is_scale_invariant():
 def test_spectral_logs_decomposed_once_per_matrix(monkeypatch):
     """The dense mixed pair of test_one_charpoly_per_dense_matrix, through
     both invariant sets, three decisions and validate_chain on each yes,
-    sends each matrix's delta and each expansion factor 1/ev to
-    mult_decompose exactly once: they are kept on the spectral data."""
+    sends each matrix's delta and each expansion factor 1/ev to the integer
+    decomposition exactly once: they are kept on the spectral data."""
     calls = Counter()
-    counted = exactnum.mult_decompose
+    counted = exactnum._decompose
 
-    def counting_decompose(x):
-        calls[x] += 1
-        return counted(x)
+    def counting_decompose(num, den):
+        calls[F(num, den)] += 1
+        return counted(num, den)
 
     for module in (exactnum, matexact):
-        monkeypatch.setattr(module, "mult_decompose", counting_decompose)
+        monkeypatch.setattr(module, "_decompose", counting_decompose)
     l = unit_lower(4, [1, -1, 2, 1, 0, -1])
     u = MatQ(zip(*unit_lower(4, [2, 1, -1, 0, 1, 1]).rows))
     p, q = l @ u, u @ l

@@ -33,6 +33,7 @@ from focalclass.matexact import (
     _nullspace,
     _rational_roots,
     _shifted_powers,
+    _zcharpoly,
     charpoly,
     conjugate,
     is_contracting,
@@ -238,8 +239,8 @@ def test_elimination_kernel_properties(a):
     if n <= 4:
         assert d == cofactor_det(a.rows)
     assert d == parent_det(a)
-    basis = _nullspace(a.rows, n)
-    assert basis == parent_nullspace(a.rows, n)
+    basis = _nullspace(_integer_rows(a.rows)[0], n)
+    assert basis == parent_integer_rows(parent_nullspace(a.rows, n))[0]
     assert rank(a) == parent_rank(a.rows, n)
     assert rank(a) + len(basis) == n
     for vec in basis:
@@ -279,8 +280,8 @@ def rectangular_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_elimination_kernel_on_rectangular_systems(system):
     rows, ncols = system
-    basis = _nullspace(rows, ncols)
-    assert basis == parent_nullspace(rows, ncols)
+    basis = _nullspace(_integer_rows(rows)[0], ncols)
+    assert basis == parent_integer_rows(parent_nullspace(rows, ncols))[0]
     assert len(basis) == ncols - parent_rank(rows, ncols)
 
 
@@ -309,8 +310,8 @@ def test_elimination_kernel_on_intertwiner_systems(blocks1, blocks2, seed, simil
     p, q = random_conjugator(rng, j1.dim), random_conjugator(rng, j1.dim)
     a, b = p @ j1 @ p.inverse(), q @ j2 @ q.inverse()
     rows, nn = sylvester_rows(a, b), a.dim * a.dim
-    basis = _nullspace(rows, nn)
-    assert basis == parent_nullspace(rows, nn)
+    basis = _nullspace(_integer_rows(rows)[0], nn)
+    assert basis == parent_integer_rows(parent_nullspace(rows, nn))[0]
     n = a.dim
     for vec in basis:
         mat = MatQ([vec[i * n : (i + 1) * n] for i in range(n)])
@@ -475,6 +476,15 @@ def _p_derivative(p: Poly) -> Poly:
     return _p_trim([i * c for i, c in enumerate(p)][1:])
 
 
+def integer_poly(p: Poly) -> tuple[list, int]:
+    """(f, d) with f(y) = d**n p(y / d) a monic integer polynomial, d the lcm
+    of the denominators of the monic p: the conversion _rational_roots made
+    before it took the integer characteristic polynomial."""
+    n = len(p) - 1
+    d = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (d ** (n - i) // c.denominator) for i, c in enumerate(p)], d
+
+
 def parent_rational_roots(p: Poly) -> dict:
     """Rational roots of the monic polynomial p with their multiplicities."""
     square_free = p_divmod(p, _poly_gcd(p, _p_derivative(p)))[0]
@@ -503,7 +513,7 @@ def test_rational_roots_of_dense_conjugates(blocks, seed):
     expected = Counter()
     for ev, size in blocks:
         expected[ev] += size
-    assert _rational_roots(poly) == parent_rational_roots(poly) == dict(expected)
+    assert _rational_roots(*integer_poly(poly)) == parent_rational_roots(poly) == dict(expected)
 
 
 @st.composite
@@ -527,13 +537,13 @@ def factored_polynomials(draw):
 @given(factored_polynomials())
 @settings(max_examples=100, deadline=None)
 def test_rational_roots_of_factored_polynomials(poly):
-    assert _rational_roots(poly) == parent_rational_roots(poly)
+    assert _rational_roots(*integer_poly(poly)) == parent_rational_roots(poly)
 
 
 def test_rational_roots_pinned_examples():
     for name, a, evs in dense_split_conjugates():
         poly = charpoly(a)
-        assert _rational_roots(poly) == parent_rational_roots(poly) == dict.fromkeys(evs, 1), name
+        assert _rational_roots(*integer_poly(poly)) == parent_rational_roots(poly) == dict.fromkeys(evs, 1), name
     rotation = charpoly(MatQ([[0, 1], [-1, 0]]))  # x^2 + 1
     negative = tuple(_poly_mul([F(1, 2), F(1)], [F(-1, 3), F(1)]))  # (x + 1/2)(x - 1/3)
     cases = [
@@ -543,7 +553,7 @@ def test_rational_roots_pinned_examples():
         (expected_charpoly([(F(1, 2), 3), (F(-4, 9), 2)]), {F(1, 2): 3, F(-4, 9): 2}),
     ]
     for poly, roots in cases:
-        assert _rational_roots(poly) == parent_rational_roots(poly) == roots
+        assert _rational_roots(*integer_poly(poly)) == parent_rational_roots(poly) == roots
 
 
 def test_empty_matrix_conventions():
@@ -592,7 +602,7 @@ def test_spectral_data_of_dense_split_conjugates():
 # as its oracle: the charpoly roots, and the rank loop for every eigenvalue
 def parent_spectral_data(a: MatQ) -> SpectralData:
     n = a.dim
-    roots = _rational_roots(charpoly(a))
+    roots = parent_rational_roots(charpoly(a))
     entries = []
     b, den = _integer_rows(a.rows)
     for ev, mult in sorted(roots.items()):
@@ -691,21 +701,21 @@ def test_spectral_errors_are_not_stored():
 
 
 def test_one_charpoly_per_dense_matrix(monkeypatch):
-    """A whole mixed-pair classification runs charpoly once per matrix."""
+    """A whole mixed-pair classification computes the integer characteristic
+    polynomial once per matrix, and the integer form once per matrix."""
     calls = Counter()
-    counted = matexact.charpoly
+    counted = matexact._zcharpoly
 
-    def counting_charpoly(a):
-        calls[a.rows] += 1
-        return counted(a)
+    def counting_charpoly(b):
+        calls[b] += 1
+        return counted(b)
 
-    monkeypatch.setattr(matexact, "charpoly", counting_charpoly)
+    monkeypatch.setattr(matexact, "_zcharpoly", counting_charpoly)
     conversions = Counter()
     converted = matexact._integer_rows
 
     def counting_integer_rows(rows):
-        if isinstance(rows, tuple):  # a matrix's rows; kernel vectors come as lists
-            conversions[rows] += 1
+        conversions[rows] += 1
         return converted(rows)
 
     monkeypatch.setattr(matexact, "_integer_rows", counting_integer_rows)
@@ -726,7 +736,7 @@ def test_one_charpoly_per_dense_matrix(monkeypatch):
     for v in verdicts:
         assert validate_chain(v.chain)[0]
     assert power_conjugacy(g1.matrix, g2.matrix, g1.k, g2.k)[:2] == (1, 2)
-    assert calls == Counter({g1.matrix.rows: 1, g2.matrix.rows: 1})
+    assert calls == Counter({converted(g.matrix.rows)[0]: 1 for g in (g1, g2)})
     assert conversions[g1.matrix.rows] == conversions[g2.matrix.rows] == 1
     assert set(conversions.values()) == {1}, conversions
 
@@ -878,9 +888,10 @@ def test_similarity_witnesses_from_jordan_bases(blocks, seed):
 
 
 # _jordan_basis and _similarity as they were before the bases became integer
-# columns over one denominator, kept verbatim (renamed) as the oracle of the
-# integer witnesses: Fraction bases, MatQ inverse and MatQ verification.  They
-# read _integer_rows as it was then, when it gave lists.
+# columns over one denominator, kept (renamed) as the oracle of the integer
+# witnesses: Fraction bases, MatQ inverse and MatQ verification.  They read
+# _integer_rows as it was then, when it gave lists, and take their kernels
+# and the chains' pivot columns from the Fraction elimination.
 def parent_integer_rows(rows) -> tuple[list, int]:
     """(d * rows as lists of integers, d), d the lcm of all denominators."""
     d = math.lcm(*(x.denominator for row in rows for x in row))
@@ -899,12 +910,13 @@ def parent_jordan_basis(x: MatQ, data: SpectralData) -> MatQ:
         powers = list(islice(powers, blocks[0]))
         chains: list = []  # each bottom first
         for k in sorted(set(blocks), reverse=True):
-            kernel = parent_integer_rows(_nullspace(powers[k - 1], x.dim))[0]
+            kernel = parent_integer_rows(parent_nullspace([[F(v) for v in row] for row in powers[k - 1]],
+                                                          x.dim))[0]
             images = kernel if k == 1 else [
                 [sum(map(mul, row, v)) for row in powers[k - 2]] for v in kernel]
             known = len(chains)
             cols = [chain[0] for chain in chains] + images
-            for col in _eliminate(list(zip(*cols)), len(cols))[1][known:]:
+            for col in parent_echelon([[F(v) for v in row] for row in zip(*cols)], len(cols))[0][known:]:
                 top = kernel[col - known]
                 # N**j top = (L * N)**j top / L**j
                 chains.append([[F(sum(map(mul, row, top)), scale**j)
@@ -941,9 +953,8 @@ def split_spectra(draw, max_dim=5):
 @settings(max_examples=60, deadline=None)
 def test_integer_witnesses_match_the_fraction_oracle(blocks, seed):
     a, b = dense_conjugate(blocks, seed), dense_conjugate(blocks, seed + 1)
-    poly = charpoly(a)
-    roots = parent_rational_roots(poly)
-    assert _rational_roots(poly) == roots
+    roots = parent_rational_roots(charpoly(a))
+    assert _rational_roots(_zcharpoly(_integer_rows(a.rows)[0]), _integer_rows(a.rows)[1]) == roots
     data = spectral_data(a)
     assert {ev: sum(sizes) for ev, sizes in data.entries} == roots
     columns, den = _jordan_basis(a, data)
@@ -953,6 +964,59 @@ def test_integer_witnesses_match_the_fraction_oracle(blocks, seed):
     c = dense_conjugate([(ev**2, size) for ev, size in blocks], seed + 2)
     squared = SpectralData(tuple((ev**2, sizes) for ev, sizes in data.entries))
     assert power_conjugacy(a, c, 4, 16) == (2, 1, parent_similarity(mat_power(a, 2), c, squared))
+
+
+def rational_conjugate(rows: list, seed: int) -> MatQ:
+    """P a P^-1 for the matrix of rows and P = L U, L and U^T unit lower
+    triangular with entries of numerator and denominator up to 10**6 drawn
+    from seed, so the matrix's common denominator, and with it the integer
+    characteristic polynomial's coefficients, are large."""
+    n, rng = len(rows), Random(seed)
+    entry = lambda: F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))  # noqa: E731
+    l, ut = (unit_lower(n, [entry() for _ in range(n * (n - 1) // 2)]) for _ in "lu")
+    p = l @ MatQ(zip(*ut.rows))
+    return p @ MatQ(rows) @ p.inverse()
+
+
+@given(split_spectra(), st.integers(0, 2**32), st.booleans())
+@example([(F(1, 2), 1), (F(1, 3), 1), (F(999999, 1000000), 1)], 0, True)
+@example([(F(1, 2), 2), (F(1, 2), 1), (F(1, 5), 2)], 1, True)
+@settings(max_examples=60, deadline=None)
+def test_spectral_data_matches_the_charpoly_oracle(blocks, seed, rational):
+    """The roots of det(yI - d a) over d are the roots the Fraction root
+    finder gives on charpoly(a), for conjugates by small integer P and by P
+    with denominators up to 10**6."""
+    jordan = jordan_matrix(blocks)
+    a = rational_conjugate(jordan.rows, seed) if rational else dense_conjugate(blocks, seed)
+    data = spectral_data(a)
+    roots = parent_rational_roots(charpoly(a))
+    assert {ev: sum(sizes) for ev, sizes in data.entries} == roots
+    assert roots == Counter(ev for ev, size in blocks for _ in range(size))
+    assert data == parent_spectral_data(MatQ(a.rows)) == spectral_data(jordan)
+
+
+def block_diagonal(*parts) -> list:
+    """Rows of the block-diagonal matrix of the square row lists parts."""
+    n, rows, offset = sum(len(part) for part in parts), [], 0
+    for part in parts:
+        rows += [[F(0)] * offset + list(row) + [F(0)] * (n - offset - len(part)) for row in part]
+        offset += len(part)
+    return rows
+
+
+@given(split_spectra(max_dim=3), st.sampled_from([F(-1), F(-3, 4), F(2), F(3, 25), F(1, 2)]),
+       st.sampled_from([F(0), F(-1, 2), F(-7, 3)]), st.booleans(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_non_split_and_non_positive_spectra_are_rejected(blocks, c, ev, split, seed):
+    """A companion block of y^2 - c, c not a rational square, or a block at an
+    eigenvalue <= 0, next to a split positive spectrum, is rejected on the
+    integer charpoly path too, as the Fraction root finder sees it."""
+    bad = [[ev]] if split else [[F(0), c], [F(1), F(0)]]
+    a = rational_conjugate(block_diagonal(jordan_matrix(blocks).rows, bad), seed)
+    roots = parent_rational_roots(charpoly(a))
+    assert sum(roots.values()) < a.dim or min(roots) <= 0
+    with pytest.raises(NonRationalSpectrumError):
+        spectral_data(a)
 
 
 def test_witnesses_eliminate_at_most_dim_columns(monkeypatch):
