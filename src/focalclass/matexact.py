@@ -430,6 +430,8 @@ def spectral_data(a: MatQ) -> SpectralData:
 
 def is_contracting(a: MatQ) -> bool:
     """True iff every eigenvalue lies in (0, 1); vacuously true for dim 0."""
+    if a.dim == 0:
+        return True
     return all(ev.numerator < ev.denominator for ev in spectral_data(a).eigenvalues)
 
 

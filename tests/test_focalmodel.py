@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from focalclass.exactnum import (
     EQUAL,
     LogRatio,
+    Undecided,
     as_float,
     canonical_value,
     compare_values,
@@ -340,6 +341,22 @@ def test_one_connected_key_per_descriptor_across_decisions(monkeypatch):
     assert sum(calls.values()) == len({id(g) for g in seen})
     for g in mixed + connected:
         assert calls[id(conn_matrix(g))] == 1
+
+
+def test_a_key_against_itself_is_equal_entry_by_entry_at_once(monkeypatch, caplog):
+    """conn_key_equal(k, k) is EQUAL with one canonical-match line per entry
+    and no interval work, even for a key whose entries enclosures cannot
+    tell from a near copy's."""
+    a = 10**80
+    key = conn_key(GAk(diag(F(1, a), F(1, a + 1)), 1))
+    near = conn_key(GAk(diag(F(1, a + 1), F(1, a + 2)), 1))
+    assert isinstance(conn_key_equal(key, near), Undecided)
+    monkeypatch.setattr(exactnum, "_interval_compare", None)  # any use would raise
+    caplog.set_level("DEBUG", logger="focalclass.exactnum")
+    caplog.clear()
+    assert conn_key_equal(key, key) is EQUAL
+    assert [r.getMessage() for r in caplog.records] == [
+        f"compare {r} with {r}: EQUAL by canonical match" for r, _ in key]
 
 
 def test_conn_key_is_scale_invariant():

@@ -26,7 +26,6 @@ from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
     SpectralData,
-    _eliminate,
     _integer_roots,
     _integer_rows,
     _jordan_basis,
