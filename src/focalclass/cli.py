@@ -72,9 +72,9 @@ EXIT_UNDECIDED = 3
 
 _RATSTR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
-# radical-check tests --p by trial division here and again in each public
-# F_p(t) constructor call (never in the arithmetic); the bound keeps each
-# test to about a thousand divisions
+# radical-check tests --p by trial division here and again in each call of
+# FpRat.make, const or monomial and of Gamma (never in the arithmetic); the
+# bound keeps each test to about a thousand divisions
 _MAX_P = 1 << 20
 
 
@@ -171,10 +171,6 @@ def descriptor_obj(g: FocalDescriptor) -> dict:
             write = _WRITE.get(key)
             obj[key] = write(value) if write else value
     return obj
-
-
-def canonical_text(g: FocalDescriptor) -> str:
-    return json.dumps(descriptor_obj(g), separators=(",", ":")) + "\n"
 
 
 def load_descriptor(path: str) -> FocalDescriptor:

@@ -42,7 +42,6 @@ __all__ = [
     "MatQ",
     "SpectralData",
     "NonRationalSpectrumError",
-    "charpoly",
     "mat_power",
     "spectral_data",
     "is_contracting",
@@ -116,9 +115,6 @@ class MatQ(Record):
         values = [_frac(v) for v in values]
         n = len(values)
         return cls([[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
-
-    def __repr__(self):
-        return f"MatQ({[[str(x) for x in row] for row in self.rows]})"
 
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.dim != other.dim:
@@ -210,12 +206,6 @@ def _zcharpoly(b) -> list:
         # coefficient i sums toeplitz[i - j] * coeffs[j] over j <= min(i, r)
         coeffs = [sum(map(mul, toeplitz[i::-1], coeffs)) for i in range(r + 2)]
     return coeffs[::-1]
-
-
-def charpoly(a: MatQ) -> tuple:
-    """det(xI - a), ascending Fractions: det(yI - b) / d**n at y = d x, b = d a."""
-    b, d = _integer_form(a)
-    return tuple(Fraction(c, d ** (a.dim - i)) for i, c in enumerate(_zcharpoly(b)))
 
 
 # ---------------------------------------------------------------------------

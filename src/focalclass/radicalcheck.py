@@ -1,15 +1,17 @@
 """Exact verification of the polyfinite-radical counterexample.
 
 Everything is computed in the rational function field F_p(t): the standard
-units s = t^2 + t^-2, u1 = 1 + t, u2 = 1 + 1/t, a pair of Heisenberg groups
-over the Laurent ring embedded into H3(F_p(t)), the level-1 and level-2
-scaling actions, and the compact-twist identity that makes the two ambient
-groups isomorphic.  The interesting claims reduce to: an exact central
-family in the level-2 group (certified for every z in F_p(t) by the
-identity w = 1 for the multiplier of beta on the centre), unbounded
-conjugacy growth in the level-1 group (counted from the stabiliser:
-non-torsion unit multipliers fix no nonzero power), and a componentwise
-identity of scaling automorphisms.
+units s = t^2 + t^-2, u1 = 1 + t, u2 = 1 + 1/t, the Heisenberg product on
+H3(F_p(t)), the level-1 and level-2 scaling pairs (alpha, beta) and the
+compact twist that makes the two ambient groups isomorphic.  The four
+claims reduce to: an exact central family in the level-2 group (certified
+for every z in F_p(t) by the identity w = 1 for the multiplier of beta on
+the centre), unbounded conjugacy growth in the level-1 group (counted from
+the stabiliser: non-torsion unit multipliers fix no nonzero power), the
+infinite order of five designated units, and a componentwise identity of
+scaling automorphisms.  No claim multiplies group elements whose Z part is
+nonzero, so the group law of H3^2 x| Z, with the inverses and subtraction
+it would need, is not here.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ __all__ = [
     "make_generators",
     "psi",
     "h3_mul",
-    "h3_inv",
-    "h3_commutator",
     "check_center_gamma2",
     "conjugacy_orbit_size",
     "unit_infinite_order",
@@ -52,10 +52,6 @@ def _trim(c: list) -> tuple:
 def _padd(p: int, a: tuple, b: tuple) -> tuple:
     n = max(len(a), len(b))
     return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _pneg(p: int, a: tuple) -> tuple:
-    return tuple((-x) % p for x in a)
 
 
 def _pmul(p: int, a: tuple, b: tuple) -> tuple:
@@ -120,7 +116,7 @@ class FpRat(Record):
     """Reduced fraction of polynomials over F_p, denominator monic.
 
     p is tested for primality once, by the public constructors (make, const,
-    monomial, poly); arithmetic on existing elements reuses their p and
+    monomial); arithmetic on existing elements reuses their p and
     does not test it again.
 
     Arithmetic skips the gcds whose answer is known, and every result is
@@ -167,10 +163,6 @@ class FpRat(Record):
             return cls.make(p, (0,) * k + (coeff,))
         return cls.make(p, (coeff,), (0,) * (-k) + (1,))
 
-    @classmethod
-    def poly(cls, p: int, coeffs) -> "FpRat":
-        return cls.make(p, tuple(coeffs))
-
     def _check(self, other: "FpRat"):
         if self.p != other.p:
             raise ValueError("field mismatch")
@@ -191,12 +183,6 @@ class FpRat(Record):
         p = self.p
         num = _padd(p, _pmul(p, self.num, other.den), _pmul(p, other.num, self.den))
         return FpRat._reduced(p, num, _pmul(p, self.den, other.den))
-
-    def __sub__(self, other: "FpRat") -> "FpRat":
-        return self + (-other)
-
-    def __neg__(self) -> "FpRat":
-        return FpRat(self.p, _pneg(self.p, self.num), self.den)
 
     def __mul__(self, other: "FpRat") -> "FpRat":
         self._check(other)
@@ -225,9 +211,6 @@ class FpRat(Record):
             tuple(c * inv_lead % p for c in self.den),
             tuple(c * inv_lead % p for c in self.num),
         )
-
-    def __truediv__(self, other: "FpRat") -> "FpRat":
-        return self * other.inv()
 
     def __pow__(self, n: int) -> "FpRat":
         if n < 0:
@@ -287,14 +270,6 @@ def h3_mul(g: H3Elem, h: H3Elem) -> H3Elem:
     return H3Elem(g.x + h.x, g.y + h.y, g.z + h.z + g.x * h.y)
 
 
-def h3_inv(g: H3Elem) -> H3Elem:
-    return H3Elem(-g.x, -g.y, -g.z + g.x * g.y)
-
-
-def h3_commutator(g: H3Elem, h: H3Elem) -> H3Elem:
-    return h3_mul(h3_mul(g, h), h3_inv(h3_mul(h, g)))
-
-
 class AutTriple(Record):
     """The automorphism (x, y, z) -> (u x, v y, u v z) of the Heisenberg group."""
 
@@ -309,14 +284,8 @@ class AutTriple(Record):
     def w(self) -> FpRat:
         return self.u * self.v
 
-    def apply(self, g: H3Elem) -> H3Elem:
-        return H3Elem(self.u * g.x, self.v * g.y, self.w * g.z)
-
     def compose(self, other: "AutTriple") -> "AutTriple":
         return AutTriple(self.u * other.u, self.v * other.v)
-
-    def power(self, n: int) -> "AutTriple":
-        return AutTriple(self.u**n, self.v**n)
 
 
 def make_generators(i: int, p: int) -> tuple[AutTriple, AutTriple]:
@@ -367,21 +336,15 @@ class GammaElem(Record):
 
 
 class Gamma:
-    """H3(F_p[t, 1/t])^2 x| Z with the level-i action; elements are computed
-    in the function-field Heisenberg group H3(F_p(t))^2 x| Z, which
-    contains it."""
+    """H3(F_p[t, 1/t])^2 x| Z with the level-i action, held as its scaling
+    pair (alpha, beta) and its coordinate generators; elements are computed
+    in H3(F_p(t))^2 x| Z, which contains it."""
 
     def __init__(self, i: int, p: int):
         _check_prime(p)
         self.i = i
         self.p = p
         self.alpha, self.beta = make_generators(i, p)
-
-    def identity(self) -> GammaElem:
-        return GammaElem(h3_identity(self.p), h3_identity(self.p), 0)
-
-    def zgen(self) -> GammaElem:
-        return GammaElem(h3_identity(self.p), h3_identity(self.p), 1)
 
     def coordinate_generators(self) -> list[GammaElem]:
         """The six elementary unit generators, one per Heisenberg coordinate."""
@@ -394,19 +357,6 @@ class Gamma:
         for coords in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
             elems.append(GammaElem(ident, H3Elem(*coords), 0))
         return elems
-
-    def _act(self, n: int, a: H3Elem, b: H3Elem) -> tuple[H3Elem, H3Elem]:
-        if n == 0:  # alpha^0 and beta^0 are the identity
-            return a, b
-        return self.alpha.power(n).apply(a), self.beta.power(n).apply(b)
-
-    def mul(self, g: GammaElem, h: GammaElem) -> GammaElem:
-        ha, hb = self._act(g.n, h.a, h.b)
-        return GammaElem(h3_mul(g.a, ha), h3_mul(g.b, hb), g.n + h.n)
-
-    def inv(self, g: GammaElem) -> GammaElem:
-        a, b = self._act(-g.n, h3_inv(g.a), h3_inv(g.b))
-        return GammaElem(a, b, -g.n)
 
 
 def check_center_gamma2(p: int, samples: int, degree: int) -> bool:
@@ -429,8 +379,9 @@ def check_center_gamma2(p: int, samples: int, degree: int) -> bool:
     if gamma.beta.w != one:
         return False
     central = GammaElem(h3_identity(p), H3Elem(zero, zero, one), 0)
-    return all(gamma.mul(central, gen) == gamma.mul(gen, central)
-               for gen in gamma.coordinate_generators())
+    # both factors have n = 0, so each product is taken componentwise in H3
+    return all(h3_mul(c, x) == h3_mul(x, c) for gen in gamma.coordinate_generators()
+               for c, x in ((central.a, gen.a), (central.b, gen.b)))
 
 
 def conjugacy_orbit_size(i: int, g: GammaElem, bound: int) -> int:

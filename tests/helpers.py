@@ -1,8 +1,10 @@
 """Shared construction helpers for the test suite."""
 
+import json
 from fractions import Fraction
 from random import Random
 
+from focalclass.cli import descriptor_obj
 from focalclass.exactnum import NOT_EQUAL, compare_values
 from focalclass.matexact import MatQ
 from focalclass.focalmodel import (
@@ -102,6 +104,11 @@ def dense_split_conjugates():
          [Fraction(x) for x in ("1/8", "7/25", "1/2", "14/25", "18/25", "7/8", "26/27")]),
     ]
     return [(name, p @ MatQ.diag(evs) @ p.inverse(), evs) for name, p, evs in cases]
+
+
+def canonical_text(g) -> str:
+    """The descriptor file of g: its wire object in compact JSON, one line."""
+    return json.dumps(descriptor_obj(g), separators=(",", ":")) + "\n"
 
 
 def descriptor_pool():

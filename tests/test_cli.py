@@ -24,7 +24,6 @@ from focalclass.cli import (
     EXIT_PARSE,
     EXIT_UNDECIDED,
     EXIT_YES,
-    canonical_text,
     cmd_boundary,
     cmd_commable,
     cmd_ft_oracle,
@@ -41,7 +40,7 @@ from focalclass.commengine import SDesc, SymbolicGroup
 from focalclass.focalmodel import FT, Composite, FocalDescriptor, GAk, Millefeuille
 from focalclass.matexact import MatQ
 
-from helpers import dense_split_conjugates
+from helpers import canonical_text, dense_split_conjugates
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -624,6 +623,41 @@ def test_radical_check_bounds_p_before_primality(capsys):
     assert "must be prime" in capsys.readouterr().err
     assert main(["radical-check", "--p", str(2**20 + 1)]) == EXIT_PARSE
     assert "--p out of range" in capsys.readouterr().err
+
+
+# --p x --samples x --conj-bound over the documented ranges, then their edges
+# and malformed values; "" leaves an option at its default
+_RADICAL_GRID = [(p, n, b) for p in ("2", "3", "5", "31", "1048573") for n in ("1", "9", "1000")
+                 for b in ("1", "1000")] + [("2", "512", "")] + [
+    ("2", "513", ""), ("3", "836", ""), ("31", "10000", ""), ("31", "10000", "1000"),
+    ("1048573", "10000", ""), ("1048573", "10000", "1000"), ("3", "10000", "1000"),
+    ("1", "", ""), ("0", "", ""), ("-3", "", ""), ("4", "", ""), (str(2**20), "", ""),
+    (str(2**20 + 1), "", ""), ("x", "", ""), ("2.5", "", ""), ("31", "0", ""),
+    ("31", "10001", ""), ("5", "abc", ""), ("3", "-1", ""), ("3", "", "0"), ("3", "", "1001"),
+    ("3", "", "z")]
+_RADICAL_GRID_DIGEST = "a48a53fb1d3dbe84ab68056cd7a078c809b1d041ef988e6c3925049249c4bda4"
+
+
+def test_radical_check_grid_is_pinned(monkeypatch):
+    """radical-check on 53 argument sets, in process: one sha256 over the
+    arguments, exit code, stdout and stderr of each call, so any change to
+    its output or exit codes shows here."""
+    monkeypatch.delenv("FOCAL_LOG", raising=False)
+    assert len(_RADICAL_GRID) == 53
+    codes, digest = Counter(), hashlib.sha256()
+    for p, samples, bound in _RADICAL_GRID:
+        argv = ["radical-check", "--p", p]
+        argv += ["--samples", samples] * bool(samples) + ["--conj-bound", bound] * bool(bound)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a malformed option is a usage error
+                code = exc.code
+        codes[code] += 1
+        digest.update("\t".join([*argv, str(code), out.getvalue(), err.getvalue()]).encode() + b"\n")
+    assert codes == {0: 35, 2: 18}
+    assert digest.hexdigest() == _RADICAL_GRID_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,10 @@ from focalclass.commengine import (
     quasi_isometric,
     validate_chain,
 )
-from focalclass.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, canonical_text, main as cli_main
+from focalclass.cli import EXIT_NO, EXIT_UNDECIDED, EXIT_YES, main as cli_main
 
 from helpers import (
+    canonical_text,
     descriptor_pool,
     jordan_matrix,
     random_conjugator,

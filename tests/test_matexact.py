@@ -26,6 +26,7 @@ from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
     SpectralData,
+    _integer_form,
     _integer_roots,
     _integer_rows,
     _jordan_basis,
@@ -33,7 +34,6 @@ from focalclass.matexact import (
     _rational_roots,
     _shifted_powers,
     _zcharpoly,
-    charpoly,
     conjugate,
     is_contracting,
     mat_power,
@@ -342,6 +342,13 @@ def test_elimination_kernel_empty_conventions():
     assert _nullspace([], 0) == []
     assert _nullspace([], 2) == parent_nullspace([], 2) == [[F(1), F(0)], [F(0), F(1)]]
     assert _nullspace([[0, 0]], 2) == parent_nullspace([[F(0), F(0)]], 2)
+
+
+def charpoly(a: MatQ) -> tuple:
+    """det(xI - a) as ascending Fractions, from the integer kernel the spectral
+    path runs: det(yI - b) / d**n at y = d x, b = d a."""
+    b, d = _integer_form(a)
+    return tuple(F(c, d ** (a.dim - i)) for i, c in enumerate(_zcharpoly(b)))
 
 
 def test_charpoly_rotation():

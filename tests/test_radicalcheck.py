@@ -17,9 +17,7 @@ from focalclass.radicalcheck import (
     check_twist_identity,
     conjugacy_orbit_size,
     designated_units,
-    h3_commutator,
     h3_identity,
-    h3_inv,
     h3_mul,
     make_generators,
     psi,
@@ -40,6 +38,62 @@ def _random_fprat(rng: Random, p: int, zero_ok=False) -> FpRat:
 
 
 # ---------------------------------------------------------------------------
+# the group law of H3(F_p(t))^2 x| Z and the F_p(t) operations it needs, for
+# the oracles below: none of the four claims multiplies elements whose Z part
+# is nonzero, so the package has none of it
+# ---------------------------------------------------------------------------
+
+
+def _neg(x: FpRat) -> FpRat:
+    return FpRat(x.p, tuple((-c) % x.p for c in x.num), x.den)
+
+
+def _sub(x: FpRat, y: FpRat) -> FpRat:
+    return x + _neg(y)
+
+
+def _div(x: FpRat, y: FpRat) -> FpRat:
+    return x * y.inv()
+
+
+def h3_inv(g: H3Elem) -> H3Elem:
+    return H3Elem(_neg(g.x), _neg(g.y), g.x * g.y + _neg(g.z))
+
+
+def h3_commutator(g: H3Elem, h: H3Elem) -> H3Elem:
+    return h3_mul(h3_mul(g, h), h3_inv(h3_mul(h, g)))
+
+
+def _apply(aut: AutTriple, g: H3Elem) -> H3Elem:
+    """(x, y, z) -> (u x, v y, u v z)."""
+    return H3Elem(aut.u * g.x, aut.v * g.y, aut.w * g.z)
+
+
+def _power(aut: AutTriple, n: int) -> AutTriple:
+    return AutTriple(aut.u**n, aut.v**n)
+
+
+def _identity(p: int) -> GammaElem:
+    return GammaElem(h3_identity(p), h3_identity(p), 0)
+
+
+def _zgen(p: int) -> GammaElem:
+    """The cyclic generator ((1, 1), 1)."""
+    return GammaElem(h3_identity(p), h3_identity(p), 1)
+
+
+def _mul(gamma: Gamma, g: GammaElem, h: GammaElem) -> GammaElem:
+    """g h at the level of gamma: the Z part n of g acts on h by alpha^n, beta^n."""
+    return GammaElem(h3_mul(g.a, _apply(_power(gamma.alpha, g.n), h.a)),
+                     h3_mul(g.b, _apply(_power(gamma.beta, g.n), h.b)), g.n + h.n)
+
+
+def _inv(gamma: Gamma, g: GammaElem) -> GammaElem:
+    return GammaElem(_apply(_power(gamma.alpha, -g.n), h3_inv(g.a)),
+                     _apply(_power(gamma.beta, -g.n), h3_inv(g.b)), -g.n)
+
+
+# ---------------------------------------------------------------------------
 # field arithmetic
 # ---------------------------------------------------------------------------
 
@@ -54,7 +108,7 @@ def test_standard_unit_representations():
 
 def test_constant_and_zero_predicates():
     p = 3
-    one_plus_t = FpRat.poly(p, (1, 1))
+    one_plus_t = FpRat.make(p, (1, 1))
     assert FpRat.const(p, 2).is_constant()
     assert not one_plus_t.is_constant()
     assert FpRat.const(p, 0).is_zero()
@@ -62,7 +116,7 @@ def test_constant_and_zero_predicates():
 
 def test_inverse_and_division():
     p = 5
-    x = FpRat.poly(p, (1, 1))
+    x = FpRat.make(p, (1, 1))
     assert x * x.inv() == FpRat.const(p, 1)
     with pytest.raises(ZeroDivisionError):
         FpRat.const(p, 0).inv()
@@ -103,7 +157,7 @@ def test_constructors_test_p_and_arithmetic_does_not(monkeypatch):
     with pytest.raises(ValueError):
         Gamma(1, 9)
     x = FpRat.make(7, (1, 2), (3, 0, 1))
-    y = FpRat.poly(7, (5, 1))
+    y = FpRat.make(7, (5, 1))
     calls = []
 
     def counting_is_prime(n):
@@ -113,36 +167,27 @@ def test_constructors_test_p_and_arithmetic_does_not(monkeypatch):
     monkeypatch.setattr(radicalcheck, "_is_prime", counting_is_prime)
     assert x * y == FpRat.make(7, (5, 11, 2), (3, 0, 1))
     calls.clear()
-    x * y, x + y, x - y, x / y, y.inv(), x**3, x**-2
+    x * y, x + y, y.inv(), x**3, x**-2, _sub(x, y), _div(x, y)
     assert calls == []
 
 
-def test_centre_check_divides_by_no_constant_and_builds_no_zeroth_power(monkeypatch):
-    # Gamma.mul and Gamma.inv on the level-2 generators: a gcd with a nonzero
-    # constant is 1 before any division, and alpha^0 and beta^0 act as the
-    # identity without being built
-    divisors, exponents = [], []
-    pdivmod, power = radicalcheck._pdivmod, AutTriple.power
+def test_radical_check_divides_by_no_constant(monkeypatch):
+    # the F_p(t) products of the four claims, the centre's n = 0 products
+    # among them: a gcd with a nonzero constant is 1 before any division
+    divisors = []
+    pdivmod = radicalcheck._pdivmod
 
     def counting_pdivmod(p, a, b):
         divisors.append(b)
         return pdivmod(p, a, b)
 
-    def counting_power(self, n):
-        exponents.append(n)
-        return power(self, n)
-
     monkeypatch.setattr(radicalcheck, "_pdivmod", counting_pdivmod)
-    monkeypatch.setattr(AutTriple, "power", counting_power)
-    gamma = Gamma(2, 31)
-    elems = gamma.coordinate_generators() + [gamma.zgen(), gamma.inv(gamma.zgen())]
-    for g in elems:
-        assert gamma.mul(g, gamma.inv(g)) == gamma.identity()
-        for h in elems:
-            gamma.mul(g, h)
-    assert divisors and exponents
+    p = 31
+    assert check_center_gamma2(p, 20, 4) and check_twist_identity(p)
+    assert all(unit_infinite_order(u) for u in designated_units(p).values())
+    assert [conjugacy_orbit_size(1, g, 50) for g in Gamma(1, p).coordinate_generators()] == [101] * 6
+    assert divisors
     assert [b for b in divisors if len(b) == 1] == []
-    assert exponents.count(0) == 0
 
 
 def _pmul_ref(p: int, *polys) -> list:
@@ -209,7 +254,7 @@ def _field_elements(draw, p):
     coeff = st.integers(0, p - 1)
     num = draw(st.lists(coeff, min_size=1, max_size=5))
     if kind == "polynomial":
-        return FpRat.poly(p, num)
+        return FpRat.make(p, num)
     return FpRat.make(p, num, draw(st.lists(coeff, min_size=1, max_size=5).filter(any)))
 
 
@@ -224,9 +269,9 @@ def _field_pairs(draw):
 def test_field_operations_match_evaluation_and_cross_multiplication(case):
     x, y, n = case
     p = x.p
-    results = {"+": x + y, "-": x - y, "*": x * y}
+    results = {"+": x + y, "-": _sub(x, y), "*": x * y}
     if not y.is_zero():
-        results["/"] = x / y
+        results["/"] = _div(x, y)
     if not x.is_zero():
         results["inv"] = x.inv()
     if n >= 0 or not x.is_zero():
@@ -307,7 +352,7 @@ def test_auttriple_is_homomorphism():
         phi = AutTriple(_random_fprat(rng, p), _random_fprat(rng, p))
         g = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
         h = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
-        assert phi.apply(h3_mul(g, h)) == h3_mul(phi.apply(g), phi.apply(h))
+        assert _apply(phi, h3_mul(g, h)) == h3_mul(_apply(phi, g), _apply(phi, h))
 
 
 def test_auttriple_composition_law():
@@ -316,8 +361,8 @@ def test_auttriple_composition_law():
     alpha1, _ = make_generators(1, p)
     # alpha1 composed with itself squares both parameters
     assert alpha1.compose(alpha1) == AutTriple(s**2, (s.inv() * u2) ** 2)
-    assert alpha1.power(3) == alpha1.compose(alpha1).compose(alpha1)
-    assert alpha1.power(-1).compose(alpha1) == AutTriple(
+    assert _power(alpha1, 3) == alpha1.compose(alpha1).compose(alpha1)
+    assert _power(alpha1, -1).compose(alpha1) == AutTriple(
         FpRat.const(p, 1), FpRat.const(p, 1)
     )
 
@@ -345,10 +390,10 @@ def test_center_gamma2_specific_values():
     zero = FpRat.const(p, 0)
     for z in (FpRat.monomial(p, 1), zero, FpRat.monomial(p, -3) + FpRat.monomial(p, 2)):
         zelem = H3Elem(zero, zero, z)
-        assert gamma.beta.apply(zelem) == zelem
+        assert _apply(gamma.beta, zelem) == zelem
         central = GammaElem(h3_identity(p), zelem, 0)
-        for gen in gamma.coordinate_generators() + [gamma.zgen()]:
-            assert gamma.mul(central, gen) == gamma.mul(gen, central)
+        for gen in gamma.coordinate_generators() + [_zgen(p)]:
+            assert _mul(gamma, central, gen) == _mul(gamma, gen, central)
 
 
 def test_check_center_gamma2_bulk():
@@ -359,16 +404,17 @@ def test_check_center_gamma2_bulk():
 def _centre_oracle(p: int, zs) -> bool:
     """Enumerated check of the level-2 centre, independent of the certificate:
     for each z, beta fixes (0, 0, z), and (1, (0, 0, z)) commutes, through
-    Gamma.mul, with the cyclic generator and the six coordinate generators."""
+    the group law _mul, with the cyclic generator and the six coordinate
+    generators."""
     gamma = Gamma(2, p)
     zero = FpRat.const(p, 0)
-    generators = gamma.coordinate_generators() + [gamma.zgen()]
+    generators = gamma.coordinate_generators() + [_zgen(p)]
     for z in zs:
         zelem = H3Elem(zero, zero, z)
-        if gamma.beta.apply(zelem) != zelem:
+        if _apply(gamma.beta, zelem) != zelem:
             return False
         central = GammaElem(h3_identity(p), zelem, 0)
-        if any(gamma.mul(central, g) != gamma.mul(g, central) for g in generators):
+        if any(_mul(gamma, central, g) != _mul(gamma, g, central) for g in generators):
             return False
     return True
 
@@ -471,11 +517,11 @@ def test_gamma_group_axioms():
     p = 3
     gamma = Gamma(1, p)
     rng = Random(44)
-    elems = gamma.coordinate_generators() + [gamma.zgen(), gamma.inv(gamma.zgen())]
+    elems = gamma.coordinate_generators() + [_zgen(p), _inv(gamma, _zgen(p))]
     for _ in range(60):
         g, h, k = (rng.choice(elems) for _ in range(3))
-        assert gamma.mul(gamma.mul(g, h), k) == gamma.mul(g, gamma.mul(h, k))
-        assert gamma.mul(g, gamma.inv(g)) == gamma.identity()
+        assert _mul(gamma, _mul(gamma, g, h), k) == _mul(gamma, g, _mul(gamma, h, k))
+        assert _mul(gamma, g, _inv(gamma, g)) == _identity(p)
 
 
 @st.composite
@@ -490,19 +536,31 @@ def _gamma_cases(draw):
     return draw(st.sampled_from((1, 2))), elem(), elem()
 
 
+def _composed(aut: AutTriple, n: int) -> AutTriple:
+    """aut^n as |n| compositions of aut, or of its inverse when n < 0."""
+    step = aut if n >= 0 else AutTriple(aut.u.inv(), aut.v.inv())
+    one = FpRat.const(aut.u.p, 1)
+    out = AutTriple(one, one)
+    for _ in range(abs(n)):
+        out = out.compose(step)
+    return out
+
+
 @given(_gamma_cases())
 @settings(max_examples=200, deadline=None)
 def test_gamma_mul_and_inv_match_the_written_out_action(case):
+    # the oracles' group law against alpha^n and beta^n written out by compose
     level, g, h = case
-    gamma = Gamma(level, g.a.x.p)
+    p = g.a.x.p
+    gamma = Gamma(level, p)
     alpha, beta = gamma.alpha, gamma.beta
-    product = GammaElem(h3_mul(g.a, alpha.power(g.n).apply(h.a)),
-                        h3_mul(g.b, beta.power(g.n).apply(h.b)), g.n + h.n)
-    inverse = GammaElem(alpha.power(-g.n).apply(h3_inv(g.a)),
-                        beta.power(-g.n).apply(h3_inv(g.b)), -g.n)
-    assert gamma.mul(g, h) == product
-    assert gamma.inv(g) == inverse
-    assert gamma.mul(g, gamma.inv(g)) == gamma.identity() == gamma.mul(gamma.inv(g), g)
+    product = GammaElem(h3_mul(g.a, _apply(_composed(alpha, g.n), h.a)),
+                        h3_mul(g.b, _apply(_composed(beta, g.n), h.b)), g.n + h.n)
+    inverse = GammaElem(_apply(_composed(alpha, -g.n), h3_inv(g.a)),
+                        _apply(_composed(beta, -g.n), h3_inv(g.b)), -g.n)
+    assert _mul(gamma, g, h) == product
+    assert _inv(gamma, g) == inverse
+    assert _mul(gamma, g, _inv(gamma, g)) == _identity(p) == _mul(gamma, _inv(gamma, g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +577,7 @@ def test_conjugacy_orbit_examples():
     central = GammaElem(h3_identity(p), H3Elem(zero, zero, FpRat.monomial(p, 2)), 0)
     assert conjugacy_orbit_size(2, central, 40) == 1
     with pytest.raises(ValueError):
-        conjugacy_orbit_size(1, gamma1.identity(), 10)
+        conjugacy_orbit_size(1, _identity(p), 10)
 
 
 def _walk_orbit_size(alpha: AutTriple, beta: AutTriple, g: GammaElem, bound: int) -> int:
@@ -527,10 +585,10 @@ def _walk_orbit_size(alpha: AutTriple, beta: AutTriple, g: GammaElem, bound: int
     count the distinct pairs."""
     orbit = {(g.a, g.b)}
     for step in (1, -1):
-        alpha_step, beta_step = alpha.power(step), beta.power(step)
+        alpha_step, beta_step = _power(alpha, step), _power(beta, step)
         a, b = g.a, g.b
         for _ in range(bound):
-            a, b = alpha_step.apply(a), beta_step.apply(b)
+            a, b = _apply(alpha_step, a), _apply(beta_step, b)
             orbit.add((a, b))
     return len(orbit)
 

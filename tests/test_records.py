@@ -43,7 +43,8 @@ H = H3Elem(ONE, T, FpRat(3, (), (1,)))
 # (class, its fields in order with literal values, the expected repr)
 RECORDS = [
     (_Certainty, {"name": "EQUAL"}, "EQUAL"),
-    (MatQ, {"rows": ((F(1, 2), F(0)), (F(-3), F(1)))}, "MatQ([['1/2', '0'], ['-3', '1']])"),
+    (MatQ, {"rows": ((F(1, 2), F(0)), (F(-3), F(1)))},
+     "MatQ(rows=((Fraction(1, 2), Fraction(0, 1)), (Fraction(-3, 1), Fraction(1, 1))))"),
     (Undecided, {"estimate_x": 0.5, "estimate_y": 0.25, "width": 0.125},
      "Undecided(estimate_x=0.5, estimate_y=0.25, width=0.125)"),
     (SpectralData, {"entries": ((F(1, 3), (1,)), (F(1, 2), (2, 1)))},
@@ -89,7 +90,8 @@ RECORDS = [
      "z=FpRat(p=3, num=(), den=(1,))), b=H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), "
      "y=FpRat(p=3, num=(0, 1), den=(1,)), z=FpRat(p=3, num=(), den=(1,))), n=-1)"),
     (_Reading, {"conn": MatQ([[F(1, 2)]]), "tree": 6, "index": 2, "varpi": F(1, 2), "t": F(2)},
-     "_Reading(conn=MatQ([['1/2']]), tree=6, index=2, varpi=Fraction(1, 2), t=Fraction(2, 1))"),
+     "_Reading(conn=MatQ(rows=((Fraction(1, 2),),)), tree=6, index=2, varpi=Fraction(1, 2), "
+     "t=Fraction(2, 1))"),
 ]
 # how many of the last fields of a class have a default
 DEFAULTS = {No: 1, FpRat: 1, _Reading: 3}
