@@ -3,7 +3,8 @@
 Descriptors name groups from four symbolic families; the library computes
 their classification invariants exactly, decides commability and
 quasi-isometry with certified verdicts and witness chains, and verifies the
-polyfinite-radical counterexample by exact function-field arithmetic.
+polyfinite-radical counterexample on exponent vectors over a coprime base of
+F_p[t].
 """
 
 from .exactnum import (

@@ -73,8 +73,8 @@ EXIT_UNDECIDED = 3
 _RATSTR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # radical-check tests --p by trial division here and again in each call of
-# FpRat.make, const or monomial and of Gamma (never in the arithmetic); the
-# bound keeps each test to about a thousand divisions
+# radicalcheck.standard_units, where every claim reads its units; the bound
+# keeps each test to about a thousand divisions
 _MAX_P = 1 << 20
 
 
@@ -315,7 +315,7 @@ def cmd_radical_check(args) -> tuple[dict, int]:
         raise DescriptorError("--samples out of range")
     if args.conj_bound < 1 or args.conj_bound > 10**3:
         raise DescriptorError("--conj-bound out of range")
-    from . import radicalcheck as rad  # only this command does F_p(t) arithmetic
+    from . import radicalcheck as rad  # only this command needs it
 
     center = rad.check_center_gamma2(args.p, args.samples, degree=4)
     units_ok = all(rad.unit_infinite_order(u) for u in rad.designated_units(args.p).values())

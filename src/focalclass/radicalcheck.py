@@ -1,36 +1,26 @@
 """Exact verification of the polyfinite-radical counterexample.
 
-Everything is computed in the rational function field F_p(t): the standard
-units s = t^2 + t^-2, u1 = 1 + t, u2 = 1 + 1/t, the Heisenberg product on
-H3(F_p(t)), the level-1 and level-2 scaling pairs (alpha, beta) and the
-compact twist that makes the two ambient groups isomorphic.  The four
-claims reduce to: an exact central family in the level-2 group (certified
-for every z in F_p(t) by the identity w = 1 for the multiplier of beta on
-the centre), unbounded conjugacy growth in the level-1 group (counted from
-the stabiliser: non-torsion unit multipliers fix no nonzero power), the
-infinite order of five designated units, and a componentwise identity of
-scaling automorphisms.  No claim multiplies group elements whose Z part is
-nonzero, so the group law of H3^2 x| Z, with the inverses and subtraction
-it would need, is not here.
+The four claims are identities among the units s = t^2 + t^-2, u1 = 1 + t
+and u2 = 1 + 1/t of F_p(t), read off exponent vectors over a pairwise
+coprime base of F_p[t]: factor refinement of {t, 1 + t, t^4 + 1}, which is
+{t, 1 + t} for p = 2, where t^4 + 1 = (1 + t)^4.  A product of powers of
+the base is constant exactly when its vector is 0, and is then 1.  So the
+level-2 centre (certified for every z in F_p(t)) and the twist are vector
+identities, a unit has infinite order iff its vector is nonzero, and the
+conjugacy orbits are read from that.  No claim computes in F_p(t); FpRat
+is kept as the reference field arithmetic.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .exactnum import Record, _is_prime
 
 __all__ = [
     "FpRat",
-    "H3Elem",
-    "AutTriple",
-    "GammaElem",
     "Gamma",
     "standard_units",
     "designated_units",
     "make_generators",
-    "psi",
-    "h3_mul",
     "check_center_gamma2",
     "conjugacy_orbit_size",
     "unit_infinite_order",
@@ -115,9 +105,8 @@ def _check_prime(p: int) -> None:
 class FpRat(Record):
     """Reduced fraction of polynomials over F_p, denominator monic.
 
-    p is tested for primality once, by the public constructors (make, const,
-    monomial); arithmetic on existing elements reuses their p and
-    does not test it again.
+    p is tested for primality once, by make; arithmetic on existing
+    elements reuses their p and does not test it again.
 
     Arithmetic skips the gcds whose answer is known, and every result is
     still in lowest terms.  A gcd is 1 at once when an operand, or a
@@ -152,27 +141,12 @@ class FpRat(Record):
         den = tuple(c * inv_lead % p for c in den)
         return cls(p, num, den)
 
-    @classmethod
-    def const(cls, p: int, c: int) -> "FpRat":
-        return cls.make(p, (c,))
-
-    @classmethod
-    def monomial(cls, p: int, k: int, coeff: int = 1) -> "FpRat":
-        """coeff * t**k, any integer k (negative gives a Laurent monomial)."""
-        if k >= 0:
-            return cls.make(p, (0,) * k + (coeff,))
-        return cls.make(p, (coeff,), (0,) * (-k) + (1,))
-
     def _check(self, other: "FpRat"):
         if self.p != other.p:
             raise ValueError("field mismatch")
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_constant(self) -> bool:
-        """True iff the reduced fraction is a nonzero scalar."""
-        return len(self.num) == 1 and self.den == _ONE
 
     def __add__(self, other: "FpRat") -> "FpRat":
         self._check(other)
@@ -212,95 +186,97 @@ class FpRat(Record):
             tuple(c * inv_lead % p for c in self.num),
         )
 
-    def __pow__(self, n: int) -> "FpRat":
-        if n < 0:
-            return self.inv() ** (-n)
-        result = FpRat(self.p, _ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+
+# ---------------------------------------------------------------------------
+# units as exponent vectors over a coprime base of F_p[t]
+# ---------------------------------------------------------------------------
 
 
-def standard_units(p: int) -> tuple[FpRat, FpRat, FpRat]:
-    """(s, u1, u2) with s = t^2 + t^-2, u1 = 1 + t, u2 = 1 + 1/t."""
-    t = FpRat.monomial(p, 1)
-    one = FpRat.const(p, 1)
-    s = t**2 + t**-2
-    u1 = one + t
-    u2 = one + t**-1
-    return s, u1, u2
+def _coprime_base(p: int, polys) -> list:
+    """Factor refinement of monic polys: pairwise coprime, monic, non-constant
+    polynomials, each of polys a product of their powers, sorted by degree
+    and then by coefficients.  Two elements a, b with g = gcd(a, b) != 1 are
+    replaced by a/g, g and b/g, and constants are dropped; each split lowers
+    the total degree, so the refinement ends."""
+    base, pending = [], list(polys)
+    while pending:
+        f = pending.pop()
+        if len(f) == 1:
+            continue
+        for k, b in enumerate(base):
+            g = _pgcd(p, f, b)
+            if g != _ONE:
+                del base[k]
+                pending += [_pdivmod(p, f, g)[0], g, _pdivmod(p, b, g)[0]]
+                break
+        else:
+            base.append(f)
+    return sorted(base, key=lambda f: (len(f), f))
 
 
-def designated_units(p: int) -> dict[str, FpRat]:
-    """The five units whose infinite order drives the conjugacy growth."""
+def _exponents(p: int, base: list, f: tuple) -> tuple:
+    """The exponent vector of the monic f over base, by exact division."""
+    vector = []
+    for b in base:
+        e = 0
+        q, r = _pdivmod(p, f, b)
+        while not r:
+            f, e = q, e + 1
+            q, r = _pdivmod(p, f, b)
+        vector.append(e)
+    if f != _ONE:
+        raise ValueError(f"{f} is not a product of the base over F_{p}")
+    return tuple(vector)
+
+
+def _vsum(*vectors: tuple) -> tuple:
+    return tuple(map(sum, zip(*vectors)))
+
+
+def _vneg(v: tuple) -> tuple:
+    return tuple(-e for e in v)
+
+
+def standard_units(p: int) -> tuple[tuple, tuple, tuple]:
+    """The exponent vectors of s = (t^4 + 1)/t^2, u1 = 1 + t and
+    u2 = (1 + t)/t over the coprime base of F_p[t]."""
+    _check_prime(p)
+    polys = ((0, 1), (1, 1), (1, 0, 0, 0, 1))  # t, 1 + t, t^4 + 1
+    base = _coprime_base(p, polys)
+    t, u1, t4 = (_exponents(p, base, f) for f in polys)
+    return _vsum(t4, _vneg(t), _vneg(t)), u1, _vsum(u1, _vneg(t))
+
+
+def designated_units(p: int) -> dict[str, tuple]:
+    """The exponent vectors of the five units whose infinite order drives
+    the conjugacy growth."""
     s, u1, u2 = standard_units(p)
-    return {
-        "s": s,
-        "s^-1*u2": s.inv() * u2,
-        "u2": u2,
-        "s^-1*u1": s.inv() * u1,
-        "u1": u1,
-    }
+    return {"s": s, "s^-1*u2": _vsum(_vneg(s), u2), "u2": u2, "s^-1*u1": _vsum(_vneg(s), u1),
+            "u1": u1}
+
+
+def unit_infinite_order(u: tuple) -> bool:
+    """True iff the unit with exponent vector u has infinite order in the
+    multiplicative group of F_p(t): its k-th power has the vector k*u, which
+    is constant only when it is 0, and u = 0 is the unit 1."""
+    return any(u)
 
 
 # ---------------------------------------------------------------------------
-# Heisenberg group and its scaling automorphisms
+# the scaling automorphisms and the discrete groups
 # ---------------------------------------------------------------------------
 
 
-class H3Elem(Record):
-    """Upper unitriangular 3x3 matrix with entries (x, y, z) over F_p(t)."""
-
-    x: FpRat
-    y: FpRat
-    z: FpRat
-
-
-def h3_identity(p: int) -> H3Elem:
-    zero = FpRat.const(p, 0)
-    return H3Elem(zero, zero, zero)
-
-
-def h3_mul(g: H3Elem, h: H3Elem) -> H3Elem:
-    g.x._check(h.x)
-    return H3Elem(g.x + h.x, g.y + h.y, g.z + h.z + g.x * h.y)
-
-
-class AutTriple(Record):
-    """The automorphism (x, y, z) -> (u x, v y, u v z) of the Heisenberg group."""
-
-    u: FpRat
-    v: FpRat
-
-    def __post_init__(self):
-        if self.u.is_zero() or self.v.is_zero():
-            raise ValueError("automorphism parameters must be nonzero")
-
-    @property
-    def w(self) -> FpRat:
-        return self.u * self.v
-
-    def compose(self, other: "AutTriple") -> "AutTriple":
-        return AutTriple(self.u * other.u, self.v * other.v)
-
-
-def make_generators(i: int, p: int) -> tuple[AutTriple, AutTriple]:
-    """The scaling pair (alpha_i, beta_i) of the level-i group."""
+def make_generators(i: int, p: int) -> tuple[tuple, tuple]:
+    """The scaling pair (alpha_i, beta_i) of the level-i group, each the
+    vectors (u, v) of the automorphism (x, y, z) -> (u x, v y, u v z); the
+    multiplier u v on z has the vector u + v."""
     s, u1, u2 = standard_units(p)
     if i == 1:
-        return AutTriple(s, s.inv() * u2), AutTriple(s, s.inv() * u1)
+        return (s, _vsum(_vneg(s), u2)), (s, _vsum(_vneg(s), u1))
     if i == 2:
-        return AutTriple(s, s.inv() * u2 * u1), AutTriple(s, s.inv())
+        return (s, _vsum(_vneg(s), u2, u1)), (s, _vneg(s))
     raise ValueError("level must be 1 or 2")
-
-
-def psi(v: FpRat) -> AutTriple:
-    """The compact-direction twist (x, y, z) -> (x, v y, v z)."""
-    return AutTriple(FpRat.const(v.p, 1), v)
 
 
 def check_twist_identity(p: int) -> bool:
@@ -309,54 +285,43 @@ def check_twist_identity(p: int) -> bool:
     With gamma_1 = beta_1, delta_1 = alpha_1, gamma_2 = alpha_2 and
     delta_2 = beta_2, the 4-tuples (alpha_1, beta_1, gamma_1, delta_1) and
     (alpha_2, beta_2, delta_2, gamma_2) differ exactly by the twist
-    (psi(u1^-1), psi(u1), psi(u1), psi(u1^-1)).
+    (psi(u1^-1), psi(u1), psi(u1), psi(u1^-1)), where psi(v) is
+    (x, y, z) -> (x, v y, v z).  Composing scaling automorphisms adds their
+    vectors.
     """
     _, u1, _ = standard_units(p)
     alpha1, beta1 = make_generators(1, p)
     alpha2, beta2 = make_generators(2, p)
-    gamma1, delta1 = beta1, alpha1
-    gamma2, delta2 = alpha2, beta2
-    lhs = (alpha1, beta1, gamma1, delta1)
-    base = (alpha2, beta2, delta2, gamma2)
-    twist = (psi(u1.inv()), psi(u1), psi(u1), psi(u1.inv()))
-    return all(l == b.compose(w) for l, b, w in zip(lhs, base, twist))
-
-
-# ---------------------------------------------------------------------------
-# the discrete groups
-# ---------------------------------------------------------------------------
-
-
-class GammaElem(Record):
-    """Element ((a, b), n) of the double Heisenberg group extended by Z."""
-
-    a: H3Elem
-    b: H3Elem
-    n: int
+    lhs = (alpha1, beta1, beta1, alpha1)
+    base = (alpha2, beta2, beta2, alpha2)
+    twist = (_vneg(u1), u1, u1, _vneg(u1))
+    return all(l == (b[0], _vsum(b[1], v)) for l, b, v in zip(lhs, base, twist))
 
 
 class Gamma:
     """H3(F_p[t, 1/t])^2 x| Z with the level-i action, held as its scaling
-    pair (alpha, beta) and its coordinate generators; elements are computed
-    in H3(F_p(t))^2 x| Z, which contains it."""
+    pair (alpha, beta) of exponent vectors over the coprime base of F_p[t]."""
 
     def __init__(self, i: int, p: int):
-        _check_prime(p)
-        self.i = i
         self.p = p
         self.alpha, self.beta = make_generators(i, p)
 
-    def coordinate_generators(self) -> list[GammaElem]:
-        """The six elementary unit generators, one per Heisenberg coordinate."""
-        one = FpRat.const(self.p, 1)
-        zero = FpRat.const(self.p, 0)
-        ident = h3_identity(self.p)
-        elems = []
-        for coords in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-            elems.append(GammaElem(H3Elem(*coords), ident, 0))
-        for coords in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-            elems.append(GammaElem(ident, H3Elem(*coords), 0))
-        return elems
+    def coordinate_generators(self) -> list[tuple[int, int, int]]:
+        """The six elementary unit generators as (p, side, coordinate): a 1
+        at coordinate 0, 1 or 2 (x, y or z) of the Heisenberg factor on side
+        0 or 1, every other coordinate 0 and the Z part 0."""
+        return [(self.p, side, coord) for side in (0, 1) for coord in (0, 1, 2)]
+
+
+def _coordinate_triples(side: int, coord: int) -> tuple[tuple, tuple]:
+    """The two Heisenberg factors of the coordinate generator (p, side, coord)."""
+    unit = tuple(int(j == coord) for j in range(3))
+    return (unit, (0, 0, 0)) if side == 0 else ((0, 0, 0), unit)
+
+
+def _h3_mul(p: int, g: tuple, h: tuple) -> tuple:
+    """The Heisenberg product of integer coordinate triples mod p."""
+    return (g[0] + h[0]) % p, (g[1] + h[1]) % p, (g[2] + h[2] + g[0] * h[1]) % p
 
 
 def check_center_gamma2(p: int, samples: int, degree: int) -> bool:
@@ -365,68 +330,37 @@ def check_center_gamma2(p: int, samples: int, degree: int) -> bool:
     Every condition is F_p-linear in z.  Beta fixes (0,0,z) iff
     (w - 1) z = 0 for its multiplier w = uv on the centre, and the products
     of (1, (0,0,z)) with the cyclic generator in the two orders differ by
-    (0, 0, (1 - w) z).  So w = 1 settles both for every z, of any degree.
-    The six coordinate generators have n = 0, so no action enters their
-    products with the element, and the H3 law adds z to both products:
-    z = 1 stands for all z.
+    (0, 0, (1 - w) z).  So w = 1, the vector u + v = 0, settles both for
+    every z, of any degree.  The six coordinate generators have n = 0, so
+    no action enters their products with the element, and the H3 law adds
+    z to both products: z = 1 stands for all z.
     samples and degree only bound each other: ValueError if samples
     exceeds the p^(2*degree + 1) Laurent polynomials of degree <= degree.
     """
     if samples > p ** (2 * degree + 1):
         raise ValueError(f"only {p}^{2 * degree + 1} Laurent polynomials have degree <= {degree}")
     gamma = Gamma(2, p)
-    one, zero = FpRat(p, _ONE), FpRat(p, ())
-    if gamma.beta.w != one:
+    if any(_vsum(*gamma.beta)):  # w = uv is 1 exactly when u + v = 0
         return False
-    central = GammaElem(h3_identity(p), H3Elem(zero, zero, one), 0)
+    central = ((0, 0, 0), (0, 0, 1))
     # both factors have n = 0, so each product is taken componentwise in H3
-    return all(h3_mul(c, x) == h3_mul(x, c) for gen in gamma.coordinate_generators()
-               for c, x in ((central.a, gen.a), (central.b, gen.b)))
+    return all(_h3_mul(p, c, x) == _h3_mul(p, x, c)
+               for _, side, coord in gamma.coordinate_generators()
+               for c, x in zip(central, _coordinate_triples(side, coord)))
 
 
-def conjugacy_orbit_size(i: int, g: GammaElem, bound: int) -> int:
-    """Number of distinct conjugates of g by the powers -bound..bound of the
-    cyclic generator, counted from the stabiliser of g without a walk.
+def conjugacy_orbit_size(i: int, g: tuple[int, int, int], bound: int) -> int:
+    """Number of distinct conjugates of the coordinate generator
+    g = (p, side, coordinate) by the powers -bound..bound of the cyclic
+    generator of the level-i group.
 
-    The k-th power sends ((a, b), n) to ((alpha^k a, beta^k b), n), scaling
-    the coordinates x, y, z of a by u^k, v^k, (uv)^k (and b likewise), so the
-    k fixing g form dZ: d = 0 if a nonzero coordinate has a multiplier of
-    infinite order, else d is the lcm of the orders of those multipliers.
-    The window holds min(d, 2*bound + 1) conjugates, 2*bound + 1 if d = 0.
-    The identity has no conjugacy orbit worth counting and is rejected.
+    The k-th power scales the coordinate by m^k for its multiplier m (u, v
+    or uv of alpha on side 0, of beta on side 1).  A multiplier of infinite
+    order fixes no nonzero power, so the window holds 2*bound + 1
+    conjugates; the unit 1, vector 0, fixes every power, so it holds one.
     """
     if bound < 0 or bound > 10**3:
         raise ValueError("bound must be between 0 and 1000")
-    p = g.a.x.p
-    alpha, beta = make_generators(i, p)
-    if g.n == 0 and all(c.is_zero() for h in (g.a, g.b) for c in (h.x, h.y, h.z)):
-        raise ValueError("conjugacy orbit of the identity is trivial")
-    period = 1
-    for aut, h in ((alpha, g.a), (beta, g.b)):
-        for mult, coord in ((aut.u, h.x), (aut.v, h.y), (aut.w, h.z)):
-            if coord.is_zero():
-                continue
-            if unit_infinite_order(mult):
-                return 2 * bound + 1
-            # a torsion unit is a constant c whose order divides p - 1
-            c = mult.num[0]
-            order = next(e for e in range(1, p) if (p - 1) % e == 0 and pow(c, e, p) == 1)
-            period = lcm(period, order)
-    return min(period, 2 * bound + 1)
-
-
-def unit_infinite_order(u: FpRat) -> bool:
-    """True iff u has infinite order in the multiplicative group of F_p(t).
-
-    Torsion units are exactly the nonzero constants: any constant has order
-    dividing p - 1 (verified by direct exponentiation, which raises
-    ValueError if it fails), while the k-th power of a nonconstant reduced
-    fraction has |k| times its degree, so no nonzero power of it is 1.
-    """
-    if u.is_zero():
-        raise ZeroDivisionError("zero is not a unit")
-    if not u.is_constant():
-        return True
-    if u ** (u.p - 1) != FpRat(u.p, _ONE):
-        raise ValueError(f"{u.num[0]}^{u.p - 1} is not 1 mod {u.p}, so {u.p} is not prime")
-    return False
+    p, side, coord = g
+    u, v = make_generators(i, p)[side]
+    return 2 * bound + 1 if unit_infinite_order((u, v, _vsum(u, v))[coord]) else 1

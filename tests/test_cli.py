@@ -864,7 +864,7 @@ def test_millefeuille_varpi_t_near_one():
 
 def test_radical_check_rejects_large_prime_p():
     # 10^12 + 39 is prime: without the range check the primality test by
-    # trial division would run again in every public F_p(t) constructor call
+    # trial division would run again in each claim's read of the units
     proc = run_child("radical-check", "--p", str(10**12 + 39), timeout=20)
     assert proc.returncode == EXIT_PARSE
     assert "--p out of range" in proc.stderr
@@ -872,7 +872,7 @@ def test_radical_check_rejects_large_prime_p():
 
 
 def test_radical_check_large_bound_counts_from_stabiliser():
-    # each conjugacy orbit is counted from its stabiliser, so the largest
+    # each conjugacy orbit is counted from its multiplier, so the largest
     # bound costs no more than the smallest; a walk of the orbit would not
     # finish inside the timeout
     proc = run_child("radical-check", "--p", "31", "--conj-bound", "1000", timeout=20)

@@ -1,47 +1,70 @@
-"""Unit tests for the function-field radical verification."""
+"""Unit tests for the radical verification: the exponent-vector claims of
+``focalclass.radicalcheck`` against an oracle that computes in F_p(t)."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import chain, islice, product
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from focalclass import radicalcheck
+from focalclass.cli import main
+from focalclass.exactnum import _is_prime
 from focalclass.radicalcheck import (
-    AutTriple,
     FpRat,
     Gamma,
-    GammaElem,
-    H3Elem,
+    _coprime_base,
+    _exponents,
+    _pgcd,
     check_center_gamma2,
     check_twist_identity,
     conjugacy_orbit_size,
     designated_units,
-    h3_identity,
-    h3_mul,
     make_generators,
-    psi,
     standard_units,
     unit_infinite_order,
 )
 
-
-def _random_fprat(rng: Random, p: int, zero_ok=False) -> FpRat:
-    while True:
-        num = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4)))
-        den = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4)))
-        if not any(den):
-            continue
-        value = FpRat.make(p, num, den)
-        if zero_ok or not value.is_zero():
-            return value
+PRIMES = (2, 3, 5, 31, 1048573)
+POLYS = ((0, 1), (1, 1), (1, 0, 0, 0, 1))  # t, 1 + t, t^4 + 1
 
 
 # ---------------------------------------------------------------------------
-# the group law of H3(F_p(t))^2 x| Z and the F_p(t) operations it needs, for
-# the oracles below: none of the four claims multiplies elements whose Z part
-# is nonzero, so the package has none of it
+# the oracle: F_p(t) constructors and powers on FpRat, the units and scaling
+# pairs in F_p(t), and the group law of H3(F_p(t))^2 x| Z on tuples: an H3
+# element is (x, y, z), a scaling automorphism (x, y, z) -> (u x, v y, u v z)
+# is (u, v), and a group element is (a, b, n)
 # ---------------------------------------------------------------------------
+
+
+def _const(p: int, c: int) -> FpRat:
+    return FpRat.make(p, (c,))
+
+
+def _monomial(p: int, k: int, coeff: int = 1) -> FpRat:
+    """coeff * t**k, any integer k (negative gives a Laurent monomial)."""
+    if k >= 0:
+        return FpRat.make(p, (0,) * k + (coeff,))
+    return FpRat.make(p, (coeff,), (0,) * (-k) + (1,))
+
+
+def _is_constant(x: FpRat) -> bool:
+    """True iff the reduced fraction is a nonzero scalar."""
+    return len(x.num) == 1 and x.den == (1,)
+
+
+def _pow(x: FpRat, n: int) -> FpRat:
+    if n < 0:
+        return _pow(x.inv(), -n)
+    result, base = FpRat(x.p, (1,)), x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
 
 
 def _neg(x: FpRat) -> FpRat:
@@ -56,41 +79,96 @@ def _div(x: FpRat, y: FpRat) -> FpRat:
     return x * y.inv()
 
 
-def h3_inv(g: H3Elem) -> H3Elem:
-    return H3Elem(_neg(g.x), _neg(g.y), g.x * g.y + _neg(g.z))
+def _units(p: int) -> tuple:
+    """(s, u1, u2) in F_p(t): s = t^2 + t^-2, u1 = 1 + t, u2 = 1 + 1/t."""
+    t, one = _monomial(p, 1), _const(p, 1)
+    return _pow(t, 2) + _pow(t, -2), one + t, one + t.inv()
 
 
-def h3_commutator(g: H3Elem, h: H3Elem) -> H3Elem:
-    return h3_mul(h3_mul(g, h), h3_inv(h3_mul(h, g)))
+def _generators(i: int, p: int, beta_level: int = 0) -> tuple:
+    """The scaling pair (alpha_i, beta_i) in F_p(t); beta_level puts the beta
+    of another level in."""
+    s, u1, u2 = _units(p)
+    alpha = (s, s.inv() * u2) if i == 1 else (s, s.inv() * u2 * u1)
+    beta = (s, s.inv() * u1) if (beta_level or i) == 1 else (s, s.inv())
+    return alpha, beta
 
 
-def _apply(aut: AutTriple, g: H3Elem) -> H3Elem:
+def _value(p: int, vector: tuple) -> FpRat:
+    """The product of the powers of the coprime base with the exponents of
+    vector, in F_p(t)."""
+    out = _const(p, 1)
+    for b, e in zip(_coprime_base(p, POLYS), vector):
+        out = out * _pow(FpRat.make(p, b), e)
+    return out
+
+
+def _h3_identity(p: int) -> tuple:
+    return (_const(p, 0),) * 3
+
+
+def _h3_mul(g: tuple, h: tuple) -> tuple:
+    return g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1]
+
+
+def _h3_inv(g: tuple) -> tuple:
+    return _neg(g[0]), _neg(g[1]), g[0] * g[1] + _neg(g[2])
+
+
+def _apply(aut: tuple, g: tuple) -> tuple:
     """(x, y, z) -> (u x, v y, u v z)."""
-    return H3Elem(aut.u * g.x, aut.v * g.y, aut.w * g.z)
+    u, v = aut
+    return u * g[0], v * g[1], u * v * g[2]
 
 
-def _power(aut: AutTriple, n: int) -> AutTriple:
-    return AutTriple(aut.u**n, aut.v**n)
+def _power(aut: tuple, n: int) -> tuple:
+    return _pow(aut[0], n), _pow(aut[1], n)
 
 
-def _identity(p: int) -> GammaElem:
-    return GammaElem(h3_identity(p), h3_identity(p), 0)
+def _compose(aut: tuple, other: tuple) -> tuple:
+    return aut[0] * other[0], aut[1] * other[1]
 
 
-def _zgen(p: int) -> GammaElem:
+def _identity(p: int) -> tuple:
+    return _h3_identity(p), _h3_identity(p), 0
+
+
+def _zgen(p: int) -> tuple:
     """The cyclic generator ((1, 1), 1)."""
-    return GammaElem(h3_identity(p), h3_identity(p), 1)
+    return _h3_identity(p), _h3_identity(p), 1
 
 
-def _mul(gamma: Gamma, g: GammaElem, h: GammaElem) -> GammaElem:
-    """g h at the level of gamma: the Z part n of g acts on h by alpha^n, beta^n."""
-    return GammaElem(h3_mul(g.a, _apply(_power(gamma.alpha, g.n), h.a)),
-                     h3_mul(g.b, _apply(_power(gamma.beta, g.n), h.b)), g.n + h.n)
+def _element(g: tuple) -> tuple:
+    """The group element of the coordinate generator g = (p, side, coordinate)."""
+    p, side, coord = g
+    unit = tuple(_const(p, int(k == coord)) for k in range(3))
+    ident = _h3_identity(p)
+    return (unit, ident, 0) if side == 0 else (ident, unit, 0)
 
 
-def _inv(gamma: Gamma, g: GammaElem) -> GammaElem:
-    return GammaElem(_apply(_power(gamma.alpha, -g.n), h3_inv(g.a)),
-                     _apply(_power(gamma.beta, -g.n), h3_inv(g.b)), -g.n)
+def _mul(gens: tuple, g: tuple, h: tuple) -> tuple:
+    """g h in the group with scaling pair gens: the Z part n of g acts on h
+    by alpha^n, beta^n."""
+    alpha, beta = gens
+    return (_h3_mul(g[0], _apply(_power(alpha, g[2]), h[0])),
+            _h3_mul(g[1], _apply(_power(beta, g[2]), h[1])), g[2] + h[2])
+
+
+def _inv(gens: tuple, g: tuple) -> tuple:
+    alpha, beta = gens
+    return (_apply(_power(alpha, -g[2]), _h3_inv(g[0])),
+            _apply(_power(beta, -g[2]), _h3_inv(g[1])), -g[2])
+
+
+def _random_fprat(rng: Random, p: int, zero_ok=False) -> FpRat:
+    while True:
+        num = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4)))
+        den = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4)))
+        if not any(den):
+            continue
+        value = FpRat.make(p, num, den)
+        if zero_ok or not value.is_zero():
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +177,7 @@ def _inv(gamma: Gamma, g: GammaElem) -> GammaElem:
 
 
 def test_standard_unit_representations():
-    s, u1, u2 = standard_units(3)
+    s, u1, u2 = _units(3)
     # s = (t^4 + 1) / t^2 in lowest terms
     assert s.num == (1, 0, 0, 0, 1) and s.den == (0, 0, 1)
     assert u1.num == (1, 1) and u1.den == (1,)
@@ -109,23 +187,23 @@ def test_standard_unit_representations():
 def test_constant_and_zero_predicates():
     p = 3
     one_plus_t = FpRat.make(p, (1, 1))
-    assert FpRat.const(p, 2).is_constant()
-    assert not one_plus_t.is_constant()
-    assert FpRat.const(p, 0).is_zero()
+    assert _is_constant(_const(p, 2))
+    assert not _is_constant(one_plus_t)
+    assert _const(p, 0).is_zero()
 
 
 def test_inverse_and_division():
     p = 5
     x = FpRat.make(p, (1, 1))
-    assert x * x.inv() == FpRat.const(p, 1)
+    assert x * x.inv() == _const(p, 1)
     with pytest.raises(ZeroDivisionError):
-        FpRat.const(p, 0).inv()
+        _const(p, 0).inv()
 
 
 def test_field_axioms_randomized():
     for p in (2, 3, 5):
         rng = Random(40 + p)
-        one = FpRat.const(p, 1)
+        one = _const(p, 1)
         for _ in range(10_000 // 3):
             a = _random_fprat(rng, p, zero_ok=True)
             b = _random_fprat(rng, p, zero_ok=True)
@@ -140,22 +218,23 @@ def test_field_axioms_randomized():
 
 def test_pow_including_negative():
     p = 3
-    s, _, _ = standard_units(p)
-    assert s**3 == s * s * s
-    assert s**-2 == (s * s).inv()
-    assert s**0 == FpRat.const(p, 1)
+    s, _, _ = _units(p)
+    assert _pow(s, 3) == s * s * s
+    assert _pow(s, -2) == (s * s).inv()
+    assert _pow(s, 0) == _const(p, 1)
 
 
 def test_field_mismatch_raises():
     with pytest.raises(ValueError):
-        FpRat.const(2, 1) + FpRat.const(3, 1)
+        _const(2, 1) + _const(3, 1)
 
 
 def test_constructors_test_p_and_arithmetic_does_not(monkeypatch):
     with pytest.raises(ValueError):
         FpRat.make(4, (1, 1))
-    with pytest.raises(ValueError):
-        Gamma(1, 9)
+    for construct in (lambda: Gamma(1, 9), lambda: standard_units(4), lambda: designated_units(4)):
+        with pytest.raises(ValueError, match="not prime"):
+            construct()
     x = FpRat.make(7, (1, 2), (3, 0, 1))
     y = FpRat.make(7, (5, 1))
     calls = []
@@ -167,13 +246,13 @@ def test_constructors_test_p_and_arithmetic_does_not(monkeypatch):
     monkeypatch.setattr(radicalcheck, "_is_prime", counting_is_prime)
     assert x * y == FpRat.make(7, (5, 11, 2), (3, 0, 1))
     calls.clear()
-    x * y, x + y, y.inv(), x**3, x**-2, _sub(x, y), _div(x, y)
+    x * y, x + y, y.inv(), _pow(x, 3), _pow(x, -2), _sub(x, y), _div(x, y)
     assert calls == []
 
 
 def test_radical_check_divides_by_no_constant(monkeypatch):
-    # the F_p(t) products of the four claims, the centre's n = 0 products
-    # among them: a gcd with a nonzero constant is 1 before any division
+    # the divisions of the four claims, in the coprime base and the exponent
+    # vectors: a gcd with a nonzero constant is 1 before any division
     divisors = []
     pdivmod = radicalcheck._pdivmod
 
@@ -248,9 +327,9 @@ def _field_elements(draw, p):
     polynomial (denominator 1); otherwise a reduced fraction."""
     kind = draw(st.sampled_from(("zero", "one", "constant", "polynomial", "fraction")))
     if kind in ("zero", "one"):
-        return FpRat.const(p, int(kind == "one"))
+        return _const(p, int(kind == "one"))
     if kind == "constant":
-        return FpRat.const(p, draw(st.integers(1, p - 1)))
+        return _const(p, draw(st.integers(1, p - 1)))
     coeff = st.integers(0, p - 1)
     num = draw(st.lists(coeff, min_size=1, max_size=5))
     if kind == "polynomial":
@@ -275,7 +354,7 @@ def test_field_operations_match_evaluation_and_cross_multiplication(case):
     if not x.is_zero():
         results["inv"] = x.inv()
     if n >= 0 or not x.is_zero():
-        results["**"] = x**n
+        results["**"] = _pow(x, n)
     for r in results.values():
         _assert_canonical(r)
     # cross-multiplied identities in F_p[t]: r = a/b  <=>  r.num * b == a * r.den
@@ -312,71 +391,108 @@ def test_field_operations_match_evaluation_and_cross_multiplication(case):
 
 
 # ---------------------------------------------------------------------------
-# Heisenberg group
+# the coprime base and the exponent vectors
 # ---------------------------------------------------------------------------
 
 
-def test_h3_group_axioms_random():
-    p = 3
-    rng = Random(41)
-    ident = h3_identity(p)
-    for _ in range(200):
-        g = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
-        h = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
-        k = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
-        assert h3_mul(h3_mul(g, h), k) == h3_mul(g, h3_mul(h, k))
-        assert h3_mul(g, h3_inv(g)) == ident
-        assert h3_mul(ident, g) == g
+def _base_primes() -> list:
+    rng = Random(46)
+    drawn = []
+    while len(drawn) < 4:
+        q = rng.randrange(7, 1 << 20)
+        if _is_prime(q):
+            drawn.append(q)
+    return list(PRIMES) + drawn
 
 
-def test_h3_commutator_and_center():
-    p = 5
-    rng = Random(42)
-    zero = FpRat.const(p, 0)
-    for _ in range(50):
-        x = _random_fprat(rng, p)
-        y = _random_fprat(rng, p)
-        g = H3Elem(x, zero, zero)
-        h = H3Elem(zero, y, zero)
-        assert h3_commutator(g, h) == H3Elem(zero, zero, x * y)
-        z = _random_fprat(rng, p, zero_ok=True)
-        central = H3Elem(zero, zero, z)
-        other = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
-        assert h3_mul(central, other) == h3_mul(other, central)
+@pytest.mark.parametrize("p", _base_primes())
+def test_coprime_base_refines_t_one_plus_t_and_t4_plus_1(p):
+    base = _coprime_base(p, POLYS)
+    assert base == ([(0, 1), (1, 1)] if p == 2 else list(POLYS))
+    assert all(len(b) > 1 and b[-1] == 1 for b in base)
+    assert all(_pgcd(p, a, b) == (1,) for i, a in enumerate(base) for b in base[:i])
+    for f in POLYS:
+        vector = _exponents(p, base, f)
+        assert _pmul_ref(p, *[b for b, e in zip(base, vector) for _ in range(e)]) == list(f)
+    if p == 2:
+        assert standard_units(p) == ((-2, 4), (0, 1), (-1, 1))
+    else:
+        assert standard_units(p) == ((-2, 0, 1), (0, 1, 0), (-1, 1, 0))
+        assert designated_units(p) == {"s": (-2, 0, 1), "s^-1*u2": (1, 1, -1), "u2": (-1, 1, 0),
+                                       "s^-1*u1": (2, 1, -1), "u1": (0, 1, 0)}
 
 
-def test_auttriple_is_homomorphism():
-    p = 3
-    rng = Random(43)
-    for _ in range(100):
-        phi = AutTriple(_random_fprat(rng, p), _random_fprat(rng, p))
-        g = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
-        h = H3Elem(*(_random_fprat(rng, p, zero_ok=True) for _ in range(3)))
-        assert _apply(phi, h3_mul(g, h)) == h3_mul(_apply(phi, g), _apply(phi, h))
+def test_coprime_base_drops_constants_and_splits_shared_factors():
+    t, t1 = (0, 1), (1, 1)
+    assert _coprime_base(5, [(1,), t, t]) == [t]
+    # t^2 (1 + t) and t (1 + t)^2 share t (1 + t)
+    assert _coprime_base(5, [(0, 0, 1, 1), (0, 1, 2, 1)]) == [t, t1]
+    assert _exponents(5, [t, t1], (0, 1, 2, 1)) == (1, 2)
 
 
-def test_auttriple_composition_law():
-    p = 3
+def test_exponents_raise_when_a_quotient_does_not_end_at_1():
+    with pytest.raises(ValueError, match="not a product of the base"):
+        _exponents(5, [(0, 1)], (1, 1))
+
+
+@given(st.sampled_from(PRIMES), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
+@example(2, 1, -2, -2)  # s = u1^2 u2^2 over F_2, where t^4 + 1 = (1 + t)^4
+@settings(max_examples=150, deadline=None)
+def test_unit_vectors_agree_with_the_field_oracle(p, a, b, c):
+    # a s + b u1 + c u2 is 0 exactly when s^a u1^b u2^c is 1 in F_p(t), and
+    # nonzero exactly when that product is not constant
     s, u1, u2 = standard_units(p)
-    alpha1, _ = make_generators(1, p)
-    # alpha1 composed with itself squares both parameters
-    assert alpha1.compose(alpha1) == AutTriple(s**2, (s.inv() * u2) ** 2)
-    assert _power(alpha1, 3) == alpha1.compose(alpha1).compose(alpha1)
-    assert _power(alpha1, -1).compose(alpha1) == AutTriple(
-        FpRat.const(p, 1), FpRat.const(p, 1)
-    )
+    vector = tuple(a * x + b * y + c * z for x, y, z in zip(s, u1, u2))
+    fs, fu1, fu2 = _units(p)
+    value = _pow(fs, a) * _pow(fu1, b) * _pow(fu2, c)
+    assert _value(p, vector) == value
+    assert (not any(vector)) == (value == _const(p, 1))
+    assert unit_infinite_order(vector) == (not _is_constant(value))
+
+
+def test_only_p2_makes_the_three_units_dependent():
+    for p in _base_primes():
+        s, u1, u2 = standard_units(p)
+        if p == 2:
+            assert s == tuple(2 * x + 2 * y for x, y in zip(u1, u2))
+        else:  # the 3 x 3 determinant of the vectors
+            det = (s[0] * (u1[1] * u2[2] - u1[2] * u2[1]) - s[1] * (u1[0] * u2[2] - u1[2] * u2[0])
+                   + s[2] * (u1[0] * u2[1] - u1[1] * u2[0]))
+            assert det != 0
 
 
 def test_make_generators_exact_tuples():
-    for p in (2, 3, 5):
-        s, u1, u2 = standard_units(p)
-        alpha1, beta1 = make_generators(1, p)
-        alpha2, beta2 = make_generators(2, p)
-        assert alpha1 == AutTriple(s, s.inv() * u2)
-        assert beta1 == AutTriple(s, s.inv() * u1)
-        assert alpha2 == AutTriple(s, s.inv() * u2 * u1)
-        assert beta2 == AutTriple(s, s.inv())
-        assert alpha1.w == u2 and beta1.w == u1 and beta2.w == FpRat.const(p, 1)
+    # each vector of the scaling pairs is the oracle's unit in F_p(t)
+    for p in (2, 3, 5, 31):
+        for i in (1, 2):
+            got = make_generators(i, p)
+            assert [[_value(p, v) for v in aut] for aut in got] == [list(aut) for aut in _generators(i, p)]
+        assert _value(p, tuple(map(sum, zip(*make_generators(2, p)[1])))) == _const(p, 1)
+    with pytest.raises(ValueError):
+        make_generators(3, 5)
+
+
+def test_radical_check_does_no_field_arithmetic(monkeypatch):
+    # with the F_p(t) arithmetic made to raise, radical-check prints the same
+    # document with the same exit code: no claim computes in F_p(t)
+    def run(p):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["radical-check", "--p", p])
+        return code, out.getvalue()
+
+    monkeypatch.delenv("FOCAL_LOG", raising=False)
+    expected = {p: run(p) for p in ("2", "31", "1048573")}
+    assert all(code == 0 for code, _ in expected.values())
+
+    def forbidden(*args):
+        raise AssertionError("F_p(t) arithmetic on a program path")
+
+    for name in ("__add__", "__mul__", "inv", "_reduced"):
+        monkeypatch.setattr(FpRat, name, forbidden)
+    with pytest.raises(AssertionError):
+        FpRat.make(5, (1, 1))
+    assert {p: run(p) for p in expected} == expected
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +500,21 @@ def test_make_generators_exact_tuples():
 # ---------------------------------------------------------------------------
 
 
+def _generator_elements(p: int) -> list:
+    """The six coordinate generators and the cyclic generator, as elements."""
+    return [_element(g) for g in Gamma(2, p).coordinate_generators()] + [_zgen(p)]
+
+
 def test_center_gamma2_specific_values():
     p = 3
-    gamma = Gamma(2, p)
-    zero = FpRat.const(p, 0)
-    for z in (FpRat.monomial(p, 1), zero, FpRat.monomial(p, -3) + FpRat.monomial(p, 2)):
-        zelem = H3Elem(zero, zero, z)
-        assert _apply(gamma.beta, zelem) == zelem
-        central = GammaElem(h3_identity(p), zelem, 0)
-        for gen in gamma.coordinate_generators() + [_zgen(p)]:
-            assert _mul(gamma, central, gen) == _mul(gamma, gen, central)
+    gens = _generators(2, p)
+    zero = _const(p, 0)
+    for z in (_monomial(p, 1), zero, _monomial(p, -3) + _monomial(p, 2)):
+        zelem = (zero, zero, z)
+        assert _apply(gens[1], zelem) == zelem
+        central = (_h3_identity(p), zelem, 0)
+        for gen in _generator_elements(p):
+            assert _mul(gens, central, gen) == _mul(gens, gen, central)
 
 
 def test_check_center_gamma2_bulk():
@@ -401,20 +522,20 @@ def test_check_center_gamma2_bulk():
         assert check_center_gamma2(p, 20, 4)
 
 
-def _centre_oracle(p: int, zs) -> bool:
+def _centre_oracle(p: int, zs, beta_level: int = 2) -> bool:
     """Enumerated check of the level-2 centre, independent of the certificate:
     for each z, beta fixes (0, 0, z), and (1, (0, 0, z)) commutes, through
     the group law _mul, with the cyclic generator and the six coordinate
-    generators."""
-    gamma = Gamma(2, p)
-    zero = FpRat.const(p, 0)
-    generators = gamma.coordinate_generators() + [_zgen(p)]
+    generators.  beta_level 1 gives the level-2 group the beta of level 1."""
+    gens = _generators(2, p, beta_level)
+    zero = _const(p, 0)
+    generators = _generator_elements(p)
     for z in zs:
-        zelem = H3Elem(zero, zero, z)
-        if _apply(gamma.beta, zelem) != zelem:
+        zelem = (zero, zero, z)
+        if _apply(gens[1], zelem) != zelem:
             return False
-        central = GammaElem(h3_identity(p), zelem, 0)
-        if any(_mul(gamma, central, g) != _mul(gamma, g, central) for g in generators):
+        central = (_h3_identity(p), zelem, 0)
+        if any(_mul(gens, central, g) != _mul(gens, g, central) for g in generators):
             return False
     return True
 
@@ -430,7 +551,7 @@ def _oracle_samples(p: int, samples: int, degree: int) -> list:
     """The first `samples` Laurent polynomials of degree <= degree for the
     oracle: t^-degree, ..., t^degree first, then the others in the order of
     _laurent_polynomials, from the zero polynomial on."""
-    monomials = [FpRat.monomial(p, k) for k in range(-degree, degree + 1)]
+    monomials = [_monomial(p, k) for k in range(-degree, degree + 1)]
     rest = (z for z in _laurent_polynomials(p, degree) if z not in monomials)
     return list(islice(chain(monomials, rest), samples))
 
@@ -447,7 +568,7 @@ def _centre_cases(draw):
     """(p, level of beta, z): the monomials of degree <= 4 and drawn elements of F_p(t)."""
     p = draw(st.sampled_from((2, 3, 5, 31)))
     extra = draw(st.lists(_field_elements(p), min_size=1, max_size=4))
-    monomials = [FpRat.monomial(p, k) for k in range(-4, 5)]
+    monomials = [_monomial(p, k) for k in range(-4, 5)]
     return p, draw(st.sampled_from((1, 2))), monomials + extra
 
 
@@ -458,7 +579,7 @@ def test_center_gamma2_certificate_agrees_with_the_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         if level == 1:
             _with_level1_beta(mp)
-        expected = _centre_oracle(p, zs)
+        expected = _centre_oracle(p, zs, level)
         assert expected == (level == 2)
         assert check_center_gamma2(p, 9, 4) == expected
 
@@ -470,7 +591,7 @@ def test_center_gamma2_certificate_agrees_with_every_laurent_polynomial(monkeypa
         _with_level1_beta(monkeypatch)
     zs = list(_laurent_polynomials(p, degree))
     assert len(set(zs)) == p ** (2 * degree + 1)
-    assert check_center_gamma2(p, len(zs), degree) == _centre_oracle(p, zs) == (level == 2)
+    assert check_center_gamma2(p, len(zs), degree) == _centre_oracle(p, zs, level) == (level == 2)
 
 
 @pytest.mark.parametrize("p, samples, degree", [(2, 32, 2), (3, 60, 2), (5, 40, 4), (31, 12, 4)])
@@ -479,11 +600,11 @@ def test_center_gamma2_checks_distinct_polynomials_monomials_first(p, samples, d
     zs = _oracle_samples(p, samples, degree)
     assert len(zs) == len(set(zs)) == samples
     width = 2 * degree + 1
-    assert zs[:width] == [FpRat.monomial(p, k) for k in range(-degree, degree + 1)]
+    assert zs[:width] == [_monomial(p, k) for k in range(-degree, degree + 1)]
     indices = []
     for z in zs:
         # z t^degree has at most width coefficients iff z has degree <= degree
-        shifted = z * FpRat.monomial(p, degree)
+        shifted = z * _monomial(p, degree)
         assert shifted.den == (1,) and len(shifted.num) <= width
         indices.append(sum(c * p ** (width - 1 - i) for i, c in enumerate(shifted.num)))
     # the rest in base-p order of the coefficient vectors (c_-degree, ..., c_degree),
@@ -506,22 +627,23 @@ def test_center_gamma2_sample_count_is_bounded_by_the_polynomials():
 
 def test_center_gamma2_fails_when_beta_scales_the_centre(monkeypatch):
     # level 1's beta scales z by w = u1 != 1, so (1, (0, 0, z)) is not central
-    generators = radicalcheck.make_generators
-    monkeypatch.setattr(radicalcheck, "make_generators",
-                        lambda i, p: (generators(2, p)[0], generators(1, p)[1]))
-    assert Gamma(2, 5).beta.w == standard_units(5)[1]
-    assert not check_center_gamma2(5, 9, 4)
+    _with_level1_beta(monkeypatch)
+    for p in PRIMES:
+        assert tuple(map(sum, zip(*Gamma(2, p).beta))) == standard_units(p)[1]
+        assert not check_center_gamma2(p, 9, 4)
+        assert not _centre_oracle(p, [_const(p, 1)], beta_level=1)
 
 
 def test_gamma_group_axioms():
     p = 3
-    gamma = Gamma(1, p)
+    gens = _generators(1, p)
     rng = Random(44)
-    elems = gamma.coordinate_generators() + [_zgen(p), _inv(gamma, _zgen(p))]
+    elems = [_element(g) for g in Gamma(1, p).coordinate_generators()]
+    elems += [_zgen(p), _inv(gens, _zgen(p))]
     for _ in range(60):
         g, h, k = (rng.choice(elems) for _ in range(3))
-        assert _mul(gamma, _mul(gamma, g, h), k) == _mul(gamma, g, _mul(gamma, h, k))
-        assert _mul(gamma, g, _inv(gamma, g)) == _identity(p)
+        assert _mul(gens, _mul(gens, g, h), k) == _mul(gens, g, _mul(gens, h, k))
+        assert _mul(gens, g, _inv(gens, g)) == _identity(p)
 
 
 @st.composite
@@ -531,36 +653,35 @@ def _gamma_cases(draw):
 
     def elem():
         coords = [draw(_field_elements(p)) for _ in range(6)]
-        return GammaElem(H3Elem(*coords[:3]), H3Elem(*coords[3:]), draw(st.integers(-2, 2)))
+        return tuple(coords[:3]), tuple(coords[3:]), draw(st.integers(-2, 2))
 
     return draw(st.sampled_from((1, 2))), elem(), elem()
 
 
-def _composed(aut: AutTriple, n: int) -> AutTriple:
+def _composed(aut: tuple, n: int) -> tuple:
     """aut^n as |n| compositions of aut, or of its inverse when n < 0."""
-    step = aut if n >= 0 else AutTriple(aut.u.inv(), aut.v.inv())
-    one = FpRat.const(aut.u.p, 1)
-    out = AutTriple(one, one)
+    step = aut if n >= 0 else (aut[0].inv(), aut[1].inv())
+    one = _const(aut[0].p, 1)
+    out = (one, one)
     for _ in range(abs(n)):
-        out = out.compose(step)
+        out = _compose(out, step)
     return out
 
 
 @given(_gamma_cases())
 @settings(max_examples=200, deadline=None)
 def test_gamma_mul_and_inv_match_the_written_out_action(case):
-    # the oracles' group law against alpha^n and beta^n written out by compose
+    # the oracles' group law against alpha^n and beta^n written out by composition
     level, g, h = case
-    p = g.a.x.p
-    gamma = Gamma(level, p)
-    alpha, beta = gamma.alpha, gamma.beta
-    product = GammaElem(h3_mul(g.a, _apply(_composed(alpha, g.n), h.a)),
-                        h3_mul(g.b, _apply(_composed(beta, g.n), h.b)), g.n + h.n)
-    inverse = GammaElem(_apply(_composed(alpha, -g.n), h3_inv(g.a)),
-                        _apply(_composed(beta, -g.n), h3_inv(g.b)), -g.n)
-    assert _mul(gamma, g, h) == product
-    assert _inv(gamma, g) == inverse
-    assert _mul(gamma, g, _inv(gamma, g)) == _identity(p) == _mul(gamma, _inv(gamma, g), g)
+    p = g[0][0].p
+    gens = alpha, beta = _generators(level, p)
+    product = (_h3_mul(g[0], _apply(_composed(alpha, g[2]), h[0])),
+               _h3_mul(g[1], _apply(_composed(beta, g[2]), h[1])), g[2] + h[2])
+    inverse = (_apply(_composed(alpha, -g[2]), _h3_inv(g[0])),
+               _apply(_composed(beta, -g[2]), _h3_inv(g[1])), -g[2])
+    assert _mul(gens, g, h) == product
+    assert _inv(gens, g) == inverse
+    assert _mul(gens, g, _inv(gens, g)) == _identity(p) == _mul(gens, _inv(gens, g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -570,73 +691,55 @@ def test_gamma_mul_and_inv_match_the_written_out_action(case):
 
 def test_conjugacy_orbit_examples():
     p = 3
-    gamma1 = Gamma(1, p)
-    x_elem = gamma1.coordinate_generators()[0]
+    x_elem = Gamma(1, p).coordinate_generators()[0]
+    assert x_elem == (p, 0, 0)
     assert conjugacy_orbit_size(1, x_elem, 50) == 101
-    zero = FpRat.const(p, 0)
-    central = GammaElem(h3_identity(p), H3Elem(zero, zero, FpRat.monomial(p, 2)), 0)
-    assert conjugacy_orbit_size(2, central, 40) == 1
-    with pytest.raises(ValueError):
-        conjugacy_orbit_size(1, _identity(p), 10)
+    assert conjugacy_orbit_size(2, (p, 1, 2), 40) == 1  # the level-2 centre
+    assert conjugacy_orbit_size(1, x_elem, 0) == 1
+    for bound in (-1, 1001):
+        with pytest.raises(ValueError):
+            conjugacy_orbit_size(1, x_elem, bound)
 
 
-def _walk_orbit_size(alpha: AutTriple, beta: AutTriple, g: GammaElem, bound: int) -> int:
+def _walk_orbit_size(gens: tuple, g: tuple, bound: int) -> int:
     """Independent oracle: walk alpha^k a and beta^k b for |k| <= bound and
     count the distinct pairs."""
-    orbit = {(g.a, g.b)}
+    alpha, beta = gens
+    orbit = {(g[0], g[1])}
     for step in (1, -1):
         alpha_step, beta_step = _power(alpha, step), _power(beta, step)
-        a, b = g.a, g.b
+        a, b = g[0], g[1]
         for _ in range(bound):
             a, b = _apply(alpha_step, a), _apply(beta_step, b)
             orbit.add((a, b))
     return len(orbit)
 
 
-@st.composite
-def _orbit_cases(draw):
-    """(level, element, bound): random elements with zero and constant
-    coordinates, level-2 central elements (1, (0, 0, z)), any n."""
-    p = draw(st.sampled_from((2, 3, 5, 7, 31)))
-    level = draw(st.sampled_from((1, 2)))
-    zero = FpRat.const(p, 0)
-    if draw(st.booleans()):
-        coords = [draw(_field_elements(p)) for _ in range(6)]
-    else:
-        coords = [zero] * 5 + [draw(_field_elements(p))]
-    n = draw(st.integers(-3, 3))
-    if all(c.is_zero() for c in coords) and n == 0:
-        n = 1
-    g = GammaElem(H3Elem(*coords[:3]), H3Elem(*coords[3:]), n)
-    return level, g, draw(st.integers(0, 20))
-
-
-@given(_orbit_cases())
-@settings(max_examples=300, deadline=None)
-def test_conjugacy_orbit_size_matches_walk(case):
-    level, g, bound = case
-    alpha, beta = make_generators(level, g.a.x.p)
-    assert conjugacy_orbit_size(level, g, bound) == _walk_orbit_size(alpha, beta, g, bound)
+@given(st.sampled_from((2, 3, 5, 7, 31)), st.sampled_from((1, 2)), st.integers(0, 1),
+       st.integers(0, 2), st.integers(0, 20))
+@example(2, 2, 1, 2, 20)  # the level-2 centre over F_2
+@settings(max_examples=150, deadline=None)
+def test_conjugacy_orbit_size_matches_walk(p, level, side, coord, bound):
+    g = (p, side, coord)
+    assert conjugacy_orbit_size(level, g, bound) == _walk_orbit_size(
+        _generators(level, p), _element(g), bound)
 
 
 def test_conjugacy_orbit_size_torsion_multipliers(monkeypatch):
-    # the real generators scale by 1 or by units of infinite order; constant
-    # multipliers of other orders check the lcm of the stabiliser against the walk
+    # over the coprime base the only torsion multiplier is the unit 1, the
+    # zero vector: patched pairs put it at x of alpha and at z of beta
     p = 7
-    alpha = AutTriple(FpRat.const(p, 2), FpRat.const(p, 6))  # orders 3, 2, uv = 5: 6
-    beta = AutTriple(FpRat.const(p, 3), FpRat.monomial(p, 1))  # orders 6, inf, inf
-    monkeypatch.setattr(radicalcheck, "make_generators", lambda i, q: (alpha, beta))
-    gens = Gamma(1, p).coordinate_generators()
-    assert [conjugacy_orbit_size(1, g, 10) for g in gens] == [3, 2, 6, 6, 21, 21]
-    assert conjugacy_orbit_size(1, gens[0], 0) == 1
-    assert conjugacy_orbit_size(1, gens[2], 2) == 5
-    rng = Random(45)
-    zero = FpRat.const(p, 0)
-    for _ in range(200):
-        coords = [_random_fprat(rng, p) if rng.random() < 0.4 else zero for _ in range(6)]
-        g = GammaElem(H3Elem(*coords[:3]), H3Elem(*coords[3:]), rng.randint(1, 3))
-        bound = rng.randint(0, 12)
-        assert conjugacy_orbit_size(1, g, bound) == _walk_orbit_size(alpha, beta, g, bound)
+    s, u1, _ = standard_units(p)
+    zero = (0,) * len(s)
+    monkeypatch.setattr(radicalcheck, "make_generators", lambda i, q: ((zero, u1), (s, tuple(-e for e in s))))
+    fs, fu1, _ = _units(p)
+    one = _const(p, 1)
+    gens = (one, fu1), (fs, fs.inv())
+    for bound in (0, 2, 10):
+        sizes = [conjugacy_orbit_size(1, g, bound) for g in Gamma(1, p).coordinate_generators()]
+        assert sizes == [1, 2 * bound + 1, 2 * bound + 1, 2 * bound + 1, 2 * bound + 1, 1]
+        assert sizes == [_walk_orbit_size(gens, _element(g), bound)
+                         for g in Gamma(1, p).coordinate_generators()]
 
 
 def test_conjugacy_growth_all_generators():
@@ -661,21 +764,17 @@ def test_level2_noncentral_elements_still_grow():
 # ---------------------------------------------------------------------------
 
 
+def test_unit_infinite_order_rejects_composite_modulus():
+    # the units whose order is judged are only read for a prime modulus
+    with pytest.raises(ValueError, match="not prime"):
+        unit_infinite_order(designated_units(4)["s"])
+
+
 def test_unit_infinite_order_examples():
     s, u1, u2 = standard_units(3)
-    assert unit_infinite_order(s)
-    assert not unit_infinite_order(FpRat.const(3, 1))
-    two = FpRat.const(5, 2)
-    assert not unit_infinite_order(two)
-    assert two**4 == FpRat.const(5, 1)  # order 4
-    with pytest.raises(ZeroDivisionError):
-        unit_infinite_order(FpRat.const(3, 0))
-
-
-def test_unit_infinite_order_rejects_composite_modulus():
-    # the order check is explicit, so it also holds under python -O
-    with pytest.raises(ValueError, match="not prime"):
-        unit_infinite_order(FpRat(4, (3,), (1,)))
+    assert unit_infinite_order(s) and unit_infinite_order(u2)
+    assert not unit_infinite_order((0, 0, 0))
+    assert not unit_infinite_order(tuple(x - y for x, y in zip(u1, u1)))
 
 
 def test_designated_units_non_torsion():
@@ -683,17 +782,32 @@ def test_designated_units_non_torsion():
         units = designated_units(p)
         assert set(units) == {"s", "s^-1*u2", "u2", "s^-1*u1", "u1"}
         assert all(unit_infinite_order(u) for u in units.values())
+        s, u1, u2 = _units(p)
+        oracle = {"s": s, "s^-1*u2": s.inv() * u2, "u2": u2, "s^-1*u1": s.inv() * u1, "u1": u1}
+        assert {name: _value(p, u) for name, u in units.items()} == oracle
+        assert not any(_is_constant(u) for u in oracle.values())
 
 
-def test_twist_components():
-    p = 3
-    _, u1, _ = standard_units(p)
-    alpha1, beta1 = make_generators(1, p)
-    alpha2, beta2 = make_generators(2, p)
-    assert alpha2.compose(psi(u1.inv())) == alpha1
-    assert beta2.compose(psi(u1)) == beta1
+def _twist_oracle(p: int, level2: tuple) -> bool:
+    """The twist in F_p(t) by composing automorphisms: alpha_2 psi(u1^-1) is
+    alpha_1 and beta_2 psi(u1) is beta_1, with psi(v) = (1, v)."""
+    _, u1, _ = _units(p)
+    one = _const(p, 1)
+    alpha1, beta1 = _generators(1, p)
+    alpha2, beta2 = level2
+    return _compose(alpha2, (one, u1.inv())) == alpha1 and _compose(beta2, (one, u1)) == beta1
+
+
+def test_twist_components(monkeypatch):
+    for p in (2, 3, 5, 7):
+        assert _twist_oracle(p, _generators(2, p)) and check_twist_identity(p)
+    # negative control: the level-1 pair at level 2 is not the twisted pair
+    generators = radicalcheck.make_generators
+    monkeypatch.setattr(radicalcheck, "make_generators", lambda i, p: generators(1, p))
+    for p in (2, 3):
+        assert not _twist_oracle(p, _generators(1, p)) and not check_twist_identity(p)
 
 
 def test_check_twist_identity_primes():
-    for p in (2, 3, 5, 7):
+    for p in PRIMES:
         assert check_twist_identity(p)

@@ -122,13 +122,23 @@ LIBRARY_ONLY = {
     "matexact.conjugate": "tests/test_acceptance.py imports it",
     "matexact.mat_power": "tests/test_acceptance.py imports it",
     "matexact.power_conjugacy": "tests/test_acceptance.py imports it; bench/classify_dense.py times it",
+    "radicalcheck.FpRat.__add__": "bench/radical_walk.py adds FpRat batches with +",
+    "radicalcheck.FpRat.__mul__": "bench/layers.py counts its calls; bench/radical_walk.py multiplies with *",
+    "radicalcheck.FpRat._check": "radicalcheck.FpRat.__add__ and __mul__ call it",
+    "radicalcheck.FpRat._reduced": "radicalcheck.FpRat.make calls it, and __add__",
+    "radicalcheck.FpRat.inv": "bench/radical_walk.py calls x.inv()",
+    "radicalcheck.FpRat.is_zero": "radicalcheck.FpRat.__mul__ calls it, and inv",
+    "radicalcheck.FpRat.make": "bench/radical_walk.py builds its batches with FpRat.make",
+    "radicalcheck._cancel": "radicalcheck.FpRat._reduced calls it, and __mul__",
+    "radicalcheck._padd": "radicalcheck.FpRat.__add__ calls it",
+    "radicalcheck._pmul": "radicalcheck.FpRat.__mul__ calls it, and __add__",
 }
 
 
 def _reason_holds(name: str, reason: str) -> bool:
     """The reason's caller exists and names the function (a dunder by its
-    class, __matmul__ by @), or it is a Record guard or an import hook on
-    Record itself or one of its subclasses."""
+    class, __matmul__ by @, __add__ by +), or it is a Record guard or an
+    import hook on Record itself or one of its subclasses."""
     module, *qual = name.split(".")
     if reason.startswith(("Record guard:", "Import hook:")):
         cls = getattr(importlib.import_module(f"focalclass.{module}"), qual[0])
@@ -138,7 +148,7 @@ def _reason_holds(name: str, reason: str) -> bool:
         return True
     if not re.fullmatch(r"tests/test_acceptance\.py|tests/helpers\.py|bench/\w+\.py", caller):
         return False
-    word = {"__matmul__": "@", "__init__": qual[0]}.get(qual[-1], qual[-1])
+    word = {"__matmul__": "@", "__add__": "+", "__init__": qual[0]}.get(qual[-1], qual[-1])
     text = (ROOT / caller).read_text(encoding="utf-8")
     return re.search(rf"(?<!\w){re.escape(word)}(?!\w)", text) is not None
 

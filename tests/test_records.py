@@ -33,12 +33,10 @@ from focalclass.focalmodel import (
     _Reading,
 )
 from focalclass.matexact import MatQ, SpectralData
-from focalclass.radicalcheck import AutTriple, FpRat, GammaElem, H3Elem
+from focalclass.radicalcheck import FpRat
 
 ARROW = Arrow(INTO, "identity")
 CHAIN = WitnessChain((SFreeGroup(2), SFreeGroup(3)), (ARROW,))
-ONE, T = FpRat(3, (1,), (1,)), FpRat(3, (0, 1), (1,))
-H = H3Elem(ONE, T, FpRat(3, (), (1,)))
 
 # (class, its fields in order with literal values, the expected repr)
 RECORDS = [
@@ -80,15 +78,6 @@ RECORDS = [
     (PatternEntry, {"pattern": "↗↖", "status": "exists", "citation": "c"},
      "PatternEntry(pattern='↗↖', status='exists', citation='c')"),
     (FpRat, {"p": 3, "num": (1, 1), "den": (0, 1)}, "FpRat(p=3, num=(1, 1), den=(0, 1))"),
-    (H3Elem, {"x": ONE, "y": T, "z": FpRat(3, (), (1,))},
-     "H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), y=FpRat(p=3, num=(0, 1), den=(1,)), "
-     "z=FpRat(p=3, num=(), den=(1,)))"),
-    (AutTriple, {"u": T, "v": ONE},
-     "AutTriple(u=FpRat(p=3, num=(0, 1), den=(1,)), v=FpRat(p=3, num=(1,), den=(1,)))"),
-    (GammaElem, {"a": H, "b": H, "n": -1},
-     "GammaElem(a=H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), y=FpRat(p=3, num=(0, 1), den=(1,)), "
-     "z=FpRat(p=3, num=(), den=(1,))), b=H3Elem(x=FpRat(p=3, num=(1,), den=(1,)), "
-     "y=FpRat(p=3, num=(0, 1), den=(1,)), z=FpRat(p=3, num=(), den=(1,))), n=-1)"),
     (_Reading, {"conn": MatQ([[F(1, 2)]]), "tree": 6, "index": 2, "varpi": F(1, 2), "t": F(2)},
      "_Reading(conn=MatQ(rows=((Fraction(1, 2),),)), tree=6, index=2, varpi=Fraction(1, 2), "
      "t=Fraction(2, 1))"),
@@ -161,13 +150,7 @@ def test_radicalcheck_records():
     assert FpRat(3, (1, 1)) == FpRat(p=3, num=(1, 1)) == FpRat(3, (1, 1), (1,))
     assert FpRat(3, (1, 1)).den == (1,) and repr(FpRat(3, ())) == "FpRat(p=3, num=(), den=(1,))"
     assert FpRat(3, (1,)) != FpRat(5, (1,)) and FpRat(3, (1,)) != (3, (1,), (1,))
-    assert H3Elem(ONE, ONE, ONE) != AutTriple(ONE, ONE) and AutTriple(ONE, T) != AutTriple(T, ONE)
-    assert GammaElem(H, H, 0) != GammaElem(H, H, 1)
-    assert len({H3Elem(ONE, T, ONE), H3Elem(ONE, T, ONE), GammaElem(ONE, T, ONE)}) == 2
-    with pytest.raises(ValueError):  # AutTriple's __post_init__
-        AutTriple(ONE, FpRat(3, ()))
-    with pytest.raises(ValueError):
-        AutTriple(u=FpRat(3, ()), v=ONE)
+    assert len({FpRat(3, (0, 1)), FpRat(3, (0, 1), (1,)), FpRat(3, (1,))}) == 2
 
 
 def test_spectral_data_caches_are_unset_and_invisible():
