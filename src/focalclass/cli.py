@@ -6,7 +6,7 @@ Wire format (normative):
     {"kind":"Composite","A":[[ratstr,...],...],"varpi":ratstr,"q":int,"index":int?}
     {"kind":"Millefeuille","A":[[ratstr,...],...],"t":ratstr,"k":int}
 with ratstr matching -?[0-9]+(/[0-9]+)?, matrices row-major, rationals in
-lowest terms.  Witness chains (--witness) are
+lowest terms, and no other key.  Witness chains (--witness) are
     {"nodes":[node,...],"arrows":[{"direction":str,"citation":str},...],"pattern":str}
 where a node is a descriptor, printed exactly as above, or one of
     {"kind":"FreeGroup","rank":int}
@@ -145,9 +145,13 @@ def parse_descriptor(obj) -> FocalDescriptor:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None  # a list or dict is unhashable
     if cls is None:
         raise DescriptorError(f"unknown descriptor kind: {kind!r}")
+    keys = _WIRE[cls][1]
+    unknown = next((key for key in obj if key != "kind" and key not in keys), None)
+    if unknown is not None:  # a misspelt key would otherwise read as its default
+        raise DescriptorError(f"unknown key in {kind} descriptor: {unknown!r}")
     fields = {}
     try:
-        for key, field in _WIRE[cls][1].items():  # the first bad key in wire order is reported
+        for key, field in keys.items():  # the first bad key in wire order is reported
             read = _READ.get(key)
             fields[field] = read(obj[key]) if read else _int_field(obj, key, _OMITTED.get(key))
         return cls(**fields)

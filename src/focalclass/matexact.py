@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals for contracting actions.
 
-Matrices are immutable arrays of Fractions, but the arithmetic runs over Z:
-each matrix keeps its integer form (d times its rows, d the lcm of the
-denominators) once a kernel has read it, one fraction-free integer kernel
-(Bareiss) serves the determinant, rank, inverse and integer nullspace, and
-a product multiplies integer forms and builds one Fraction per entry.
+A matrix is stored as its integer form: integer rows over one positive
+denominator d, in lowest terms, so every kernel reads integers.  One
+fraction-free integer kernel (Bareiss) serves the determinant, rank,
+inverse and integer nullspace, and a product multiplies integer rows over
+the product of the denominators; Fractions are built only when the rows
+are read as rationals.
 Spectral analysis is restricted to characteristic polynomials that split
 over Q with positive roots.  Berkowitz's division-free det(yI - d a) goes
 straight to the root finder, each integer root y giving the eigenvalue
@@ -16,8 +17,7 @@ sizes of a repeated one come from the ranks of the integer powers of a
 scaled a - ev I, and Jordan chains from their kernels.  Similarity is
 decided by eigenvalue and Jordan block data; its witness maps one Jordan
 basis onto the other, each built without search as integer columns over
-one denominator, and is verified by exact integer multiplication before
-its entries become Fractions.
+one denominator, and is verified by exact integer multiplication.
 
 A matrix's spectral data is computed at most once and kept on the matrix
 itself, and the logs the invariants derive from it (expansion powers and
@@ -54,85 +54,78 @@ class NonRationalSpectrumError(ValueError):
     """The characteristic polynomial does not split over Q with positive roots."""
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _integer_rows(rows) -> tuple[tuple, int]:
-    """(d * rows as tuples of integers, d), d the lcm of all denominators."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows), d
-
-
-def _int_product(a: list, b: list) -> list:
+def _int_product(a, b) -> list:
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _integer_form(a: MatQ) -> tuple[tuple, int]:
-    """_integer_rows(a.rows), computed once and kept on a."""
-    if a._integer is None:
-        object.__setattr__(a, "_integer", _integer_rows(a.rows))
-    return a._integer
-
-
-def _inverse_rows(m: list) -> tuple[list, int]:
-    """(M, last) with M / last the inverse of the integer rows m (Gauss-Jordan)."""
-    n = len(m)
-    augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
-    m, pivots, _, last = _eliminate(augmented, n, reduced=True)
-    if len(pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in m], last
-
-
 class MatQ(Record):
-    """Immutable square matrix over Q.  dim 0 is allowed (empty matrix).
-
-    Equality, hashing and repr use only the rows; dim is their number.  The
-    caches _spectral and _integer hold the spectral data and the integer
-    form _integer_rows(rows) once a kernel has computed them.
+    """Immutable square matrix over Q, stored as integer rows zrows over one
+    positive denominator zden, in lowest terms with the entries, so the pair
+    is canonical and ==, hash and repr read it.  dim 0 is allowed (empty
+    matrix).  The cache _spectral holds the spectral data once computed.
     """
 
-    rows: tuple
+    zrows: tuple
+    zden: int
     _spectral: SpectralData | None = None
-    _integer: tuple | None = None
 
     def __init__(self, rows):
-        rows = tuple(tuple(_frac(x) for x in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+        """The matrix of rows of rationals (or what Fraction reads): zden is
+        the lcm of the denominators, which leaves no common factor."""
+        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "dim", n)
+        d = lcm(*(x.denominator for row in rows for x in row))
+        object.__setattr__(self, "zrows", tuple(
+            tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows))
+        object.__setattr__(self, "zden", d)
+        object.__setattr__(self, "dim", len(rows))
+
+    @classmethod
+    def _from_integers(cls, zrows, zden: int) -> "MatQ":
+        """The matrix zrows / zden of square integer rows and a nonzero
+        integer, brought to lowest terms with a positive denominator."""
+        g = gcd(zden, *(x for row in zrows for x in row)) * (1 if zden > 0 else -1)
+        a = object.__new__(cls)
+        object.__setattr__(a, "zrows", tuple(tuple([x // g for x in row]) for row in zrows))
+        object.__setattr__(a, "zden", zden // g)
+        object.__setattr__(a, "dim", len(zrows))
+        return a
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, built on each read."""
+        return tuple(tuple(Fraction(x, self.zden) for x in row) for row in self.zrows)
 
     @classmethod
     def identity(cls, n: int) -> "MatQ":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diag(cls, values) -> "MatQ":
-        values = [_frac(v) for v in values]
-        n = len(values)
-        return cls([[values[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        values = list(values)
+        return cls([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
     def __matmul__(self, other: "MatQ") -> "MatQ":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        (a, da), (b, db) = _integer_form(self), _integer_form(other)
-        d = da * db
-        return MatQ([[Fraction(x, d) for x in row] for row in _int_product(a, b)])
+        return MatQ._from_integers(_int_product(self.zrows, other.zrows), self.zden * other.zden)
 
     def det(self) -> Fraction:
         """Determinant by fraction-free elimination; empty matrix gives 1."""
-        b, d = _integer_form(self)
-        _, pivots, sign, last = _eliminate(b, self.dim)
-        return Fraction(sign * last, d**self.dim) if len(pivots) == self.dim else Fraction(0)
+        _, pivots, sign, last = _eliminate(self.zrows, self.dim)
+        full = len(pivots) == self.dim
+        return Fraction(sign * last, self.zden**self.dim) if full else Fraction(0)
 
     def inverse(self) -> "MatQ":
-        b, d = _integer_form(self)
-        m, last = _inverse_rows(b)
-        return MatQ([[Fraction(x * d, last) for x in row] for row in m])
+        """zden * M / last, for M / last the Gauss-Jordan inverse of zrows."""
+        n = self.dim
+        augmented = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(self.zrows)]
+        m, pivots, _, last = _eliminate(augmented, n, reduced=True)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return MatQ._from_integers([[x * self.zden for x in row[n:]] for row in m], last)
 
 
 def _eliminate(rows, ncols: int, reduced: bool = False) -> tuple:
@@ -178,9 +171,8 @@ def mat_power(a: MatQ, n: int) -> MatQ:
     return MatQ.identity(a.dim) if result is None else result
 
 
-def rank(a) -> int:
-    """Rank of a MatQ, or of a square matrix given as rows of integers."""
-    rows = _integer_form(a)[0] if isinstance(a, MatQ) else a
+def rank(rows) -> int:
+    """Rank of a square matrix given as rows of integers."""
     return len(_eliminate(rows, len(rows))[1])
 
 
@@ -359,19 +351,19 @@ def _rational_roots(f: list, d: int) -> dict:
 
 
 def _triangular_diagonal(a: MatQ) -> list | None:
-    """Diagonal of a when it is upper or lower triangular, else None."""
-    n = a.dim
-    upper = all(a.rows[i][j] == 0 for i in range(n) for j in range(i))
-    lower = all(a.rows[i][j] == 0 for i in range(n) for j in range(i + 1, n))
+    """Diagonal of a.zrows when a is upper or lower triangular, else None."""
+    n, b = a.dim, a.zrows
+    upper = all(b[i][j] == 0 for i in range(n) for j in range(i))
+    lower = all(b[i][j] == 0 for i in range(n) for j in range(i + 1, n))
     if upper or lower:
-        return [a.rows[i][i] for i in range(n)]
+        return [b[i][i] for i in range(n)]
     return None
 
 
 def _shifted_powers(b: list, den: int, ev: Fraction) -> tuple:
     """L = lcm(den, ev.denominator) and the powers (L * (a - ev I))**j over Z,
-    j = 1, 2, ..., for b, den = _integer_rows(a.rows): they have the ranks
-    and kernels of the powers of a - ev I."""
+    j = 1, 2, ..., for a's stored b, den = a.zrows, a.zden: they have the
+    ranks and kernels of the powers of a - ev I."""
     scale = lcm(den, ev.denominator)
     shift = ev.numerator * (scale // ev.denominator)
     shifted = [[x * (scale // den) - shift * (i == j) for j, x in enumerate(row)]
@@ -391,9 +383,9 @@ def spectral_data(a: MatQ) -> SpectralData:
         return a._spectral
     n = a.dim
     # kept on measurement: 0.1 ms against 0.7 ms by charpoly roots on classify_dense's 2 x 2 inputs
-    diagonal, (b, den) = _triangular_diagonal(a), _integer_form(a)
-    if diagonal is not None:
-        path, roots = "triangular diagonal", Counter(diagonal)
+    diagonal, b, den = _triangular_diagonal(a), a.zrows, a.zden
+    if diagonal is not None:  # the eigenvalues of a are the diagonal over den
+        path, roots = "triangular diagonal", Counter(Fraction(y, den) for y in diagonal)
     else:  # the eigenvalues of a are the roots of det(yI - b) over den
         path, roots = "charpoly roots", _rational_roots(_zcharpoly(b), den)
     _debug(__name__, "spectral data of a %d x %d matrix from its %s", n, n, path)
@@ -454,7 +446,7 @@ def _jordan_basis(x: MatQ, data: SpectralData) -> tuple[list, int]:
     the block size.  One elimination per size k, largest first, on at most
     dim columns, picks as tops the v in ker N**k whose N**(k-1) v are
     independent of the longer chains' bottoms.  N**j v = (L * N)**j v / L**j."""
-    columns, (b, den) = [], _integer_form(x)  # (integer column, its denominator)
+    columns, b, den = [], x.zrows, x.zden  # (integer column, its denominator)
     for ev, blocks in data.entries:
         scale, powers = _shifted_powers(b, den, ev)
         powers = list(islice(powers, blocks[0]))
@@ -474,16 +466,13 @@ def _jordan_basis(x: MatQ, data: SpectralData) -> tuple[list, int]:
 
 
 def _similarity(a: MatQ, b: MatQ, data: SpectralData) -> MatQ:
-    """B_b @ B_a^-1 = Q * D_a / (D_b * last) for a and b of spectral data
-    data, B = C / D, Q = C_b @ M, M / last = C_a^-1; verified on integers."""
-    (ca, da), (cb, db) = _jordan_basis(a, data), _jordan_basis(b, data)
-    m, last = _inverse_rows(ca)
-    q = _int_product(cb, m)
-    (x, dx), (y, dy) = _integer_form(a), _integer_form(b)
-    left, right = _int_product(q, x), _int_product(y, q)  # P @ a == b @ P iff dy * left == dx * right
-    if any(dy * u != dx * v for lrow, rrow in zip(left, right) for u, v in zip(lrow, rrow)):
+    """B_b @ B_a^-1 for a and b of spectral data data, B = C / D from
+    _jordan_basis, verified exactly."""
+    basis_a, basis_b = (MatQ._from_integers(*_jordan_basis(x, data)) for x in (a, b))
+    p = basis_b @ basis_a.inverse()
+    if p @ a != b @ p:
         raise RuntimeError("similarity witness verification failed")
-    return MatQ([[Fraction(u * da, db * last) for u in row] for row in q])
+    return p
 
 
 def conjugate(a: MatQ, b: MatQ) -> MatQ | None:

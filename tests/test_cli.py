@@ -24,6 +24,7 @@ from focalclass.cli import (
     EXIT_PARSE,
     EXIT_UNDECIDED,
     EXIT_YES,
+    DescriptorError,
     cmd_boundary,
     cmd_commable,
     cmd_ft_oracle,
@@ -147,12 +148,16 @@ def test_parse_rejects_malformed_input(tmp_path):
         '{"kind":1}',
         '{"kind":null}',
         '{"kind":true}',
+        # a misspelt key is not read as its default: idx is no index
+        '{"kind":"GAk","A":[["1/2"]],"k":2,"idx":5}',
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(text, encoding="utf-8")
         for argv in (["invariants", str(path)], ["commable", corpus_path("ft2"), str(path)]):
             assert main(argv) == EXIT_PARSE, (text[:40], argv[0])
+    with pytest.raises(DescriptorError, match="unknown key in GAk descriptor: 'idx'"):
+        parse_descriptor(json.loads(cases[-1]))
 
 
 def test_matrix_outside_family_is_a_parse_error(tmp_path):

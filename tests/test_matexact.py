@@ -26,9 +26,7 @@ from focalclass.matexact import (
     MatQ,
     NonRationalSpectrumError,
     SpectralData,
-    _integer_form,
     _integer_roots,
-    _integer_rows,
     _jordan_basis,
     _nullspace,
     _rational_roots,
@@ -206,11 +204,15 @@ def parent_det(a: MatQ) -> F:
 
 
 def parent_inverse(a: MatQ) -> MatQ:
-    n = a.dim
-    m = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(a.rows)]
+    return MatQ(fraction_inverse(a.rows))
+
+
+def fraction_inverse(rows) -> list:
+    n = len(rows)
+    m = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
     if len(parent_echelon(m, n, reduced=True)[0]) < n:
         raise ZeroDivisionError("matrix is singular")
-    return MatQ([row[n:] for row in m])
+    return [row[n:] for row in m]
 
 
 def parent_rank(rows: list, ncols: int) -> int:
@@ -238,10 +240,10 @@ def test_elimination_kernel_properties(a):
     if n <= 4:
         assert d == cofactor_det(a.rows)
     assert d == parent_det(a)
-    basis = _nullspace(_integer_rows(a.rows)[0], n)
+    basis = _nullspace(a.zrows, n)
     assert basis == parent_integer_rows(parent_nullspace(a.rows, n))[0]
-    assert rank(a) == parent_rank(a.rows, n)
-    assert rank(a) + len(basis) == n
+    assert rank(a.zrows) == parent_rank(a.rows, n)
+    assert rank(a.zrows) + len(basis) == n
     for vec in basis:
         assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a.rows)
     if d:
@@ -279,7 +281,7 @@ def rectangular_systems(draw):
 @settings(max_examples=150, deadline=None)
 def test_elimination_kernel_on_rectangular_systems(system):
     rows, ncols = system
-    basis = _nullspace(_integer_rows(rows)[0], ncols)
+    basis = _nullspace(parent_integer_rows(rows)[0], ncols)
     assert basis == parent_integer_rows(parent_nullspace(rows, ncols))[0]
     assert len(basis) == ncols - parent_rank(rows, ncols)
 
@@ -309,7 +311,7 @@ def test_elimination_kernel_on_intertwiner_systems(blocks1, blocks2, seed, simil
     p, q = random_conjugator(rng, j1.dim), random_conjugator(rng, j1.dim)
     a, b = p @ j1 @ p.inverse(), q @ j2 @ q.inverse()
     rows, nn = sylvester_rows(a, b), a.dim * a.dim
-    basis = _nullspace(_integer_rows(rows)[0], nn)
+    basis = _nullspace(parent_integer_rows(rows)[0], nn)
     assert basis == parent_integer_rows(parent_nullspace(rows, nn))[0]
     n = a.dim
     for vec in basis:
@@ -327,7 +329,7 @@ def test_elimination_kernel_pinned_examples():
     # column 1 has no pivot, and the updates at column 2 divide exactly by
     # the column-0 pivot 2
     rows = [[2, 4, 1, 3], [3, 6, 2, 1], [1, 2, 3, 5]]
-    assert rank(MatQ([[2, 4, 1], [3, 6, 2], [1, 2, 3]])) == 2
+    assert rank([[2, 4, 1], [3, 6, 2], [1, 2, 3]]) == 2
     assert _nullspace(rows, 4) == parent_nullspace(rows, 4) == [
         [F(-2), F(1), F(0), F(0)],
     ]
@@ -337,18 +339,62 @@ def test_elimination_kernel_empty_conventions():
     empty = MatQ([])
     assert empty.det() == 1
     assert empty.inverse() == empty
-    assert rank(empty) == 0
+    assert rank(empty.zrows) == 0
     assert charpoly(empty) == (F(1),)
     assert _nullspace([], 0) == []
     assert _nullspace([], 2) == parent_nullspace([], 2) == [[F(1), F(0)], [F(0), F(1)]]
     assert _nullspace([[0, 0]], 2) == parent_nullspace([[F(0), F(0)]], 2)
 
 
+@st.composite
+def built_matrices(draw, n):
+    """(a, its entries as Fraction rows computed on Fractions alone), a built
+    from rows, as a product, by inverse or from integer rows over a negative
+    denominator; a singular matrix drawn for inverse is kept as it is."""
+    entry = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    rows, how = draw(square), draw(st.sampled_from(["rows", "product", "inverse", "integers"]))
+    if how == "product":
+        other = draw(square)
+        product = [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*other)]
+                   for row in rows]
+        return MatQ(rows) @ MatQ(other), product
+    if how == "inverse" and parent_rank(rows, n) == n:
+        return MatQ(rows).inverse(), fraction_inverse(rows)
+    if how == "integers":
+        ints = draw(st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        den = -draw(st.integers(1, 12))
+        return MatQ._from_integers(ints, den), [[F(x, den) for x in row] for row in ints]
+    return MatQ(rows), rows
+
+
+_SELF_INVERSE = [[F(-1), F(0)], [F(1), F(1)]]  # its inverse has Bareiss pivot -1
+
+
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(built_matrices(n), built_matrices(n))),
+       st.integers(-5, 5).filter(bool))
+@example(((MatQ(_SELF_INVERSE).inverse(), _SELF_INVERSE), (MatQ(_SELF_INVERSE), _SELF_INVERSE)), 1)
+@settings(max_examples=150, deadline=None)
+def test_stored_pair_is_canonical(pair, c):
+    """However a matrix is built, it stores its integer rows over a positive
+    denominator in lowest terms, so ==, hash and rows agree with equality of
+    the Fraction entries; c * (zrows, zden) gives the same matrix."""
+    for a, rows in pair:
+        assert a.zden > 0 and math.gcd(a.zden, *(x for row in a.zrows for x in row)) == 1
+        assert a.rows == tuple(map(tuple, rows))
+        scaled = MatQ._from_integers([[c * x for x in row] for row in a.zrows], c * a.zden)
+        for b in (MatQ(rows), scaled):
+            assert a == b and hash(a) == hash(b) and (b.zrows, b.zden) == (a.zrows, a.zden)
+    (a, rows_a), (b, rows_b) = pair
+    assert (a == b) == (rows_a == rows_b)
+    assert a != b or hash(a) == hash(b)
+
+
 def charpoly(a: MatQ) -> tuple:
     """det(xI - a) as ascending Fractions, from the integer kernel the spectral
     path runs: det(yI - b) / d**n at y = d x, b = d a."""
-    b, d = _integer_form(a)
-    return tuple(F(c, d ** (a.dim - i)) for i, c in enumerate(_zcharpoly(b)))
+    return tuple(F(c, a.zden ** (a.dim - i)) for i, c in enumerate(_zcharpoly(a.zrows)))
 
 
 def test_charpoly_rotation():
@@ -610,9 +656,8 @@ def parent_spectral_data(a: MatQ) -> SpectralData:
     n = a.dim
     roots = parent_rational_roots(charpoly(a))
     entries = []
-    b, den = _integer_rows(a.rows)
     for ev, mult in sorted(roots.items()):
-        _, powers = _shifted_powers(b, den, ev)
+        _, powers = _shifted_powers(a.zrows, a.zden, ev)
         ranks = [n, *takewhile(lambda r: r > n - mult, map(rank, powers)), n - mult]
         d = [ranks[j] - ranks[j + 1] for j in range(len(ranks) - 1)] + [0]
         blocks = tuple(j for j in range(len(d) - 1, 0, -1) for _ in range(d[j - 1] - d[j]))
@@ -708,7 +753,8 @@ def test_spectral_errors_are_not_stored():
 
 def test_one_charpoly_per_dense_matrix(monkeypatch):
     """A whole mixed-pair classification computes the integer characteristic
-    polynomial once per matrix, and the integer form once per matrix."""
+    polynomial once per matrix, and builds a matrix from rationals only for
+    the two it parses: every other matrix comes from integer rows."""
     calls = Counter()
     counted = matexact._zcharpoly
 
@@ -716,25 +762,18 @@ def test_one_charpoly_per_dense_matrix(monkeypatch):
         calls[b] += 1
         return counted(b)
 
-    monkeypatch.setattr(matexact, "_zcharpoly", counting_charpoly)
-    conversions = Counter()
-    converted = matexact._integer_rows
-
-    def counting_integer_rows(rows):
-        conversions[rows] += 1
-        return converted(rows)
-
-    monkeypatch.setattr(matexact, "_integer_rows", counting_integer_rows)
-
-    def parsed(p, blocks, k):
+    def text(p, blocks, k):
         a = p @ jordan_matrix(blocks) @ p.inverse()
-        text = json.dumps({"kind": "GAk", "A": [[str(x) for x in row] for row in a.rows], "k": k})
-        return cli.parse_descriptor(json.loads(text))
+        return json.dumps({"kind": "GAk", "A": [[str(x) for x in row] for row in a.rows], "k": k})
 
     l = unit_lower(4, [1, -1, 2, 1, 0, -1])
     u = MatQ(zip(*unit_lower(4, [2, 1, -1, 0, 1, 1]).rows))
-    g1 = parsed(l @ u, [(F(1, 4), 2), (F(1, 9), 1), (F(1, 25), 1)], 4)
-    g2 = parsed(u @ l, [(F(1, 2), 2), (F(1, 3), 1), (F(1, 5), 1)], 2)
+    texts = (text(l @ u, [(F(1, 4), 2), (F(1, 9), 1), (F(1, 25), 1)], 4),
+             text(u @ l, [(F(1, 2), 2), (F(1, 3), 1), (F(1, 5), 1)], 2))
+    monkeypatch.setattr(matexact, "_zcharpoly", counting_charpoly)
+    built, init = [], MatQ.__init__
+    monkeypatch.setattr(MatQ, "__init__", lambda self, rows: init(self, rows) or built.append(self))
+    g1, g2 = (cli.parse_descriptor(json.loads(t)) for t in texts)
     compute_invariants(g1)
     compute_invariants(g2)
     verdicts = (commable_within_focal(g1, g2), commable(g1, g2), quasi_isometric(g1, g2))
@@ -742,9 +781,8 @@ def test_one_charpoly_per_dense_matrix(monkeypatch):
     for v in verdicts:
         assert validate_chain(v.chain)[0]
     assert power_conjugacy(g1.matrix, g2.matrix, g1.k, g2.k)[:2] == (1, 2)
-    assert calls == Counter({converted(g.matrix.rows)[0]: 1 for g in (g1, g2)})
-    assert conversions[g1.matrix.rows] == conversions[g2.matrix.rows] == 1
-    assert set(conversions.values()) == {1}, conversions
+    assert calls == Counter({g.matrix.zrows: 1 for g in (g1, g2)})
+    assert len(built) == 2 and built[0] is g1.matrix and built[1] is g2.matrix
 
 
 def test_is_contracting_examples():
@@ -896,8 +934,8 @@ def test_similarity_witnesses_from_jordan_bases(blocks, seed):
 # _jordan_basis and _similarity as they were before the bases became integer
 # columns over one denominator, kept (renamed) as the oracle of the integer
 # witnesses: Fraction bases, MatQ inverse and MatQ verification.  They read
-# _integer_rows as it was then, when it gave lists, and take their kernels
-# and the chains' pivot columns from the Fraction elimination.
+# the integer form as lists, and take their kernels and the chains' pivot
+# columns from the Fraction elimination.
 def parent_integer_rows(rows) -> tuple[list, int]:
     """(d * rows as lists of integers, d), d the lcm of all denominators."""
     d = math.lcm(*(x.denominator for row in rows for x in row))
@@ -960,7 +998,7 @@ def split_spectra(draw, max_dim=5):
 def test_integer_witnesses_match_the_fraction_oracle(blocks, seed):
     a, b = dense_conjugate(blocks, seed), dense_conjugate(blocks, seed + 1)
     roots = parent_rational_roots(charpoly(a))
-    assert _rational_roots(_zcharpoly(_integer_rows(a.rows)[0]), _integer_rows(a.rows)[1]) == roots
+    assert _rational_roots(_zcharpoly(a.zrows), a.zden) == roots
     data = spectral_data(a)
     assert {ev: sum(sizes) for ev, sizes in data.entries} == roots
     columns, den = _jordan_basis(a, data)

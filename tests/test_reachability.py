@@ -110,12 +110,12 @@ LIBRARY_ONLY = {
     "focalmodel.invariant_q": "tests/test_acceptance.py imports it, and tests/helpers.py",
     "focalmodel.invariant_varpi": "tests/test_acceptance.py imports it, and tests/helpers.py",
     "matexact.MatQ.__matmul__": "tests/test_acceptance.py multiplies MatQ matrices with @",
+    "matexact.MatQ._from_integers": "matexact.MatQ.__matmul__ calls it, and inverse",
     "matexact.MatQ.det": "tests/test_acceptance.py calls a.det()",
     "matexact.MatQ.diag": "tests/test_acceptance.py builds MatQ.diag matrices",
     "matexact.MatQ.identity": "matexact.mat_power returns it for n = 0",
     "matexact.MatQ.inverse": "tests/test_acceptance.py calls p.inverse()",
     "matexact.SpectralData.spectral_radius": "tests/test_acceptance.py reads it",
-    "matexact._inverse_rows": "matexact.MatQ.inverse calls it",
     "matexact._jordan_basis": "matexact._similarity calls it",
     "matexact._nullspace": "matexact._jordan_basis calls it",
     "matexact._similarity": "matexact.conjugate calls it",

@@ -228,3 +228,42 @@ def test_dataclasses_only_on_descriptors():
     found = {p.name: [name for _, name in _dataclass_classes(p.read_text(encoding="utf-8"))]
              for p in modules}
     assert {name: classes for name, classes in found.items() if classes} == DATACLASSES
+
+
+def _class_fields(source: str) -> list:
+    """(line, class, field) of each annotated field of each class, at any
+    depth, its cache slots (a leading "_") left out."""
+    return [(stmt.lineno, node.name, stmt.target.id) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and not stmt.target.id.startswith("_")]
+
+
+def _attribute_reads(source: str, names: set) -> list:
+    """(line, name) of each attribute access x.name, at any depth, for a
+    name in `names`."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def test_field_and_attribute_detectors():
+    source = ("class M:\n    zrows: tuple\n    _cache: int = 0\n"
+              "def f(a):\n    class N:\n        zden: int\n"
+              "    return a.zrows, a.zden.real, getattr(a, 'zrows'), a.num\n")
+    assert _class_fields(source) == [(2, "M", "zrows"), (6, "N", "zden")]
+    assert _attribute_reads(source, {"zrows", "zden"}) == [(7, "zden"), (7, "zrows")]
+
+
+def test_only_matexact_reads_the_stored_matrix():
+    """How a matrix is stored is decided in matexact alone: every other
+    module reads a MatQ through its rows, its methods and matexact's
+    functions, and no other class has a field of the same name."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    fields = {field for _, cls, field in _class_fields(sources["matexact.py"]) if cls == "MatQ"}
+    assert fields
+    owners = {cls for source in sources.values() for _, cls, field in _class_fields(source)
+              if field in fields}
+    assert owners == {"MatQ"}
+    found = {name: _attribute_reads(source, fields) for name, source in sources.items()
+             if name != "matexact.py"}
+    assert {name: reads for name, reads in found.items() if reads} == {}
