@@ -3,7 +3,8 @@
 The four claims are identities among the units s = t^2 + t^-2, u1 = 1 + t
 and u2 = 1 + 1/t of F_p(t), read off exponent vectors over a pairwise
 coprime base of F_p[t]: factor refinement of {t, 1 + t, t^4 + 1}, which is
-{t, 1 + t} for p = 2, where t^4 + 1 = (1 + t)^4.  A product of powers of
+{t, 1 + t} for p = 2, where t^4 + 1 = (1 + t)^4.  The refinement yields
+each input's exponent vector over the base.  A product of powers of
 the base is constant exactly when its vector is 0, and is then 1.  So the
 level-2 centre (certified for every z in F_p(t)) and the twist are vector
 identities, a unit has infinite order iff its vector is nonzero, and the
@@ -192,41 +193,34 @@ class FpRat(Record):
 # ---------------------------------------------------------------------------
 
 
-def _coprime_base(p: int, polys) -> list:
+def _coprime_base(p: int, polys) -> tuple[list, list]:
     """Factor refinement of monic polys: pairwise coprime, monic, non-constant
-    polynomials, each of polys a product of their powers, sorted by degree
-    and then by coefficients.  Two elements a, b with g = gcd(a, b) != 1 are
-    replaced by a/g, g and b/g, and constants are dropped; each split lowers
-    the total degree, so the refinement ends."""
-    base, pending = [], list(polys)
+    polynomials, sorted by degree and then by coefficients, and the exponent
+    vector of each of polys over them.  Each pending element carries its
+    exponents in every input.  Two elements a, b with g = gcd(a, b) != 1 are
+    replaced by a/g with the vector of a, g with the sum of both vectors and
+    b/g with the vector of b, and constants are dropped; each split lowers
+    the total degree, so the refinement ends.  ValueError if a division of a
+    split leaves a remainder."""
+    n = len(polys)
+    base, pending = [], [(f, tuple(int(i == j) for j in range(n))) for i, f in enumerate(polys)]
     while pending:
-        f = pending.pop()
+        f, fv = pending.pop()
         if len(f) == 1:
             continue
-        for k, b in enumerate(base):
+        for k, (b, bv) in enumerate(base):
             g = _pgcd(p, f, b)
             if g != _ONE:
                 del base[k]
-                pending += [_pdivmod(p, f, g)[0], g, _pdivmod(p, b, g)[0]]
+                (fq, fr), (bq, br) = _pdivmod(p, f, g), _pdivmod(p, b, g)
+                if fr or br:
+                    raise ValueError(f"{g} does not divide both {f} and {b} over F_{p}")
+                pending += [(fq, fv), (g, _vsum(fv, bv)), (bq, bv)]
                 break
         else:
-            base.append(f)
-    return sorted(base, key=lambda f: (len(f), f))
-
-
-def _exponents(p: int, base: list, f: tuple) -> tuple:
-    """The exponent vector of the monic f over base, by exact division."""
-    vector = []
-    for b in base:
-        e = 0
-        q, r = _pdivmod(p, f, b)
-        while not r:
-            f, e = q, e + 1
-            q, r = _pdivmod(p, f, b)
-        vector.append(e)
-    if f != _ONE:
-        raise ValueError(f"{f} is not a product of the base over F_{p}")
-    return tuple(vector)
+            base.append((f, fv))
+    base.sort(key=lambda e: (len(e[0]), e[0]))
+    return [b for b, _ in base], [tuple(bv[i] for _, bv in base) for i in range(n)]
 
 
 def _vsum(*vectors: tuple) -> tuple:
@@ -241,9 +235,7 @@ def standard_units(p: int) -> tuple[tuple, tuple, tuple]:
     """The exponent vectors of s = (t^4 + 1)/t^2, u1 = 1 + t and
     u2 = (1 + t)/t over the coprime base of F_p[t]."""
     _check_prime(p)
-    polys = ((0, 1), (1, 1), (1, 0, 0, 0, 1))  # t, 1 + t, t^4 + 1
-    base = _coprime_base(p, polys)
-    t, u1, t4 = (_exponents(p, base, f) for f in polys)
+    _, (t, u1, t4) = _coprime_base(p, ((0, 1), (1, 1), (1, 0, 0, 0, 1)))  # t, 1 + t, t^4 + 1
     return _vsum(t4, _vneg(t), _vneg(t)), u1, _vsum(u1, _vneg(t))
 
 

@@ -16,7 +16,6 @@ from focalclass.radicalcheck import (
     FpRat,
     Gamma,
     _coprime_base,
-    _exponents,
     _pgcd,
     check_center_gamma2,
     check_twist_identity,
@@ -98,7 +97,7 @@ def _value(p: int, vector: tuple) -> FpRat:
     """The product of the powers of the coprime base with the exponents of
     vector, in F_p(t)."""
     out = _const(p, 1)
-    for b, e in zip(_coprime_base(p, POLYS), vector):
+    for b, e in zip(_coprime_base(p, POLYS)[0], vector):
         out = out * _pow(FpRat.make(p, b), e)
     return out
 
@@ -407,12 +406,12 @@ def _base_primes() -> list:
 
 @pytest.mark.parametrize("p", _base_primes())
 def test_coprime_base_refines_t_one_plus_t_and_t4_plus_1(p):
-    base = _coprime_base(p, POLYS)
+    base, vectors = _coprime_base(p, POLYS)
     assert base == ([(0, 1), (1, 1)] if p == 2 else list(POLYS))
+    assert vectors == ([(1, 0), (0, 1), (0, 4)] if p == 2 else [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert all(len(b) > 1 and b[-1] == 1 for b in base)
     assert all(_pgcd(p, a, b) == (1,) for i, a in enumerate(base) for b in base[:i])
-    for f in POLYS:
-        vector = _exponents(p, base, f)
+    for f, vector in zip(POLYS, vectors):
         assert _pmul_ref(p, *[b for b, e in zip(base, vector) for _ in range(e)]) == list(f)
     if p == 2:
         assert standard_units(p) == ((-2, 4), (0, 1), (-1, 1))
@@ -424,15 +423,56 @@ def test_coprime_base_refines_t_one_plus_t_and_t4_plus_1(p):
 
 def test_coprime_base_drops_constants_and_splits_shared_factors():
     t, t1 = (0, 1), (1, 1)
-    assert _coprime_base(5, [(1,), t, t]) == [t]
+    assert _coprime_base(5, [(1,), t, t]) == ([t], [(0,), (1,), (1,)])
     # t^2 (1 + t) and t (1 + t)^2 share t (1 + t)
-    assert _coprime_base(5, [(0, 0, 1, 1), (0, 1, 2, 1)]) == [t, t1]
-    assert _exponents(5, [t, t1], (0, 1, 2, 1)) == (1, 2)
+    assert _coprime_base(5, [(0, 0, 1, 1), (0, 1, 2, 1)]) == ([t, t1], [(2, 1), (1, 2)])
 
 
-def test_exponents_raise_when_a_quotient_does_not_end_at_1():
-    with pytest.raises(ValueError, match="not a product of the base"):
-        _exponents(5, [(0, 1)], (1, 1))
+def test_coprime_base_raises_when_a_split_leaves_a_remainder(monkeypatch):
+    # a gcd that divides neither input: the split's remainders are its check
+    monkeypatch.setattr(radicalcheck, "_pgcd", lambda p, a, b: (2, 1))
+    with pytest.raises(ValueError, match="does not divide"):
+        _coprime_base(5, [(0, 1), (1, 1)])
+
+
+@st.composite
+def _products_of_shared_factors(draw) -> tuple:
+    """(p, polys): each of 1-4 polys the product of 1-3 monic polynomials of
+    degree <= 3 over F_p, drawn from one pool of at most 4, so they share
+    factors."""
+    p = draw(st.sampled_from(PRIMES))
+    monic = st.integers(0, 3).flatmap(
+        lambda d: st.lists(st.integers(0, p - 1), min_size=d, max_size=d)).map(lambda c: (*c, 1))
+    pool = draw(st.lists(monic, min_size=1, max_size=4))
+    factors = st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    return p, [tuple(_pmul_ref(p, *fs)) for fs in draw(st.lists(factors, min_size=1, max_size=4))]
+
+
+@given(_products_of_shared_factors())
+@example((2, [(1, 0, 0, 0, 1), (1, 1), (0, 1)]))  # t^4 + 1 = (1 + t)^4 over F_2
+@example((5, [(0, 0, 1, 1), (0, 1, 2, 1), (1,)]))
+@settings(max_examples=200, deadline=None)
+def test_coprime_base_refines_products_of_shared_factors(case):
+    p, polys = case
+    base, vectors = _coprime_base(p, polys)
+    assert all(len(b) > 1 and b[-1] == 1 for b in base)
+    assert all(_pgcd(p, a, b) == (1,) for i, a in enumerate(base) for b in base[:i])
+    assert base == sorted(base, key=lambda b: (len(b), b))
+    assert len(vectors) == len(polys)
+    for f, vector in zip(polys, vectors):
+        assert len(vector) == len(base) and min(vector, default=0) >= 0
+        assert _pmul_ref(p, *[b for b, e in zip(base, vector) for _ in range(e)]) == list(f)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_one_refinement_derives_the_units(monkeypatch, p):
+    # the refinement's gcds and splits are every division of a derivation;
+    # exact division of each input over the base once took 17 (28 at p = 2)
+    calls = []
+    pdivmod = radicalcheck._pdivmod
+    monkeypatch.setattr(radicalcheck, "_pdivmod", lambda p, a, b: calls.append(b) or pdivmod(p, a, b))
+    standard_units(p)
+    assert len(calls) == (16 if p == 2 else 5)
 
 
 @given(st.sampled_from(PRIMES), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
