@@ -5,8 +5,8 @@ Wire format (normative):
     {"kind":"GAk","A":[[ratstr,...],...],"k":int,"index":int?}
     {"kind":"Composite","A":[[ratstr,...],...],"varpi":ratstr,"q":int,"index":int?}
     {"kind":"Millefeuille","A":[[ratstr,...],...],"t":ratstr,"k":int}
-with ratstr matching -?[0-9]+(/[0-9]+)?, matrices row-major, rationals in
-lowest terms, and no other key.  Witness chains (--witness) are
+with ratstr matching -?[0-9]+(/[0-9]+)? in any terms, matrices row-major, and no
+other key; rationals are written in lowest terms.  Witness chains (--witness) are
     {"nodes":[node,...],"arrows":[{"direction":str,"citation":str},...],"pattern":str}
 where a node is a descriptor, printed exactly as above, or one of
     {"kind":"FreeGroup","rank":int}
@@ -23,6 +23,7 @@ document except under --human.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -69,6 +70,7 @@ EXIT_NO = 1
 EXIT_PARSE = 2
 EXIT_UNDECIDED = 3
 
+_heap_frozen = False  # main sets it: gc.get_freeze_count() walks every frozen object
 
 _RATSTR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -429,6 +431,16 @@ def _configure_logging() -> None:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand in argv (default sys.argv[1:]) and return its exit code: 0 yes or
+    success, 1 no, 2 parse or usage error, 3 undecided or internal error.  The first call in
+    a process freezes the heap unless something froze it before (gc.freeze), so the cyclic
+    collections at exit skip all that start-up and the imports built, which dies with a CLI
+    process anyway.  An in-process caller keeps that moment's garbage cycles until it calls
+    gc.unfreeze(); later calls freeze nothing, since each freeze would keep more."""
+    global _heap_frozen
+    if not _heap_frozen and not gc.get_freeze_count():
+        gc.freeze()
+    _heap_frozen = True
     _configure_logging()
     args = parse_args(argv)
     try:

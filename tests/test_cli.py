@@ -160,6 +160,24 @@ def test_parse_rejects_malformed_input(tmp_path):
         parse_descriptor(json.loads(cases[-1]))
 
 
+def test_rationals_are_read_in_any_terms_and_written_in_lowest(capsys, tmp_path):
+    """An input rational may be in any terms: 2/4 and 3/9 read as 1/2 and
+    1/3, so invariants and boundary exit 0 with the same bytes as for the
+    twin in lowest terms, and the chain between the two is one node, printed
+    in lowest terms.  Such input is no parse error."""
+    paths = []
+    for name, a, b in (("any", "2/4", "3/9"), ("lowest", "1/2", "1/3")):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"kind": "GAk", "A": [[a, "0"], ["0", b]], "k": 2}),
+                             encoding="utf-8")
+    for command in ("invariants", "boundary"):
+        runs = [(main([command, str(path)]), capsys.readouterr()) for path in paths]
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_YES, command
+    code, out = run_cli(capsys, "commable", *map(str, paths), "--within-focal", "--witness")
+    assert (code, out["verdict"]) == (EXIT_YES, "yes")
+    assert out["chain"]["nodes"] == [{"kind": "GAk", "A": [["1/2", "0"], ["0", "1/3"]], "k": 2}]
+
+
 def test_matrix_outside_family_is_a_parse_error(tmp_path):
     path = tmp_path / "rot.json"
     path.write_text('{"kind":"GAk","A":[["0","1"],["-1","0"]],"k":2}', encoding="utf-8")
@@ -801,6 +819,49 @@ def test_cli_child_loads_no_logging():
     for argv, code, out in runs:
         proc = run_python("-c", run, *argv, timeout=20, env={"FOCAL_LOG": ""})
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "[]\n"), argv
+
+
+def test_import_and_library_calls_freeze_nothing():
+    """Importing focalclass or focalclass.cli freezes none of the collector's
+    heap, and neither do library calls: a program that uses the library
+    keeps every cycle collectable."""
+    code = ("import gc\n"
+            "counts = [gc.get_freeze_count()]\n"
+            "import focalclass\n"
+            "counts.append(gc.get_freeze_count())\n"
+            "import focalclass.cli\n"
+            "from focalclass import FT, GAk, MatQ, commable, compute_invariants\n"
+            "from focalclass.radicalcheck import designated_units\n"
+            "counts.append(gc.get_freeze_count())\n"
+            "g, h = FT(m=2), GAk(matrix=MatQ([['1/2']]), k=2)\n"
+            "compute_invariants(g), compute_invariants(h), commable(g, h), designated_units(5)\n"
+            "counts.append(gc.get_freeze_count())\n"
+            "print(counts)\n")
+    proc = run_python("-c", code, timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "[0, 0, 0, 0]\n"), proc.stderr
+
+
+def test_main_freezes_the_heap_once_per_process():
+    """The first main call in a process freezes the heap, so the
+    collections at exit skip what start-up and the imports built; a second
+    call freezes nothing more, and neither does a first call after the
+    caller froze the heap itself.  None of this changes stdout or the exit
+    code."""
+    argv = ("boundary", corpus_path("ft2"))
+    plain = run_child(*argv, timeout=20)
+    assert (plain.returncode, plain.stdout) == (0, '{"boundary": "cantor"}\n'), plain.stderr
+    for caller_froze, calls in ((False, 1), (True, 0)):
+        code = ("import gc, sys\n"
+                "from focalclass.cli import main\n"
+                f"if {caller_froze}: gc.freeze()\n"
+                "freeze, calls = gc.freeze, []\n"
+                "gc.freeze = lambda: (calls.append(1), freeze())[1]\n"
+                "codes = [main(sys.argv[1:]), gc.get_freeze_count() > 0, main(sys.argv[1:])]\n"
+                "print(codes, len(calls), file=sys.stderr)\n"
+                "sys.exit(codes[0])\n")
+        proc = run_python("-c", code, *argv, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            plain.returncode, plain.stdout * 2, f"[0, True, 0] {calls}\n"), caller_froze
 
 
 def test_library_caller_gets_debug_lines_once_logging_is_configured():
