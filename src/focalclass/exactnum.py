@@ -15,11 +15,13 @@ for rationals a, b > 1, kept as exponents over primitive bases found and
 compared on integers.  Equality of two such values is decided only when a
 rigorous certificate exists, a value against itself at once; otherwise the
 comparison is reported as undecided instead of being guessed from floats.
-The last certificate, disjoint interval enclosures, is computed on Python
-ints with mpmath's directed-rounding rules.  A LogRatio keeps the enclosure
-of its last such comparison, at that comparison's precision, so comparing
-it again at that precision computes no log; nothing else here is kept
-between calls.
+Two irrational values with one primitive base in the same place are, by
+unique factorisation, unequal unless their normal forms match: that rung
+computes no log.  The last certificate, disjoint interval enclosures, is
+computed on Python ints with mpmath's directed-rounding rules.  A LogRatio
+keeps the enclosure of its last such comparison, at that comparison's
+precision, so comparing it again at that precision computes no log;
+nothing else here is kept between calls.
 """
 
 from __future__ import annotations
@@ -470,10 +472,16 @@ def compare_values(x: Value, y: Value) -> Comparison:
 
     EQUAL and NOT_EQUAL are only ever returned with a rigorous certificate:
     matching canonical forms, a rational-vs-irrational mismatch (irrational
-    is certified by multiplicative independence of primitive bases), or
-    disjoint interval enclosures, x against itself at once.  Everything else
-    is Undecided.  At DEBUG the focalclass.exactnum logger gets one line
-    naming the deciding rung.
+    is certified by multiplicative independence of primitive bases), a base
+    shared in place, or disjoint interval enclosures, x against itself at
+    once.  Everything else is Undecided.  At DEBUG the focalclass.exactnum
+    logger gets one line naming the deciding rung.
+
+    Shared base: with q shared, (m1/n1)·log p1/log q = (m2/n2)·log p2/log q
+    exactly when p1^(m1·n2) = p2^(m2·n1).  A rational > 1 is a power of
+    exactly one primitive rational, with exactly one exponent, so equality
+    forces p1 = p2 and (m1, n1) = (m2, n2): matching normal forms, already
+    ruled out.  With p shared the same argument runs on q1 and q2.
     """
     cx = canonical_value(x)
     cy = cx if y is x else canonical_value(y)
@@ -484,6 +492,9 @@ def compare_values(x: Value, y: Value) -> Comparison:
     elif isinstance(cx, Fraction) or isinstance(cy, Fraction):
         # one value rational, the other certified irrational
         verdict, rung = NOT_EQUAL, "rational against irrational"
+    elif (cx.p.as_integer_ratio() == cy.p.as_integer_ratio()
+          or cx.q.as_integer_ratio() == cy.q.as_integer_ratio()):
+        verdict, rung = NOT_EQUAL, "shared base"
     else:
         verdict = _interval_compare(cx, cy)
         rung = "disjoint enclosures" if verdict is NOT_EQUAL else "undecided"

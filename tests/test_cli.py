@@ -535,6 +535,25 @@ def test_commable_undecided_exit_code(capsys, tmp_path):
     assert code == EXIT_UNDECIDED and out["verdict"] == "undecided"
 
 
+@pytest.mark.parametrize("argv", [("commable", "--within-focal"), ("commable",), ("qi",)])
+def test_varpis_over_one_base_are_certified_unequal(capsys, tmp_path, argv):
+    """The varpis log(3^(a+1))/log(2^a) and log(3^(a+2))/log(2^(a+1)) with
+    a = 10^40 share both bases, so unique factorisation tells them apart
+    where enclosures at 256 extra bits cannot."""
+    a = 10**40
+    paths = []
+    for name, t in (("m0", f"{a}/{a + 1}"), ("m1", f"{a + 1}/{a + 2}")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "Millefeuille", "A": [["1/2"]], "t": t, "k": 3}),
+                        encoding="utf-8")
+        paths.append(str(path))
+    code, out = run_cli(capsys, argv[0], *paths, *argv[1:])
+    assert code == EXIT_NO and out["verdict"] == "no"
+    assert out["obstruction"]["invariant"] == "varpi"
+    assert out["obstruction"]["values"] == [f"log(3^{a + 1})/log(2^{a})",
+                                            f"log(3^{a + 2})/log(2^{a + 1})"]
+
+
 # ---------------------------------------------------------------------------
 # boundary / hull / pattern
 # ---------------------------------------------------------------------------
@@ -763,13 +782,14 @@ def test_cli_runs_without_mpmath(tmp_path):
         path.write_text(json.dumps({"kind": "GAk", "A": rows, "k": 1}), encoding="utf-8")
         return str(path)
 
-    pair = gak("a", "1/2", "1/3"), gak("b", "1/2", "1/5")
+    # the keys log(3)/log(2) and log(5)/log(3) share no base in place
+    pair = gak("a", "1/2", "1/3"), gak("b", "1/3", "1/5")
     proc = run_python("-c", WITHOUT_MPMATH, "commable", *pair, "--within-focal",
                       timeout=20, env={"FOCAL_LOG": "DEBUG"})
     assert proc.returncode == EXIT_NO, proc.stderr
     assert json.loads(proc.stdout)["obstruction"]["invariant"] == "connected-key"
     assert proc.stderr.splitlines()[-1] == (
-        "DEBUG:focalclass.exactnum:compare log(3)/log(2) with log(5)/log(2): "
+        "DEBUG:focalclass.exactnum:compare log(3)/log(2) with log(5)/log(3): "
         "NOT_EQUAL by disjoint enclosures at 259 bits")
     a = 10**80
     near = gak("u0", f"1/{a}", f"1/{a + 1}"), gak("u1", f"1/{a + 1}", f"1/{a + 2}")
@@ -871,12 +891,12 @@ def test_library_caller_gets_debug_lines_once_logging_is_configured():
     code = ("import logging; logging.basicConfig(level=logging.DEBUG)\n"
             "from focalclass.exactnum import LogRatio, compare_values\n"
             "from focalclass.matexact import MatQ, spectral_data\n"
-            "compare_values(LogRatio(3, 2), LogRatio(5, 2))\n"
+            "compare_values(LogRatio(3, 2), LogRatio(5, 3))\n"
             "spectral_data(MatQ([['1/2', '1'], ['0', '1/3']]))\n")
     proc = run_python("-c", code, timeout=20, env={"FOCAL_LOG": ""})
     assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
     assert proc.stderr.splitlines() == [
-        "DEBUG:focalclass.exactnum:compare log(3)/log(2) with log(5)/log(2): "
+        "DEBUG:focalclass.exactnum:compare log(3)/log(2) with log(5)/log(3): "
         "NOT_EQUAL by disjoint enclosures at 259 bits",
         "DEBUG:focalclass.matexact:spectral data of a 2 x 2 matrix from its triangular diagonal",
     ]

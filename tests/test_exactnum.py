@@ -591,7 +591,8 @@ def fresh(x: LogRatio) -> LogRatio:
 
 def test_enclosures_are_kept_between_comparisons(monkeypatch):
     calls = _record_ln_fixed(monkeypatch)
-    x, y = LogRatio(F(9, 8), F(7)), LogRatio(F(81, 80), F(7))
+    # no base shared in place, so compare_values reaches the enclosures too
+    x, y = LogRatio(F(9, 8), F(7)), LogRatio(F(81, 80), F(9, 8))
     verdict = _interval_compare(x, y)
     assert verdict is NOT_EQUAL and len(calls) == 6
     # the same values again, also through compare_values and in either order
@@ -850,6 +851,8 @@ def test_compare_values_logs_its_certificate(caplog):
         (LogRatio(9, 4), LogRatio(3, 2), EQUAL, "canonical match"),
         (F(1, 2), F(2, 3), NOT_EQUAL, "canonical mismatch of two rationals"),
         (F(1), LogRatio(3, 2), NOT_EQUAL, "rational against irrational"),
+        (LogRatio(3, 2), LogRatio(5, 2), NOT_EQUAL, "shared base"),
+        (LogRatio(3, 2), LogRatio(3, 5), NOT_EQUAL, "shared base"),
         (LogRatio(3, 2), LogRatio(5, 3), NOT_EQUAL, "disjoint enclosures at 259 bits"),
         (LogRatio(near + 1, near), LogRatio(near + 2, near + 1), Undecided(1.0, 1.0, 0.0),
          f"undecided at {_INTERVAL_PREC + (near + 2).bit_length()} bits"),
@@ -861,3 +864,69 @@ def test_compare_values_logs_its_certificate(caplog):
         records = [(r.name, r.levelno) for r in caplog.records]
         assert records == [("focalclass.exactnum", logging.DEBUG)]
         assert caplog.records[0].getMessage().endswith(f": {verdict} by {rung}")
+
+
+# ---------------------------------------------------------------------------
+# the shared-base rung
+# ---------------------------------------------------------------------------
+
+
+_primitive = st.one_of(_base, above_one).map(lambda b: mult_decompose(b)[0])
+_big_exp = st.integers(1, 10**40)
+
+
+@st.composite
+def shared_base_pairs(draw):
+    """Two log-ratios with one primitive base in the same place, p or q.  The
+    second is the first spelt with its exponents scaled by a common factor,
+    the first with both exponents one larger, or one with an unrelated
+    other base and exponents."""
+    shared, own = draw(_primitive), draw(_primitive)
+    m, n = draw(_big_exp), draw(_big_exp)
+    how = draw(st.sampled_from(["rescaled", "near", "other"]))
+    if how == "rescaled":
+        j = draw(st.integers(1, 10**6))
+        other, m2, n2 = own, m * j, n * j
+    elif how == "near":
+        other, m2, n2 = own, m + 1, n + 1
+    else:
+        other, m2, n2 = draw(_primitive), draw(_big_exp), draw(_big_exp)
+    if draw(st.booleans()):
+        return LogRatio.of_powers(shared, m, own, n), LogRatio.of_powers(shared, m2, other, n2)
+    return LogRatio.of_powers(own, m, shared, n), LogRatio.of_powers(other, m2, shared, n2)
+
+
+@given(shared_base_pairs())
+@settings(max_examples=150, deadline=None)
+def test_a_base_shared_in_place_decides_on_normal_forms(pair):
+    """Over a base shared in place, compare_values is NOT_EQUAL exactly when
+    the normal forms differ; generous enclosures and mpmath at 100 digits
+    never contradict it."""
+    x, y = pair
+    cx, cy = canonical_value(x), canonical_value(y)
+    verdict = compare_values(x, y)
+    assert verdict is (EQUAL if cx == cy else NOT_EQUAL)
+    if isinstance(cx, LogRatio) and isinstance(cy, LogRatio):
+        if _interval_compare(fresh(cx), fresh(cy), 1024) is NOT_EQUAL:
+            assert verdict is NOT_EQUAL
+    # the closest unequal draws, m/n against (m+1)/(n+1) over one pair of
+    # bases, differ by about 10^-80 relatively, far above 100 digits' rounding
+    with mpmath.workdps(100):
+        dx, dy = _mp_value(cx), _mp_value(cy)
+        apart = abs(dx - dy) > mpmath.mpf(10) ** -90 * abs(dx)
+    assert apart == (verdict is NOT_EQUAL)
+
+
+def test_a_shared_base_computes_no_log(monkeypatch):
+    """log(b)/log(a) against log(b+1)/log(a) with a, b of 1600 bits compares
+    NOT_EQUAL with the log kernel out of reach."""
+    def no_log(r, w):
+        raise AssertionError("a log was computed")
+
+    monkeypatch.setattr(exactnum, "_ln_fixed", no_log)
+    a = (1 << 1599) + 1235
+    x, y = LogRatio(a + 20, a), LogRatio(a + 21, a)
+    assert compare_values(x, y) is NOT_EQUAL
+    assert x._enclosure is None and y._enclosure is None
+    with pytest.raises(AssertionError, match="a log was computed"):
+        _interval_compare(x, y)
